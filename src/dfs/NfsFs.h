@@ -25,7 +25,6 @@
 #include "dfs/WriteBehind.h"
 #include "sim/Scheduler.h"
 #include <memory>
-#include <optional>
 
 namespace dmb {
 
@@ -86,7 +85,7 @@ public:
 
   /// The write-behind queue, when ClientConfig::WriteBehind enabled one.
   const WriteBehindQueue *writeBehind() const {
-    return WB ? &*WB : nullptr;
+    return WB.get();
   }
 
 private:
@@ -99,7 +98,7 @@ private:
   NfsOptions Options;
   unsigned NodeIndex;
   AttrCache Cache;
-  std::optional<WriteBehindQueue> WB;
+  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

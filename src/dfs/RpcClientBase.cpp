@@ -10,7 +10,7 @@
 using namespace dmb;
 
 void RpcClientBase::mountWriteBehind(
-    std::optional<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
+    std::unique_ptr<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
     std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
         Issue,
     FileServer *Eager, uint32_t VolId, AttrCache *Cache) {
@@ -25,5 +25,5 @@ void RpcClientBase::mountWriteBehind(
       return Eager->processEager(VolId, R, std::move(Committed));
     };
   Hooks.Cache = Cache;
-  WB.emplace(Sched, Policy, std::move(Hooks));
+  WB = std::make_unique<WriteBehindQueue>(Sched, Policy, std::move(Hooks));
 }

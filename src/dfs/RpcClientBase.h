@@ -41,7 +41,6 @@
 #include "sim/Trace.h"
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 namespace dmb {
@@ -171,9 +170,10 @@ protected:
   /// client's normal RPC path), AllocXid pins (ClientId, Xid) at enqueue
   /// time, and — when \p Eager is non-null — ApplyEager applies eager-
   /// discipline ops at \p Eager under \p VolId with \p Cache kept
-  /// coherent. No-op when the policy is disabled.
+  /// coherent. No-op when the policy is disabled, so a client without
+  /// write-behind carries only the null pointer.
   void mountWriteBehind(
-      std::optional<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
+      std::unique_ptr<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
       std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
           Issue,
       FileServer *Eager = nullptr, uint32_t VolId = 0,

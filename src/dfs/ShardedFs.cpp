@@ -785,7 +785,30 @@ void ShardedClient::submit(const MetaRequest &Req, Callback Done) {
   submitDirect(Req, std::move(Done));
 }
 
+/// Operations that act on an open handle and carry no path to route by.
+static bool needsHandle(MetaOp Op) {
+  switch (Op) {
+  case MetaOp::Close:
+  case MetaOp::Write:
+  case MetaOp::Read:
+  case MetaOp::Seek:
+  case MetaOp::Ftruncate:
+  case MetaOp::Lock:
+  case MetaOp::Unlock:
+    return true;
+  default:
+    return false;
+  }
+}
+
 void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
+  // No handle at all (a write-behind handle whose open failed or whose
+  // close retired it) gets the same answer as an unknown one, not a
+  // routing error for the missing path.
+  if (Req.Fh == InvalidHandle && needsHandle(Req.Op)) {
+    failLocally(FsError::BadFd, std::move(Done));
+    return;
+  }
   // Handle-based operations go to the shard that issued the handle.
   if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
     auto It = Handles.find(Req.Fh);

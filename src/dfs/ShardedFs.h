@@ -38,7 +38,6 @@
 #include "sim/Scheduler.h"
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -253,7 +252,7 @@ public:
 
   /// The write-behind queue, when ClientConfig::WriteBehind enabled one.
   const WriteBehindQueue *writeBehind() const {
-    return WB ? &*WB : nullptr;
+    return WB.get();
   }
 
 private:
@@ -290,7 +289,7 @@ private:
   uint64_t StaleRetries = 0;
   std::unordered_map<FileHandle, HandleInfo> Handles;
   FileHandle NextLocalFh = 1;
-  std::optional<WriteBehindQueue> WB;
+  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

@@ -56,13 +56,15 @@ bool WriteBehindQueue::shouldQueue(const MetaRequest &Req) const {
            Req.Op == MetaOp::Close;
   if (isQueueableNamespaceOp(Req.Op) || isCreatingOpen(Req))
     return true;
-  // Handle-based data/metadata ops ride along only on queue-local handles
-  // (files this queue created); server-handle ops stay synchronous.
+  // Handle-based data/metadata ops ride along only on live queue-local
+  // handles (files this queue created whose close has not completed);
+  // server-handle ops stay synchronous, and an op on a retired local
+  // handle passes through to fail with BadFd (see translate()).
   switch (Req.Op) {
   case MetaOp::Write:
   case MetaOp::Close:
   case MetaOp::Ftruncate:
-    return isLocalFh(Req.Fh);
+    return isLocalFh(Req.Fh) && LocalFhs.count(Req.Fh);
   default:
     return false;
   }
@@ -108,8 +110,9 @@ MetaRequest WriteBehindQueue::translate(const MetaRequest &Req) const {
   if (!isLocalFh(Req.Fh))
     return Req;
   MetaRequest Out = Req;
-  if (auto It = LocalFhs.find(Req.Fh); It != LocalFhs.end())
-    Out.Fh = It->second.ServerFh; // InvalidHandle when the open failed
+  auto It = LocalFhs.find(Req.Fh);
+  // InvalidHandle when the open failed or a close retired the handle.
+  Out.Fh = It != LocalFhs.end() ? It->second.ServerFh : InvalidHandle;
   return Out;
 }
 
@@ -119,9 +122,7 @@ void WriteBehindQueue::enqueue(const MetaRequest &Req, Callback Done) {
   // Outside drainStalledAndBarriers a non-empty stall list implies the
   // cap is hit, so checking Live alone keeps FIFO order.
   if (Live >= Policy.MaxQueuedOps) {
-    Stalled.push_back([this, Req, Done = std::move(Done)]() mutable {
-      enqueue(Req, std::move(Done));
-    });
+    Stalled.push_back({Req, std::move(Done)});
     return;
   }
   if (Policy.DeferIssue)
@@ -223,19 +224,23 @@ void WriteBehindQueue::addDep(Op &From, uint64_t On) {
 }
 
 void WriteBehindQueue::indexOp(const Op &O) {
-  const MetaRequest &Req = O.Req;
   auto Index = [&](const std::string &P) {
     if (P.empty())
       return;
     LastByPath[P] = O.Id;
-    if (std::string_view Parent = parentPath(P); !Parent.empty())
-      LastChildOf[std::string(Parent)] = O.Id;
+    std::string_view Parent = parentPath(P);
+    if (Parent.empty())
+      return;
+    // Most ops land in an already-indexed directory: update in place and
+    // build the key string only for a new one.
+    if (auto It = LastChildOf.find(Parent); It != LastChildOf.end())
+      It->second = O.Id;
+    else
+      LastChildOf.emplace(Parent, O.Id);
   };
-  Index(Req.Path);
-  if (path2IsPath(Req.Op))
-    Index(Req.Path2);
-  if (isLocalFh(Req.Fh))
-    LocalFhs[Req.Fh].LastOp = O.Id;
+  Index(O.Req.Path);
+  if (path2IsPath(O.Req.Op))
+    Index(O.Req.Path2);
 }
 
 void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
@@ -259,19 +264,16 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
     Req.Xid = Hooks.AllocXid();
 
   MetaReply Predicted = predictReply(Req);
-  if (isCreatingOpen(Req)) {
-    FileHandle Local = NextLocalFh++;
-    LocalFhs.emplace(Local, LocalHandle{});
-    Predicted.Fh = Local;
-    Predicted.A.Mode = Req.Mode;
-  }
-
   uint64_t Id = NextOpId++;
   Op &O = Ops[Id];
   O.Id = Id;
   O.Req = std::move(Req);
-  if (isCreatingOpen(O.Req))
-    LocalFhs[Predicted.Fh].OpenOp = Id;
+  if (isCreatingOpen(O.Req)) {
+    O.Minted = NextLocalFh++;
+    LocalFhs[O.Minted].OpenOp = Id;
+    Predicted.Fh = O.Minted;
+    Predicted.A.Mode = O.Req.Mode;
+  }
 
   // Dependency edges (computed before indexing, so the op never depends
   // on itself): same-path chains, parent-directory ordering for
@@ -282,8 +284,7 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
     if (auto It = LastByPath.find(P); It != LastByPath.end())
       addDep(O, It->second);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      if (auto It = LastByPath.find(std::string(Parent));
-          It != LastByPath.end())
+      if (auto It = LastByPath.find(Parent); It != LastByPath.end())
         addDep(O, It->second);
   };
   DepPath(O.Req.Path);
@@ -295,14 +296,19 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
       addDep(O, It->second);
   }
   if (isLocalFh(O.Req.Fh)) {
-    auto &H = LocalFhs[O.Req.Fh];
-    addDep(O, H.OpenOp);
-    addDep(O, H.LastOp);
+    // A handle retired while this op stalled has no entry left; issueOp
+    // then fails the op with BadFd.
+    if (auto HIt = LocalFhs.find(O.Req.Fh); HIt != LocalFhs.end()) {
+      addDep(O, HIt->second.OpenOp);
+      addDep(O, HIt->second.LastOp);
+      HIt->second.LastOp = Id;
+    }
   }
   indexOp(O);
 
   ++Live;
   ++QueuedCount;
+  QueuedIds.push_back(Id);
   if (O.Req.Op == MetaOp::Write)
     QueuedBytes += O.Req.Bytes;
 
@@ -348,24 +354,26 @@ void WriteBehindQueue::flush() {
 }
 
 void WriteBehindQueue::scheduleAll() {
-  for (auto &[Id, O] : Ops)
-    if (O.State == Op::St::Queued)
-      O.State = Op::St::Scheduled;
+  // Skip the ids a closure already claimed (scheduled, maybe completed).
+  std::vector<uint64_t> Batch;
+  Batch.reserve(QueuedIds.size());
+  for (uint64_t Id : QueuedIds)
+    if (auto It = Ops.find(Id);
+        It != Ops.end() && It->second.State == Op::St::Queued) {
+      It->second.State = Op::St::Scheduled;
+      Batch.push_back(Id);
+    }
+  QueuedIds.clear();
   QueuedCount = 0;
   QueuedBytes = 0;
-  issueReady();
+  issueReady(Batch);
 }
 
-void WriteBehindQueue::issueReady() {
-  // Collect first: issuing can complete synchronously (failed-handle
-  // short-circuits) and mutate the map under an iterator.
-  std::vector<uint64_t> Ready;
-  for (auto &[Id, O] : Ops)
-    if (O.State == Op::St::Scheduled && O.PendingDeps == 0)
-      Ready.push_back(Id);
-  for (uint64_t Id : Ready) {
+void WriteBehindQueue::issueReady(const std::vector<uint64_t> &Batch) {
+  for (uint64_t Id : Batch) {
     auto It = Ops.find(Id);
-    if (It != Ops.end() && It->second.State == Op::St::Scheduled)
+    if (It != Ops.end() && It->second.State == Op::St::Scheduled &&
+        It->second.PendingDeps == 0)
       issueOp(It->second);
   }
 }
@@ -376,11 +384,12 @@ void WriteBehindQueue::issueOp(Op &O) {
   uint64_t Id = O.Id;
   MetaRequest Wire = O.Req;
   if (isLocalFh(Wire.Fh)) {
-    auto &H = LocalFhs[Wire.Fh];
-    if (H.Failed) {
-      // The creating open this op rode on never materialized; complete
-      // with the handle error without a round trip. Deferred a tick so
-      // the completion cascade never runs under issueReady()'s loop.
+    auto HIt = LocalFhs.find(Wire.Fh);
+    if (HIt == LocalFhs.end() || HIt->second.Failed) {
+      // The creating open this op rode on never materialized, or an
+      // earlier close retired the handle; complete with the handle error
+      // without a round trip. Deferred a tick so the completion cascade
+      // never runs under issueReady()'s loop.
       Sched.after(0, [this, Id]() {
         MetaReply R;
         R.Err = FsError::BadFd;
@@ -388,9 +397,9 @@ void WriteBehindQueue::issueOp(Op &O) {
       });
       return;
     }
-    DMB_ASSERT(H.ServerFh != InvalidHandle,
+    DMB_ASSERT(HIt->second.ServerFh != InvalidHandle,
                "write-behind issued a handle op before its open resolved");
-    Wire.Fh = H.ServerFh;
+    Wire.Fh = HIt->second.ServerFh;
   }
   Hooks.Issue(Wire, [this, Id](MetaReply Reply) {
     onOpDone(Id, std::move(Reply));
@@ -400,18 +409,17 @@ void WriteBehindQueue::issueOp(Op &O) {
 void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   auto It = Ops.find(Id);
   DMB_ASSERT(It != Ops.end(), "write-behind completion for a dead op");
-  Op O = std::move(It->second);
-  Ops.erase(It);
+  auto Node = Ops.extract(It);
+  Op &O = Node.mapped();
 
-  if (isCreatingOpen(O.Req)) {
-    // Resolve the queue-local handle the application is holding.
-    for (auto &[Local, H] : LocalFhs)
-      if (H.OpenOp == Id) {
-        H.OpenOp = 0;
-        H.ServerFh = Reply.Fh;
-        H.Failed = !Reply.ok();
-        break;
-      }
+  if (O.Minted != InvalidHandle) {
+    // Resolve the queue-local handle the application is holding. Only a
+    // completed close retires it, and every close waits for this open.
+    auto HIt = LocalFhs.find(O.Minted);
+    DMB_ASSERT(HIt != LocalFhs.end(), "write-behind open outlived its handle");
+    HIt->second.OpenOp = 0;
+    HIt->second.ServerFh = Reply.Fh;
+    HIt->second.Failed = !Reply.ok();
   }
   if (!Reply.ok() && Reply.Err != FsError::BadFd) {
     // A deferred op the application was already told succeeded has failed
@@ -433,7 +441,7 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
         PIt != LastByPath.end() && PIt->second == Id)
       LastByPath.erase(PIt);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      if (auto CIt = LastChildOf.find(std::string(Parent));
+      if (auto CIt = LastChildOf.find(Parent);
           CIt != LastChildOf.end() && CIt->second == Id)
         LastChildOf.erase(CIt);
   };
@@ -477,9 +485,9 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
 
 void WriteBehindQueue::drainStalledAndBarriers() {
   while (!Stalled.empty() && Live < Policy.MaxQueuedOps) {
-    std::function<void()> Next = std::move(Stalled.front());
-    Stalled.erase(Stalled.begin());
-    Next();
+    StalledEnqueue Next = std::move(Stalled.front());
+    Stalled.pop_front();
+    enqueue(Next.Req, std::move(Next.Done));
   }
   if (Live == 0 && Stalled.empty() && !IdleWaiters.empty()) {
     std::vector<std::function<void()>> Waiters = std::move(IdleWaiters);
@@ -517,10 +525,12 @@ void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
   }
   auto Remaining = std::make_shared<size_t>(Closure.size());
   auto Shared = std::make_shared<std::function<void()>>(std::move(Done));
+  std::vector<uint64_t> Batch;
   for (uint64_t Id : Closure) {
     Op &O = Ops.at(Id);
     if (O.State == Op::St::Queued) {
       O.State = Op::St::Scheduled;
+      Batch.push_back(Id);
       DMB_ASSERT(QueuedCount > 0, "write-behind queued count underflow");
       --QueuedCount;
       if (O.Req.Op == MetaOp::Write)
@@ -531,7 +541,9 @@ void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
         (*Shared)();
     });
   }
-  issueReady();
+  if (QueuedCount == 0)
+    QueuedIds.clear(); // every id left there was claimed by a closure
+  issueReady(Batch);
 }
 
 FsError WriteBehindQueue::consumeSticky() {

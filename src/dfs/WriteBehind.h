@@ -40,8 +40,9 @@
 #include "dfs/ClientConfig.h"
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
+#include "support/StringHash.h"
+#include <deque>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -83,8 +84,8 @@ public:
                    WriteBehindHooks Hooks);
 
   /// True when \p Req belongs in the queue (mutations; creating opens;
-  /// close/write/ftruncate on a queue-local handle). Fsync never queues —
-  /// route it to fsync().
+  /// close/write/ftruncate on a queue-local handle no close has retired
+  /// yet). Fsync never queues — route it to fsync().
   bool shouldQueue(const MetaRequest &Req) const;
 
   /// True when a pass-through operation (stat, readdir, non-creating
@@ -146,6 +147,16 @@ private:
     std::vector<uint64_t> Dependents; ///< live ops waiting for this one
     unsigned PendingDeps = 0;
     std::vector<std::function<void()>> Waiters; ///< barrier continuations
+    /// The queue-local handle a creating open minted (InvalidHandle for
+    /// every other op), resolved when this op completes.
+    FileHandle Minted = InvalidHandle;
+  };
+
+  /// An enqueue that arrived over the MaxQueuedOps cap, admitted in FIFO
+  /// order as the pipeline drains.
+  struct StalledEnqueue {
+    MetaRequest Req;
+    Callback Done;
   };
 
   /// State of a queue-local file handle minted for a deferred creating
@@ -168,16 +179,20 @@ private:
   bool coalesce(const MetaRequest &Req);
   /// Adds a dependency edge From -> On when \p On is a live op.
   void addDep(Op &From, uint64_t On);
-  /// Records \p Id as the latest op touching its paths/handle.
+  /// Records \p O as the latest op touching its paths.
   void indexOp(const Op &O);
   /// Predicted local reply for a deferred enqueue.
   [[nodiscard]] MetaReply predictReply(const MetaRequest &Req);
   void localAck(Callback Done, MetaReply Reply);
   void maybeTrigger();
   void armTimer();
-  /// Marks every St::Queued op Scheduled and pumps issueReady().
+  /// Marks every St::Queued op Scheduled and issues the ready ones.
   void scheduleAll();
-  void issueReady();
+  /// Issues the ops of \p Batch (ascending ids, just scheduled by a flush
+  /// or a closure) whose dependencies have all completed. Exact because
+  /// between entry points no op is Scheduled with zero pending deps:
+  /// onOpDone issues each scheduled dependent it unblocks itself.
+  void issueReady(const std::vector<uint64_t> &Batch);
   void issueOp(Op &O);
   void onOpDone(uint64_t Id, MetaReply Reply);
   void drainStalledAndBarriers();
@@ -198,12 +213,14 @@ private:
   WriteBehindPolicy Policy;
   WriteBehindHooks Hooks;
 
-  std::map<uint64_t, Op> Ops; ///< live deferred ops by id (ordered: the
-                              ///< issue scan must be deterministic)
+  std::unordered_map<uint64_t, Op> Ops; ///< live deferred ops by id
   uint64_t NextOpId = 1;
-  std::unordered_map<std::string, uint64_t> LastByPath;
-  std::unordered_map<std::string, uint64_t> LastChildOf; ///< dir -> last op
-                                                         ///< on a child
+  /// Ids enqueued since the last flush, ascending; a closure may have
+  /// scheduled (or completed) some of them already. Empty whenever
+  /// QueuedCount is 0.
+  std::vector<uint64_t> QueuedIds;
+  StringMap<uint64_t> LastByPath;  ///< path -> last live op on it
+  StringMap<uint64_t> LastChildOf; ///< dir -> last live op on a child
   std::unordered_map<FileHandle, LocalHandle> LocalFhs;
   FileHandle NextLocalFh = LocalFhTag | 1;
 
@@ -213,7 +230,7 @@ private:
   uint64_t TimerEpoch = 0;   ///< invalidates stale dwell timers
   bool TimerArmed = false;
 
-  std::vector<std::function<void()>> Stalled; ///< enqueues over the cap
+  std::deque<StalledEnqueue> Stalled; ///< enqueues over the cap
   std::vector<std::function<void()>> IdleWaiters; ///< whole-queue barriers
 
   FsError Sticky = FsError::Ok;

@@ -19,10 +19,10 @@
 #define DMETABENCH_SUPPORT_INTERNER_H
 
 #include "support/Assert.h"
+#include "support/StringHash.h"
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace dmb {
@@ -62,20 +62,7 @@ public:
   uint32_t size() const { return static_cast<uint32_t>(Names.size()); }
 
 private:
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view S) const {
-      return std::hash<std::string_view>{}(S);
-    }
-  };
-  struct Eq {
-    using is_transparent = void;
-    bool operator()(std::string_view A, std::string_view B) const {
-      return A == B;
-    }
-  };
-
-  std::unordered_map<std::string, uint32_t, Hash, Eq> Map;
+  StringMap<uint32_t> Map;
   std::vector<const std::string *> Names;
 };
 

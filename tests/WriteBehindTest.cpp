@@ -7,15 +7,18 @@
 /// \file
 /// Tests for the reusable client write-behind layer (dfs/WriteBehind.h):
 /// deferred local acks and bulk flushing, the three flush triggers,
-/// coalescing, queue-local handle translation, the dirty-op cap, sticky
-/// flush errors, and — the core contract — that an fsync drains exactly
-/// the dependency closure of its target, verified under permuted event
-/// schedules.
+/// coalescing, queue-local handle translation and retirement, the dirty-op
+/// cap, sticky flush errors, issue order and handle identity in a queue
+/// running at its cap, and — the core contract — that an fsync drains
+/// exactly the dependency closure of its target, verified under permuted
+/// event schedules.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dmetabench/DMetabench.h"
 #include <gtest/gtest.h>
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -254,6 +257,168 @@ TEST(WriteBehind, FlushErrorIsStickyUntilTheNextBarrier) {
   EXPECT_EQ(FsError::Ok, runSync(S, *C, makeFsync(InvalidHandle)).Err);
 }
 
+TEST(WriteBehind, RetiredLocalHandleFailsWithBadFd) {
+  // A queue-local handle retires when its close completes. A later op on
+  // it must not re-enter the queue, which has no server handle left to
+  // translate it to: it passes through with InvalidHandle and the server
+  // answers BadFd. The cap of two live ops lets the last case stall.
+  NfsOptions Opts = deferredNfs();
+  Opts.Client.WriteBehind.MaxQueuedOps = 2;
+  Scheduler S;
+  NfsFs Fs(S, Opts);
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<NfsClient *>(Client.get());
+
+  MetaReply O = runSync(S, *C, makeOpen("/f", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(O.Fh)).Err);
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeFsync(InvalidHandle)).Err);
+
+  EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeClose(O.Fh)).Err);
+  EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeWrite(O.Fh, 10)).Err);
+  EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
+  EXPECT_EQ(InvalidHandle, C->writeBehind()->translate(makeRead(O.Fh, 1)).Fh);
+  EXPECT_EQ(FsError::Ok, runSync(S, *C, makeFsync(InvalidHandle)).Err);
+
+  // A second close queued while the first is still live waits for it,
+  // finds the handle retired at issue time, and completes with BadFd
+  // without a round trip (a BadFd is never the sticky error).
+  MetaReply G = runSync(S, *C, makeOpen("/g", OpenWrite | OpenCreate));
+  ASSERT_TRUE(G.ok());
+  uint64_t Served = Fs.server().processedRequests();
+  uint64_t Errors = C->writeBehind()->flushErrors();
+  for (int I = 0; I < 2; ++I)
+    C->submit(makeClose(G.Fh), [](MetaReply R) { EXPECT_TRUE(R.ok()); });
+  S.run();
+  EXPECT_EQ(Served + 1, Fs.server().processedRequests());
+  EXPECT_EQ(Errors + 1, C->writeBehind()->flushErrors());
+  EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
+  EXPECT_EQ(FsError::Ok, C->writeBehind()->pendingError());
+
+  // A write that stalls at the cap behind its handle's close is admitted
+  // once the close has retired the handle, and completes with BadFd.
+  MetaReply H = runSync(S, *C, makeOpen("/h", OpenWrite | OpenCreate));
+  ASSERT_TRUE(H.ok());
+  Served = Fs.server().processedRequests();
+  C->submit(makeMkdir("/m1"), [](MetaReply) {});
+  C->submit(makeMkdir("/m2"), [](MetaReply) {});
+  C->submit(makeClose(H.Fh), [](MetaReply R) { EXPECT_TRUE(R.ok()); });
+  C->submit(makeWrite(H.Fh, 5), [](MetaReply R) { EXPECT_TRUE(R.ok()); });
+  EXPECT_EQ(2u, C->writeBehind()->stalledOps());
+  S.run();
+  EXPECT_EQ(Served + 3, Fs.server().processedRequests());
+  EXPECT_EQ(Errors + 2, C->writeBehind()->flushErrors());
+  EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
+}
+
+//===----------------------------------------------------------------------===//
+// A deep queue: issue order and handle identity across many chains
+//===----------------------------------------------------------------------===//
+
+/// Runs open(create) -> write(Size) -> close on \p Path as a closed loop
+/// (each step is submitted once the previous one is acked), then calls
+/// \p Closed with the handle the open returned.
+void createChain(ClientFs &C, const std::string &Path, uint64_t Size,
+                 std::function<void(FileHandle)> Closed) {
+  C.submit(makeOpen(Path, OpenWrite | OpenCreate), [&C, Size,
+                                                    Closed](MetaReply O) {
+    ASSERT_TRUE(O.ok()) << "local acks are optimistic";
+    C.submit(makeWrite(O.Fh, Size), [&C, Fh = O.Fh, Closed](MetaReply W) {
+      ASSERT_TRUE(W.ok());
+      C.submit(makeClose(Fh), [Fh, Closed](MetaReply Cl) {
+        ASSERT_TRUE(Cl.ok());
+        Closed(Fh);
+      });
+    });
+  });
+}
+
+TEST(WriteBehind, DeepQueueKeepsIssueOrderAndHandleIdentity) {
+  // 300 create -> write -> close chains over six directories run at once
+  // against a queue capped at 256 live ops and flushed every 32, so
+  // admissions stall, flushes overlap, and completions cascade through
+  // long dependency lists. Every file gets its own size: a write issued
+  // against the wrong server handle lands on the wrong file.
+  constexpr int Dirs = 6, Chains = 300, FsyncChain = 150;
+  auto SizeOf = [](int I) { return static_cast<uint64_t>(100 + 7 * I); };
+  auto PathOf = [](int I) {
+    return "/d" + std::to_string(I % Dirs) + "/f" + std::to_string(I);
+  };
+
+  // The mutation sequence the server applies pins the issue order and
+  // the pinned Xids of every chain.
+  std::string Mutations;
+  NfsOptions O = deferredNfs();
+  O.Client.WriteBehind.MaxQueuedOps = 256;
+  O.Client.WriteBehind.FlushMaxOps = 32;
+  Scheduler S;
+  NfsFs Fs(S, O);
+  Fs.server().watchMutations(
+      [&Mutations](const std::string &, const MetaRequest &R) {
+        Mutations += std::string(metaOpName(R.Op)) + " " + R.Path +
+                     " fh=" + std::to_string(R.Fh) +
+                     " bytes=" + std::to_string(R.Bytes) +
+                     " xid=" + std::to_string(R.Xid) + "\n";
+      });
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<NfsClient *>(Client.get());
+
+  for (int D = 0; D < Dirs; ++D)
+    C->submit(makeMkdir("/d" + std::to_string(D)),
+              [](MetaReply R) { ASSERT_TRUE(R.ok()); });
+  const WriteBehindQueue *WB = C->writeBehind();
+  int Closed = 0;
+  unsigned DirtyAtFsync = 0, PeakDirty = 0, PeakStalled = 0;
+  FsError MidFsync = FsError::Invalid; // until the barrier answers
+  for (int I = 0; I < Chains; ++I)
+    createChain(*C, PathOf(I), SizeOf(I), [&, I](FileHandle Fh) {
+      ++Closed;
+      PeakDirty = std::max(PeakDirty, WB->dirtyOps());
+      PeakStalled = std::max(PeakStalled, WB->stalledOps());
+      if (I != FsyncChain)
+        return;
+      // A targeted barrier mid-stream drains this file's closure only;
+      // once it returns, a create under a missing directory joins the
+      // queue. Its open fails at the server, so its write and close
+      // complete with BadFd without reaching the server.
+      C->submit(makeFsync(Fh), [&](MetaReply F) {
+        MidFsync = F.Err;
+        DirtyAtFsync = WB->dirtyOps();
+        createChain(*C, "/missing/f", 1, [&](FileHandle) { ++Closed; });
+      });
+    });
+  S.run();
+
+  ASSERT_EQ(Chains + 1, Closed);
+  EXPECT_EQ(FsError::Ok, MidFsync);
+  EXPECT_GT(DirtyAtFsync, 0u) << "the barrier drained the whole queue";
+  EXPECT_EQ(256u, PeakDirty);
+  EXPECT_GT(PeakStalled, 0u);
+  EXPECT_EQ(0u, WB->dirtyOps());
+  EXPECT_EQ(0u, WB->stalledOps());
+  // The failed open is the one sticky error; the BadFd of its write and
+  // close count as flush errors without replacing it.
+  EXPECT_EQ(3u, WB->flushErrors());
+  EXPECT_EQ(FsError::NoEnt, WB->pendingError());
+  // Six mkdirs, three ops per good chain, and the failed open.
+  EXPECT_EQ(static_cast<uint64_t>(Dirs + 3 * Chains + 1),
+            Fs.server().processedRequests());
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *C, makeFsync(InvalidHandle)).Err);
+
+  LocalFileSystem *Vol = Fs.server().volume(NfsFs::VolumeName);
+  OpCtx Ctx = userCtx();
+  for (int I = 0; I < Chains; ++I) {
+    Result<Attr> A = Vol->stat(Ctx, PathOf(I));
+    ASSERT_TRUE(A.ok()) << PathOf(I);
+    EXPECT_EQ(SizeOf(I), A->Size) << PathOf(I);
+  }
+  EXPECT_FALSE(Vol->stat(Ctx, "/missing/f").ok());
+  EXPECT_TRUE(Vol->fsck().clean());
+  // Issue order within each flush or closure is ascending op id; a change
+  // to the queue's bookkeeping must leave this sequence bit-identical.
+  EXPECT_EQ(0x938bda349059dc02ULL, fnv1a64(Mutations));
+}
+
 //===----------------------------------------------------------------------===//
 // Closure-only fsync barrier, under permuted schedules
 //===----------------------------------------------------------------------===//
@@ -365,14 +530,25 @@ TEST(WriteBehind, ShardedClientOptsIntoTheDeferredPipeline) {
   auto *C = static_cast<ShardedClient *>(Client.get());
 
   ASSERT_EQ(FsError::Ok, runSync(S, *C, makeMkdir("/d")).Err);
+  FileHandle Retired = InvalidHandle;
   for (int I = 0; I < 8; ++I) {
     MetaReply F = runSync(
         S, *C, makeOpen("/d/f" + std::to_string(I), OpenWrite | OpenCreate));
     ASSERT_TRUE(F.ok());
     ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(F.Fh)).Err);
+    Retired = F.Fh;
   }
   EXPECT_EQ(FsError::Ok, runSync(S, *C, makeFsync(InvalidHandle)).Err);
   EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
+  // Ops on a retired handle, or on one whose open failed at the server,
+  // reach this client as InvalidHandle and fail like an unknown handle.
+  EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeClose(Retired)).Err);
+  EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeRead(Retired, 1)).Err);
+  MetaReply Orphan =
+      runSync(S, *C, makeOpen("/missing/f", OpenWrite | OpenCreate));
+  ASSERT_TRUE(Orphan.ok()) << "local acks are optimistic";
+  EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeRead(Orphan.Fh, 1)).Err);
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *C, makeFsync(InvalidHandle)).Err);
   // The files are durably visible through a synchronous reader.
   std::unique_ptr<ClientFs> Reader = Fs.makeClient(1);
   for (int I = 0; I < 8; ++I)
