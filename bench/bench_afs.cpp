@@ -59,14 +59,16 @@ int main() {
   AfsFs Cell(S);
   std::unique_ptr<ClientFs> A = Cell.makeClient(0);
   std::unique_ptr<ClientFs> B = Cell.makeClient(1);
+  // The RPC counts below mean something only if every op succeeded.
   auto Sync = [&S](ClientFs &C, MetaRequest Req) {
     MetaReply Out;
     C.submit(Req, [&Out](MetaReply R) { Out = std::move(R); });
     S.run();
-    return Out;
+    DMB_CHECK(Out.ok(), "callback-caching op failed");
+    return Out.Fh;
   };
-  MetaReply Open = Sync(*A, makeOpen("/f", OpenWrite | OpenCreate));
-  Sync(*A, makeClose(Open.Fh));
+  FileHandle Fh = Sync(*A, makeOpen("/f", OpenWrite | OpenCreate));
+  Sync(*A, makeClose(Fh));
   Sync(*B, makeStat("/f")); // B acquires the callback.
   uint64_t Before = Cell.server(0).processedRequests();
   for (int I = 0; I < 100; ++I)

@@ -73,9 +73,8 @@ struct RawResult {
   double EventsPerSec = 0;
 };
 
-RawResult rawSchedulerThroughput(uint64_t TargetEvents, unsigned Chains,
-                                 const SchedulerConfig &Config = {}) {
-  Scheduler S(Config);
+RawResult rawSchedulerThroughput(uint64_t TargetEvents, unsigned Chains) {
+  Scheduler S;
   uint64_t PerChain = TargetEvents / Chains;
   for (unsigned I = 0; I < Chains; ++I) {
     Chain C;
@@ -177,16 +176,14 @@ struct CurvePoint {
 };
 
 /// One scale-out point: a full Master combination with Clients simulated
-/// worker processes (8 per node) against a single NFS server, on the
-/// calendar event queue. The per-worker problem is kept tiny — the point
-/// measures the engine's cost per client (events retired per wall second
-/// and bytes of state), not file system throughput.
+/// worker processes (8 per node) against a single NFS server. The
+/// per-worker problem is kept tiny — the point measures the engine's cost
+/// per client (events retired per wall second and bytes of state), not
+/// file system throughput.
 CurvePoint runCurvePoint(unsigned Clients) {
   unsigned Ppn = 8;
   unsigned Nodes = std::max(1u, Clients / Ppn);
-  SchedulerConfig Config;
-  Config.Queue = EventQueueKind::Calendar;
-  Scheduler S(Config);
+  Scheduler S;
   Cluster C(S, Nodes, Ppn);
   NfsFs Fs(S);
   C.mountEverywhere(Fs);
@@ -268,14 +265,6 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Raw.Events, Raw.WallSec,
               Raw.EventsPerSec);
 
-  SchedulerConfig CalConfig;
-  CalConfig.Queue = EventQueueKind::Calendar;
-  RawResult RawCal = rawSchedulerThroughput(RawEvents, Chains, CalConfig);
-  std::printf("raw scheduler (calendar queue): %llu events in %.3f s -> "
-              "%.0f events/s\n",
-              (unsigned long long)RawCal.Events, RawCal.WallSec,
-              RawCal.EventsPerSec);
-
   ScenarioResult Nfs = runScenario("nfs", {"MakeFiles", "StatFiles"},
                                    ProblemSize, TimeLimitSec, 2, 4);
   std::printf("nfs MakeFiles+StatFiles: %llu sim ops in %.3f s wall -> "
@@ -291,9 +280,9 @@ int main(int Argc, char **Argv) {
               Lustre.OpsPerWallSec, Lustre.SimOpsPerSec);
 
   // Clients-vs-throughput scale curve (ROADMAP item 2): geometric client
-  // counts up to --curve-max, each a full Master combination on the
-  // calendar queue. Ascending order makes the VmHWM delta across the
-  // largest point its incremental footprint -> bytes per client.
+  // counts up to --curve-max, each a full Master combination. Ascending
+  // order makes the VmHWM delta across the largest point its incremental
+  // footprint -> bytes per client.
   std::vector<CurvePoint> Curve;
   long BytesPerClient = 0;
   for (uint64_t Clients : {1024ull, 4096ull, 16384ull, 65536ull, 262144ull,
@@ -338,8 +327,6 @@ int main(int Argc, char **Argv) {
       "             \"problemsize\": %llu, \"timelimit_s\": %.1f},\n"
       "  \"raw_scheduler\": {\"events\": %llu, \"wall_s\": %.3f, "
       "\"events_per_sec\": %.0f},\n"
-      "  \"raw_scheduler_calendar\": {\"events\": %llu, \"wall_s\": %.3f, "
-      "\"events_per_sec\": %.0f},\n"
       "  \"nfs_makefiles_statfiles\": %s,\n"
       "  \"lustre_makefiles\": %s,\n"
       "  \"scale_curve\": %s,\n"
@@ -348,7 +335,6 @@ int main(int Argc, char **Argv) {
       Label.c_str(), (unsigned long long)RawEvents, Chains,
       (unsigned long long)ProblemSize, TimeLimitSec,
       (unsigned long long)Raw.Events, Raw.WallSec, Raw.EventsPerSec,
-      (unsigned long long)RawCal.Events, RawCal.WallSec, RawCal.EventsPerSec,
       jsonScenario(Nfs).c_str(), jsonScenario(Lustre).c_str(),
       CurveJson.c_str(), BytesPerClient);
 

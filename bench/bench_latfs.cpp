@@ -37,16 +37,17 @@ Latency measure(Scheduler &S, ClientFs &C, uint64_t Size, int Iters) {
     // consistency-point flush) must not count into the latency.
     while (!Got && S.step()) {
     }
-    return Out;
+    DMB_CHECK(Out.ok(), "latency probe op failed");
+    return Out.Fh;
   };
   Latency L;
   for (int I = 0; I < Iters; ++I) {
     std::string Path = format("/lat%d-%llu", I, (unsigned long long)Size);
     SimTime T0 = S.now();
-    MetaReply O = Sync(makeOpen(Path, OpenWrite | OpenCreate));
+    FileHandle Fh = Sync(makeOpen(Path, OpenWrite | OpenCreate));
     if (Size)
-      Sync(makeWrite(O.Fh, Size));
-    Sync(makeClose(O.Fh));
+      Sync(makeWrite(Fh, Size));
+    Sync(makeClose(Fh));
     L.CreateUs += toSeconds(S.now() - T0) * 1e6;
     T0 = S.now();
     Sync(makeUnlink(Path));

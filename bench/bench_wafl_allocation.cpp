@@ -81,9 +81,10 @@ int main() {
   OpCtx Ctx;
   Ctx.Creds.Uid = 0;
   Result<FileHandle> F64 = Vol->open(Ctx, "/f64", OpenWrite | OpenCreate);
-  Vol->write(Ctx, *F64, 64);
+  Result<uint64_t> W64 = Vol->write(Ctx, *F64, 64);
   Result<FileHandle> F65 = Vol->open(Ctx, "/f65", OpenWrite | OpenCreate);
-  Vol->write(Ctx, *F65, 65);
+  Result<uint64_t> W65 = Vol->write(Ctx, *F65, 65);
+  DMB_CHECK(W64.ok() && W65.ok(), "inline-threshold probe writes failed");
   std::printf("Volume-level check: 64-byte file occupies %llu blocks, "
               "65-byte file %llu blocks.\n\n",
               (unsigned long long)Vol->fstat(Ctx, *F64)->Blocks,

@@ -126,12 +126,11 @@ public:
   /// asynchronously; \p Committed fires when the server has finished the
   /// work. This models clients that ack metadata from their cache before
   /// the server commits (Lustre, \S 2.6.4 / \S 4.8).
-  [[nodiscard]] MetaReply processEager(uint32_t VolId, const MetaRequest &Req,
-                                       std::function<void()> Committed);
+  MetaReply processEager(uint32_t VolId, const MetaRequest &Req,
+                         std::function<void()> Committed);
   /// String-keyed convenience overload of the above.
-  [[nodiscard]] MetaReply processEager(const std::string &Volume,
-                                       const MetaRequest &Req,
-                                       std::function<void()> Committed);
+  MetaReply processEager(const std::string &Volume, const MetaRequest &Req,
+                         std::function<void()> Committed);
 
   /// Enqueues non-benchmark work (snapshot chunks, streaming writes) that
   /// competes with request service — the disturbance injectors use this.
@@ -228,9 +227,8 @@ public:
   /// Executes \p Req directly against \p Vol (no queueing). Exposed for the
   /// clients that run parts of an operation locally (e.g. write-back
   /// replay) and for tests.
-  [[nodiscard]] static MetaReply execute(LocalFileSystem &Vol,
-                                         const MetaRequest &Req, SimTime Now,
-                                         OpCost &Cost);
+  static MetaReply execute(LocalFileSystem &Vol, const MetaRequest &Req,
+                           SimTime Now, OpCost &Cost);
 
 private:
   void noteMutation(const MetaRequest &Req);

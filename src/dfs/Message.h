@@ -97,7 +97,7 @@ struct MetaRequest {
 };
 
 /// A reply to one request.
-struct MetaReply {
+struct [[nodiscard]] MetaReply {
   FsError Err = FsError::Ok;
   Attr A;                        ///< stat/lstat/fstat result
   FileHandle Fh = InvalidHandle; ///< open result

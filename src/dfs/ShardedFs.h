@@ -176,8 +176,8 @@ private:
   /// requests as committed records so crash recovery rebuilds them.
   /// Returns the reply and, via \p SeqPlus1Out, the journal anchor
   /// (seq + 1, 0 if not journaled).
-  [[nodiscard]] MetaReply execDirect(unsigned Shard, const MetaRequest &Req,
-                                     uint64_t *SeqPlus1Out = nullptr);
+  MetaReply execDirect(unsigned Shard, const MetaRequest &Req,
+                       uint64_t *SeqPlus1Out = nullptr);
   /// Appends and commits \p Req on \p Shard's journal without executing it
   /// — the anchor for migrated DRC entries of already-deleted paths.
   /// Replay tolerates these records (errors are ignored). Returns seq + 1.

@@ -135,7 +135,7 @@ public:
   /// sticky until a barrier reports it.
   uint64_t flushErrors() const { return FlushErrors; }
   /// The sticky error the next barrier will surface (Ok = none).
-  [[nodiscard]] FsError pendingError() const { return Sticky; }
+  FsError pendingError() const { return Sticky; }
   /// @}
 
 private:
@@ -182,7 +182,7 @@ private:
   /// Records \p O as the latest op touching its paths.
   void indexOp(const Op &O);
   /// Predicted local reply for a deferred enqueue.
-  [[nodiscard]] MetaReply predictReply(const MetaRequest &Req);
+  MetaReply predictReply(const MetaRequest &Req);
   void localAck(Callback Done, MetaReply Reply);
   void maybeTrigger();
   void armTimer();
@@ -203,7 +203,7 @@ private:
   /// Schedules the closure of \p Seeds and runs \p Done when every op in
   /// it has completed.
   void awaitClosure(std::vector<uint64_t> Seeds, std::function<void()> Done);
-  [[nodiscard]] FsError consumeSticky();
+  FsError consumeSticky();
 
   /// Queue-local handle tag: bit 62 set, clear of InvalidHandle (~0), far
   /// above any server handle at simulation scales.

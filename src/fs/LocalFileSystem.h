@@ -58,36 +58,36 @@ public:
 
   /// \name Metadata operations (thesis Tables 2.3 and 2.4)
   /// @{
-  [[nodiscard]] FsError mkdir(OpCtx &Ctx, const std::string &Path, uint32_t Mode);
-  [[nodiscard]] FsError rmdir(OpCtx &Ctx, const std::string &Path);
-  [[nodiscard]] FsError unlink(OpCtx &Ctx, const std::string &Path);
+  FsError mkdir(OpCtx &Ctx, const std::string &Path, uint32_t Mode);
+  FsError rmdir(OpCtx &Ctx, const std::string &Path);
+  FsError unlink(OpCtx &Ctx, const std::string &Path);
   /// remove(): unlink for files, rmdir for directories.
-  [[nodiscard]] FsError remove(OpCtx &Ctx, const std::string &Path);
-  [[nodiscard]] FsError rename(OpCtx &Ctx, const std::string &From, const std::string &To);
-  [[nodiscard]] FsError link(OpCtx &Ctx, const std::string &Existing,
+  FsError remove(OpCtx &Ctx, const std::string &Path);
+  FsError rename(OpCtx &Ctx, const std::string &From, const std::string &To);
+  FsError link(OpCtx &Ctx, const std::string &Existing,
                const std::string &NewPath);
-  [[nodiscard]] FsError symlink(OpCtx &Ctx, const std::string &Target,
+  FsError symlink(OpCtx &Ctx, const std::string &Target,
                   const std::string &LinkPath);
   Result<std::string> readlink(OpCtx &Ctx, const std::string &Path);
   Result<Attr> stat(OpCtx &Ctx, const std::string &Path);
   Result<Attr> lstat(OpCtx &Ctx, const std::string &Path);
-  [[nodiscard]] FsError chmod(OpCtx &Ctx, const std::string &Path, uint32_t Mode);
-  [[nodiscard]] FsError chown(OpCtx &Ctx, const std::string &Path, uint32_t Uid,
+  FsError chmod(OpCtx &Ctx, const std::string &Path, uint32_t Mode);
+  FsError chown(OpCtx &Ctx, const std::string &Path, uint32_t Uid,
                 uint32_t Gid);
-  [[nodiscard]] FsError utimes(OpCtx &Ctx, const std::string &Path, SimTime Atime,
+  FsError utimes(OpCtx &Ctx, const std::string &Path, SimTime Atime,
                  SimTime Mtime);
   Result<std::vector<DirEntry>> readdir(OpCtx &Ctx, const std::string &Path);
   /// @}
 
   /// \name Extended attributes (key-value pattern, \S 2.1.1)
   /// @{
-  [[nodiscard]] FsError setxattr(OpCtx &Ctx, const std::string &Path,
+  FsError setxattr(OpCtx &Ctx, const std::string &Path,
                    const std::string &Key, const std::string &Value);
   Result<std::string> getxattr(OpCtx &Ctx, const std::string &Path,
                                const std::string &Key);
   Result<std::vector<std::string>> listxattr(OpCtx &Ctx,
                                              const std::string &Path);
-  [[nodiscard]] FsError removexattr(OpCtx &Ctx, const std::string &Path,
+  FsError removexattr(OpCtx &Ctx, const std::string &Path,
                       const std::string &Key);
   /// @}
 
@@ -95,7 +95,7 @@ public:
   /// @{
   Result<FileHandle> open(OpCtx &Ctx, const std::string &Path,
                           uint32_t Flags, uint32_t Mode = 0644);
-  [[nodiscard]] FsError close(OpCtx &Ctx, FileHandle Fh);
+  FsError close(OpCtx &Ctx, FileHandle Fh);
   /// Appends/overwrites \p NumBytes at the handle's offset; returns the
   /// bytes written.
   Result<uint64_t> write(OpCtx &Ctx, FileHandle Fh, uint64_t NumBytes);
@@ -104,7 +104,7 @@ public:
   Result<uint64_t> read(OpCtx &Ctx, FileHandle Fh, uint64_t NumBytes);
   /// Sets the absolute file offset; may exceed the size (sparse semantics).
   Result<uint64_t> seek(OpCtx &Ctx, FileHandle Fh, uint64_t Offset);
-  [[nodiscard]] FsError ftruncate(OpCtx &Ctx, FileHandle Fh, uint64_t Length);
+  FsError ftruncate(OpCtx &Ctx, FileHandle Fh, uint64_t Length);
   Result<Attr> fstat(OpCtx &Ctx, FileHandle Fh);
   /// @}
 
@@ -114,9 +114,9 @@ public:
   /// handle and are released by unlock() or close().
   /// @{
   /// Acquires a lock on the open file; FsError::Busy when it conflicts.
-  [[nodiscard]] FsError lockFile(OpCtx &Ctx, FileHandle Fh, bool Exclusive);
+  FsError lockFile(OpCtx &Ctx, FileHandle Fh, bool Exclusive);
   /// Releases the handle's lock; FsError::Invalid when none is held.
-  [[nodiscard]] FsError unlockFile(OpCtx &Ctx, FileHandle Fh);
+  FsError unlockFile(OpCtx &Ctx, FileHandle Fh);
   /// @}
 
   /// Consistency report of fsck() (thesis \S 2.7.1).
@@ -175,7 +175,7 @@ private:
   /// Adjusts block accounting when a file's size changes. Returns false if
   /// the allocation would exceed MaxBlocks.
   bool reallocate(OpCtx &Ctx, Inode &Node, uint64_t NewSize);
-  [[nodiscard]] FsError checkName(const std::string &Name) const;
+  FsError checkName(const std::string &Name) const;
 
   FsConfig Config;
   std::unordered_map<InodeNum, std::unique_ptr<Inode>> Inodes;

@@ -1,44 +1,14 @@
-//===- sim/EventQueue.h - Pluggable pending-event queues ---------*- C++ -*-===//
+//===- sim/EventQueue.h - The pending-event queue ----------------*- C++ -*-===//
 //
 // Part of the DMetabench reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scheduler's pending-event queue, extracted behind a small concrete
-/// interface with two implementations selectable via SchedulerConfig:
-///
-///  - HeapEventQueue: the original 4-ary min-heap. O(log n) per operation,
-///    lowest constant factor, the default.
-///
-///  - CalendarEventQueue: a hierarchical byte-radix calendar queue (timer
-///    wheel). Amortized O(1) per event independent of the pending-set
-///    size, which is what keeps a 1M-client run from paying ~20 key
-///    compares per event (ROADMAP item 2).
-///
-/// Both implementations order entries by the same 128-bit key —
-/// (When << 64) | TieKey, a strict total order — and therefore pop the
-/// exact same sequence of events, bit for bit, including under seeded
-/// tie-break perturbation. `dmetabench verify-queues` and
-/// tests/EventQueueTest.cpp prove this on the tier-1 scenarios by
-/// comparing canonical outputs and full event journals across queue kinds.
-///
-/// Calendar-queue structure: a cursor `Cur` tracks the last flushed
-/// timestamp. Entries with When <= Cur sit in a small "near" heap; an
-/// entry with When > Cur lives at level k = (index of the highest byte in
-/// which When and Cur differ), in slot (byte k of When), of a 256-slot
-/// wheel level; entries differing in a byte >= the configured level count
-/// wait in an overflow list with a cached minimum. Ordering invariant:
-/// every level-k entry agrees with Cur above byte k and exceeds it at
-/// byte k, so any entry at a lower level (or lower slot) is strictly
-/// earlier — the lowest occupied slot of the lowest non-empty level always
-/// holds the minimum pending When. Advancing flushes that slot, rebases
-/// the cursor to it (monotone), and re-places its entries, each of which
-/// lands at a strictly lower level or in the near heap; an entry is thus
-/// re-placed at most `levels` times over its lifetime. The overflow list
-/// is consulted only when the wheel and near heap are empty, and wheel
-/// advances never change cursor bytes at or above the level count, so
-/// overflow entries can never be bypassed.
+/// The scheduler's pending-event queue: a 4-ary min-heap over one 128-bit
+/// ordering key per entry, (When << 64) | TieKey — a strict total order,
+/// so the pop sequence is fully determined by the keys, including under
+/// seeded tie-break perturbation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +18,6 @@
 #include "sim/Time.h"
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace dmb {
@@ -86,7 +55,7 @@ inline SimTime eventKeyWhen(const EventQueueEntry &E) {
   return static_cast<SimTime>(static_cast<uint64_t>(E.Key >> 64));
 }
 
-/// The original pending queue: a 4-ary min-heap over the 128-bit key.
+/// The pending queue: a 4-ary min-heap over the 128-bit key.
 /// 4-ary halves the tree depth of a binary heap, and each sift level is
 /// one data-dependent key compare — the dominant cost of deep pending
 /// sets — so fewer levels directly buys events/sec.
@@ -157,115 +126,6 @@ public:
 
 private:
   std::vector<EventQueueEntry> Heap;
-};
-
-/// Hierarchical byte-radix calendar queue (see the file comment for the
-/// structure and ordering proof). Amortized O(1) enqueue/dequeue at any
-/// horizon; pops the identical bit-exact event order as HeapEventQueue.
-class CalendarEventQueue {
-public:
-  /// \p Levels is the number of 256-slot wheel levels (cursor bytes
-  /// covered); clamped to [1, 8]. Level k spans a horizon of 256^(k+1)
-  /// simulated nanoseconds; entries past the last level overflow to a
-  /// list that is only consulted when everything nearer has drained.
-  explicit CalendarEventQueue(unsigned Levels);
-
-  bool empty() const { return Count == 0; }
-  size_t size() const { return Count; }
-
-  /// The minimum pending entry, or nullptr when empty. Non-const: may
-  /// advance the cursor and redistribute wheel slots into the near heap.
-  const EventQueueEntry *front();
-
-  /// Removes and returns the minimum entry. Must be non-empty.
-  EventQueueEntry pop();
-
-  void push(EventQueueEntry E) {
-    place(E);
-    ++Count;
-  }
-
-private:
-  struct Level {
-    std::vector<EventQueueEntry> Slots[256];
-    uint64_t Occupied[4] = {0, 0, 0, 0}; ///< 256-bit slot bitmap
-  };
-
-  /// Index of the highest byte in which A and B differ. A != B.
-  static unsigned diffByte(uint64_t A, uint64_t B) {
-    return static_cast<unsigned>(63 - __builtin_clzll(A ^ B)) >> 3;
-  }
-
-  void place(EventQueueEntry E);
-  bool advance();
-  void drainOverflow();
-  static int lowestSlot(const Level &L);
-
-  /// Entries with When <= Cur, ordered by full key. Holds the same-tick
-  /// work (after(0) chains) plus flushed wheel slots; its minimum is the
-  /// global minimum because everything in the wheel or overflow is > Cur.
-  HeapEventQueue Near;
-  std::vector<Level> Levels;
-  unsigned NumLevels;
-  uint64_t Cur = 0;
-  std::vector<EventQueueEntry> Overflow;
-  unsigned __int128 OverflowMinKey = 0;
-  size_t Count = 0;
-};
-
-/// Which pending-queue implementation a Scheduler uses.
-enum class EventQueueKind : uint8_t {
-  Heap,     ///< 4-ary min-heap: O(log n), lowest constants (default)
-  Calendar, ///< byte-radix timer wheel: amortized O(1) at any scale
-};
-
-/// Construction-time scheduler knobs. Both queue kinds execute bit-
-/// identical schedules; the choice is purely a performance trade-off.
-struct SchedulerConfig {
-  EventQueueKind Queue = EventQueueKind::Heap;
-  /// Calendar only: wheel levels (bytes of timestamp covered). 5 levels
-  /// span a ~18-minute simulated horizon before events overflow; overflow
-  /// is correct but costs a migration scan per cursor jump.
-  unsigned WheelLevels = 5;
-};
-
-/// The queue a Scheduler actually holds: a tagged union of the two
-/// implementations dispatched on one well-predicted branch per call —
-/// no virtual calls on the hot path. The heap member is storage-free
-/// when the calendar implementation is selected (an empty vector).
-class EventQueue {
-public:
-  explicit EventQueue(const SchedulerConfig &Config)
-      : Cal(Config.Queue == EventQueueKind::Calendar
-                ? std::make_unique<CalendarEventQueue>(Config.WheelLevels)
-                : nullptr) {}
-
-  EventQueueKind kind() const {
-    return Cal ? EventQueueKind::Calendar : EventQueueKind::Heap;
-  }
-  bool empty() const { return Cal ? Cal->empty() : Heap.empty(); }
-  size_t size() const { return Cal ? Cal->size() : Heap.size(); }
-
-  void push(EventQueueEntry E) {
-    if (Cal)
-      Cal->push(E);
-    else
-      Heap.push(E);
-  }
-
-  /// The minimum pending entry, or nullptr when empty. The pointer is
-  /// invalidated by the next push/pop.
-  const EventQueueEntry *front() {
-    if (Cal)
-      return Cal->front();
-    return Heap.empty() ? nullptr : &Heap.front();
-  }
-
-  EventQueueEntry pop() { return Cal ? Cal->pop() : Heap.pop(); }
-
-private:
-  HeapEventQueue Heap;
-  std::unique_ptr<CalendarEventQueue> Cal;
 };
 
 } // namespace dmb

@@ -20,8 +20,8 @@ struct RunOutcome {
 } // namespace
 
 static RunOutcome runOnce(const ScheduleScenario &Scenario, bool Perturb,
-                          uint64_t Seed, const SchedulerConfig &Config) {
-  Scheduler S(Config);
+                          uint64_t Seed) {
+  Scheduler S;
   S.enableEventJournal();
   if (Perturb)
     S.enableSchedulePerturbation(Seed);
@@ -73,7 +73,7 @@ static std::string describeDivergence(const ScheduleScenario &Scenario,
 ScheduleVerifyResult dmb::verifySchedules(const ScheduleScenario &Scenario,
                                           const ScheduleVerifyOptions &Opt) {
   ScheduleVerifyResult Res;
-  RunOutcome Base = runOnce(Scenario, /*Perturb=*/false, 0, Opt.Config);
+  RunOutcome Base = runOnce(Scenario, /*Perturb=*/false, 0);
   if (Base.Output.empty()) {
     // Comparing nothing against nothing would "pass" vacuously; a scenario
     // that produces no output is a harness bug, not a verified scenario.
@@ -85,7 +85,7 @@ ScheduleVerifyResult dmb::verifySchedules(const ScheduleScenario &Scenario,
 
   // Identity precheck: the perturbation plumbing with seed 0 must change
   // nothing, neither the results nor the schedule itself.
-  RunOutcome Ident = runOnce(Scenario, /*Perturb=*/true, 0, Opt.Config);
+  RunOutcome Ident = runOnce(Scenario, /*Perturb=*/true, 0);
   Res.IdentityIdentical =
       Ident.Output == Base.Output && Ident.Journal == Base.Journal;
   if (!Res.IdentityIdentical) {
@@ -99,7 +99,7 @@ ScheduleVerifyResult dmb::verifySchedules(const ScheduleScenario &Scenario,
     uint64_t Seed = Opt.BaseSeed + I;
     if (Seed == 0)
       Seed = 0x9e3779b9;
-    RunOutcome Got = runOnce(Scenario, /*Perturb=*/true, Seed, Opt.Config);
+    RunOutcome Got = runOnce(Scenario, /*Perturb=*/true, Seed);
     ++Res.SchedulesRun;
     if (Got.Output != Base.Output) {
       Res.Report = describeDivergence(Scenario, Seed, Base, Got);

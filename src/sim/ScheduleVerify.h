@@ -23,7 +23,6 @@
 #ifndef DMETABENCH_SIM_SCHEDULEVERIFY_H
 #define DMETABENCH_SIM_SCHEDULEVERIFY_H
 
-#include "sim/EventQueue.h"
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,10 +44,6 @@ struct ScheduleScenario {
 struct ScheduleVerifyOptions {
   unsigned Schedules = 8; ///< number of permuted schedules to run
   uint64_t BaseSeed = 1;  ///< seeds used: BaseSeed, BaseSeed+1, ...
-  /// Scheduler construction (event queue kind, wheel levels). Every run
-  /// uses the same configuration, so verification exercises the chosen
-  /// queue implementation under all permuted schedules.
-  SchedulerConfig Config;
 };
 
 struct ScheduleVerifyResult {

@@ -27,7 +27,7 @@ static bool schedulerAssertContext(AssertSimContext &Ctx) {
   return true;
 }
 
-Scheduler::Scheduler(SchedulerConfig Config) : Queue(Config) {
+Scheduler::Scheduler() {
   ActiveScheduler = this;
   setAssertSimContextProvider(&schedulerAssertContext);
 }
@@ -49,13 +49,13 @@ const EventQueueEntry *Scheduler::peekLive() {
   // definition — skip the payload-generation load, which would otherwise
   // put a data-dependent pool access on the dispatch critical path.
   if (Tombstones == 0)
-    return Queue.front();
+    return Queue.empty() ? nullptr : &Queue.front();
   for (;;) {
-    const EventQueueEntry *F = Queue.front();
-    if (!F)
+    if (Queue.empty())
       return nullptr;
-    if (Pool[F->Slot].Gen == F->Gen)
-      return F;
+    const EventQueueEntry &F = Queue.front();
+    if (Pool[F.Slot].Gen == F.Gen)
+      return &F;
     // Tombstone of a cancelled event: its payload was freed at cancel
     // time; only the 32-byte queue entry lingered until now.
     Queue.pop();
@@ -178,10 +178,17 @@ uint64_t Scheduler::addQuiescenceCheck(QuiescenceCheck Fn) {
 }
 
 void Scheduler::removeQuiescenceCheck(uint64_t Id) {
-  QuiescenceChecks.erase(
-      std::remove_if(QuiescenceChecks.begin(), QuiescenceChecks.end(),
-                     [Id](const auto &Entry) { return Entry.first == Id; }),
-      QuiescenceChecks.end());
+  auto It = std::lower_bound(
+      QuiescenceChecks.begin(), QuiescenceChecks.end(), Id,
+      [](const auto &Entry, uint64_t Key) { return Entry.first < Key; });
+  if (It == QuiescenceChecks.end() || It->first != Id || !It->second)
+    return;
+  It->second = nullptr;
+  if (2 * ++DeadChecks >= QuiescenceChecks.size()) {
+    std::erase_if(QuiescenceChecks,
+                  [](const auto &Entry) { return !Entry.second; });
+    DeadChecks = 0;
+  }
 }
 
 SimDiagnostics Scheduler::checkQuiescent() const {
@@ -190,6 +197,7 @@ SimDiagnostics Scheduler::checkQuiescent() const {
   Diag.EventsExecuted = Executed;
   Diag.PendingEvents = pendingEvents();
   for (const auto &Entry : QuiescenceChecks)
-    Entry.second(Diag);
+    if (Entry.second)
+      Entry.second(Diag);
   return Diag;
 }

@@ -9,10 +9,7 @@
 /// equal timestamps fire in insertion order, which makes whole benchmark
 /// runs deterministic (DESIGN.md, key decision 4).
 ///
-/// The pending queue lives behind sim/EventQueue.h: a 4-ary heap by
-/// default, or a calendar queue (hierarchical timer wheel) selected via
-/// SchedulerConfig for huge pending sets. Both pop bit-identical event
-/// orders, so the choice never changes results — only events/sec.
+/// The pending queue is the 4-ary heap of sim/EventQueue.h.
 ///
 /// The scheduler is also the anchor of the runtime invariant checks: it
 /// feeds the simulated clock and event ordinal into DMB_ASSERT failure
@@ -76,19 +73,13 @@ public:
   /// Inspects one primitive's state at quiescence and reports leaks.
   using QuiescenceCheck = std::function<void(SimDiagnostics &)>;
 
-  /// The default config is the 4-ary heap — `Scheduler S;` behaves
-  /// exactly as it always has. Pass EventQueueKind::Calendar for runs
-  /// whose pending set is large enough that O(log n) sifts dominate.
-  explicit Scheduler(SchedulerConfig Config = SchedulerConfig());
+  Scheduler();
   ~Scheduler();
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
   /// Current simulated time.
   SimTime now() const { return Now; }
-
-  /// Which pending-queue implementation this scheduler runs on.
-  EventQueueKind queueKind() const { return Queue.kind(); }
 
   /// Schedules \p Fn to run at absolute time \p When. Scheduling into the
   /// past would silently reorder history, so When < now() is a fatal
@@ -159,7 +150,8 @@ public:
   /// removeQuiescenceCheck(). Checks run in registration order.
   uint64_t addQuiescenceCheck(QuiescenceCheck Fn);
 
-  /// Unregisters a check (primitives do this on destruction).
+  /// Unregisters a check (primitives do this on destruction). Amortized
+  /// O(log n): tearing down a big cluster removes every check.
   void removeQuiescenceCheck(uint64_t Id);
 
   /// Runs every registered check and returns the collected report. Never
@@ -309,12 +301,16 @@ private:
   uint64_t Executed = 0;
   OpTraceSink *Trace = nullptr;
   uint64_t ActiveTrace = 0;
-  EventQueue Queue;        ///< pending entries (sim/EventQueue.h)
+  HeapEventQueue Queue;    ///< pending entries (sim/EventQueue.h)
   size_t Tombstones = 0;   ///< cancelled entries still inside Queue
   std::vector<Event> Pool; ///< payload slots addressed by queue entries
   std::vector<uint32_t> FreeSlots;
   uint64_t NextCheckId = 0;
+  /// In registration order, which is id order, so removal can binary
+  /// search. A removed check leaves an empty function behind until the
+  /// dead entries make up half the vector and are swept out together.
   std::vector<std::pair<uint64_t, QuiescenceCheck>> QuiescenceChecks;
+  size_t DeadChecks = 0;
   SimDiagnostics LastDiag;
   uint64_t PerturbSeed = 0;
   bool Journal = false;

@@ -17,7 +17,7 @@
 namespace dmb {
 
 /// POSIX-flavoured error codes for metadata and data operations.
-enum class FsError {
+enum class [[nodiscard]] FsError {
   Ok = 0,
   Exists,      ///< EEXIST: directory entry with that name already present.
   NoEnt,       ///< ENOENT: path component or target does not exist.

@@ -23,7 +23,7 @@ namespace dmb {
 
 /// Holds either a value of type T or an FsError describing why the
 /// operation failed. Modeled after llvm::ErrorOr.
-template <typename T> class Result {
+template <typename T> class [[nodiscard]] Result {
 public:
   /*implicit*/ Result(FsError E) : Storage(E) {
     DMB_ASSERT(E != FsError::Ok, "use a value for success");
@@ -35,7 +35,7 @@ public:
   explicit operator bool() const { return ok(); }
 
   /// The error code; FsError::Ok when the operation succeeded.
-  [[nodiscard]] FsError error() const {
+  FsError error() const {
     if (ok())
       return FsError::Ok;
     return std::get<FsError>(Storage);

@@ -254,57 +254,6 @@ TEST(AnalyzeRules, LifetimeScopeExemptsBenchAndTests) {
 }
 
 //===----------------------------------------------------------------------===//
-// discarded-error / nodiscard-annotation
-//===----------------------------------------------------------------------===//
-
-TEST(AnalyzeRules, DiscardedFsErrorCallIsCaught) {
-  // The function set is harvested from declarations in src/, so the rule
-  // covers new APIs without a hand-maintained list.
-  std::vector<Finding> Fs = analyzeSources(
-      {{"src/fs/Api.h", "[[nodiscard]] FsError closeQuiet(int Fh);\n"},
-       {"src/fs/Use.cpp",
-        "#include \"fs/Api.h\"\n"
-        "void f() { closeQuiet(3); }\n"}});
-  ASSERT_EQ(1u, Fs.size());
-  EXPECT_EQ("src/fs/Use.cpp", Fs[0].File);
-  EXPECT_EQ(2, Fs[0].Line);
-  EXPECT_EQ("discarded-error", Fs[0].Rule);
-  EXPECT_NE(std::string::npos, Fs[0].Message.find("closeQuiet"));
-}
-
-TEST(AnalyzeRules, CheckedAndVoidCastCallsAreFine) {
-  // Consuming the result, branching on it, or the explicit (void) cast
-  // are all sanctioned.
-  EXPECT_TRUE(analyzeSources(
-                  {{"src/fs/Api.h",
-                    "[[nodiscard]] FsError closeQuiet(int Fh);\n"},
-                   {"src/fs/Use.cpp",
-                    "#include \"fs/Api.h\"\n"
-                    "void f() {\n"
-                    "  FsError E = closeQuiet(3);\n"
-                    "  if (closeQuiet(4) == E) {\n"
-                    "    (void)closeQuiet(5);\n"
-                    "  }\n"
-                    "}\n"}})
-                  .empty());
-}
-
-TEST(AnalyzeRules, MissingNodiscardOnHeaderDeclIsCaught) {
-  std::vector<Finding> Fs = analyzeSources(
-      {{"src/fs/Bad.h", "FsError drop(int Fh);\n"}});
-  ASSERT_EQ(1u, Fs.size());
-  EXPECT_EQ(1, Fs[0].Line);
-  EXPECT_EQ("nodiscard-annotation", Fs[0].Rule);
-  EXPECT_NE(std::string::npos, Fs[0].Message.find("drop"));
-}
-
-TEST(AnalyzeRules, AnnotatedHeaderDeclIsFine) {
-  EXPECT_TRUE(
-      analyzeSources({{"src/fs/Ok.h", "[[nodiscard]] FsError drop(int Fh);\n"}})
-          .empty());
-}
-
-//===----------------------------------------------------------------------===//
 // layering / include-cycle / unused-include
 //===----------------------------------------------------------------------===//
 
@@ -400,16 +349,22 @@ TEST(AnalyzeRules, UmbrellaHeaderAndItsIncluderAreExempt) {
 TEST(AnalyzeRules, AllowHatchSuppressesExactlyItsRule) {
   // The justified allow() on the finding line drops it...
   EXPECT_TRUE(analyzeSources(
-                  {{"src/fs/Bad.h",
-                    "FsError drop(int Fh); // dmeta-analyze: "
-                    "allow(nodiscard-annotation) legacy caller churn\n"}})
+                  {{"src/fs/Bad.cpp",
+                    "FsError drop(int Fh);\n"
+                    "void f() {\n"
+                    "  FsError E = drop(1); // dmeta-analyze: "
+                    "allow(error-path-propagation) probe only\n"
+                    "}\n"}})
                   .empty());
   // ...but an allow() naming a different rule does not.
   EXPECT_TRUE(hasRule(
-      analyzeSources({{"src/fs/Bad.h",
-                       "FsError drop(int Fh); // dmeta-analyze: "
-                       "allow(layering) wrong rule\n"}}),
-      "nodiscard-annotation"));
+      analyzeSources({{"src/fs/Bad.cpp",
+                       "FsError drop(int Fh);\n"
+                       "void f() {\n"
+                       "  FsError E = drop(1); // dmeta-analyze: "
+                       "allow(layering) wrong rule\n"
+                       "}\n"}}),
+      "error-path-propagation"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -504,34 +459,6 @@ TEST(AnalyzeRules, AllowAtTheTaintSourceKillsTheWholeChain) {
 //===----------------------------------------------------------------------===//
 // error-path-propagation
 //===----------------------------------------------------------------------===//
-
-TEST(AnalyzeRules, DiscardedWrapperResultIsCaught) {
-  // openChecked returns auto and just forwards openFile's FsError, so
-  // discarding its result discards the error — one hop removed.
-  std::vector<Finding> Fs = analyzeSources(
-      {{"src/fs/Wrap.cpp",
-        "FsError openFile(int Fh);\n"
-        "auto openChecked(int Fh) { return openFile(Fh); }\n"
-        "void mount() {\n"
-        "  openChecked(7);\n"
-        "}\n"}});
-  ASSERT_EQ(1u, Fs.size());
-  EXPECT_EQ(4, Fs[0].Line);
-  EXPECT_EQ("error-path-propagation", Fs[0].Rule);
-  EXPECT_NE(std::string::npos, Fs[0].Message.find("openChecked"));
-  EXPECT_NE(std::string::npos, Fs[0].Message.find("openFile"));
-}
-
-TEST(AnalyzeRules, VoidCastWrapperDiscardIsExplicitEnough) {
-  EXPECT_TRUE(analyzeSources(
-                  {{"src/fs/Wrap.cpp",
-                    "FsError openFile(int Fh);\n"
-                    "auto openChecked(int Fh) { return openFile(Fh); }\n"
-                    "void mount() {\n"
-                    "  (void)openChecked(7); // best effort\n"
-                    "}\n"}})
-                  .empty());
-}
 
 TEST(AnalyzeRules, SwallowedErrorLocalIsCaught) {
   // Storing the error and never looking at it is the quiet variant of
@@ -820,6 +747,13 @@ protected:
     std::ofstream(P) << Content;
   }
 
+  /// Writes a file whose function \p Fn stores an FsError it never reads:
+  /// one error-path-propagation finding.
+  void writeSwallowedError(const std::string &Rel, const std::string &Fn) {
+    write(Rel, "FsError drop(int Fh);\n"
+               "void " + Fn + "() { FsError E = drop(1); }\n");
+  }
+
   static ToolConfig analyzeConfig() {
     ToolConfig Cfg;
     Cfg.Tool = "dmeta-analyze";
@@ -875,7 +809,7 @@ TEST_F(ToolCliTest, CleanTreeExitsZero) {
 }
 
 TEST_F(ToolCliTest, FindingsExitOne) {
-  write("src/fs/Bad.h", "FsError drop(int Fh);\n");
+  writeSwallowedError("src/fs/Bad.cpp", "f");
   EXPECT_EQ(1, run(analyzeConfig(), {}));
 }
 
@@ -897,48 +831,49 @@ TEST_F(ToolCliTest, EmptyTreeExitsThreeNotTwo) {
 }
 
 TEST_F(ToolCliTest, RuleFilterLimitsTheReport) {
-  write("src/fs/Bad.h", "FsError drop(int Fh);\n");
-  EXPECT_EQ(1, run(analyzeConfig(), {"--rule", "nodiscard-annotation"}));
+  writeSwallowedError("src/fs/Bad.cpp", "f");
+  EXPECT_EQ(1, run(analyzeConfig(), {"--rule", "error-path-propagation"}));
   // Filtering on a rule with no findings reports a clean run.
   EXPECT_EQ(0, run(analyzeConfig(), {"--rule", "layering"}));
 }
 
 TEST_F(ToolCliTest, JsonOutputCarriesToolFilesAndFindings) {
-  write("src/fs/Bad.h", "FsError drop(int Fh);\n");
+  writeSwallowedError("src/fs/Bad.cpp", "f");
   std::string Json;
   EXPECT_EQ(1, run(analyzeConfig(), {"--json"}, &Json));
   EXPECT_NE(std::string::npos, Json.find("\"tool\": \"dmeta-analyze\""));
   EXPECT_NE(std::string::npos, Json.find("\"filesChecked\": 1"));
-  EXPECT_NE(std::string::npos, Json.find("\"rule\": \"nodiscard-annotation\""));
-  EXPECT_NE(std::string::npos, Json.find("\"file\": \"src/fs/Bad.h\""));
+  EXPECT_NE(std::string::npos,
+            Json.find("\"rule\": \"error-path-propagation\""));
+  EXPECT_NE(std::string::npos, Json.find("\"file\": \"src/fs/Bad.cpp\""));
 }
 
 TEST_F(ToolCliTest, WriteBaselineRecordsDebtAndExitsZero) {
   // Adopting a rule on a tree with accepted findings must not gate CI on
   // the day of adoption — recording the debt is itself a success.
-  write("src/fs/Bad.h", "FsError drop(int Fh);\n");
+  writeSwallowedError("src/fs/Bad.cpp", "f");
   fs::path Base = Root / "baseline.txt";
   EXPECT_EQ(0, run(analyzeConfig(), {"--write-baseline", Base.string()}));
   std::ifstream In(Base);
   std::stringstream SS;
   SS << In.rdbuf();
   EXPECT_NE(std::string::npos,
-            SS.str().find("src/fs/Bad.h [nodiscard-annotation]"));
+            SS.str().find("src/fs/Bad.cpp [error-path-propagation]"));
 }
 
 TEST_F(ToolCliTest, BaselineSilencesKnownFindingsButNotNewOnes) {
-  write("src/fs/Bad.h", "FsError drop(int Fh);\n");
+  writeSwallowedError("src/fs/Bad.cpp", "f");
   fs::path Base = Root / "baseline.txt";
   ASSERT_EQ(0, run(analyzeConfig(), {"--write-baseline", Base.string()}));
   // The recorded finding no longer fails the run...
   EXPECT_EQ(0, run(analyzeConfig(), {"--baseline", Base.string()}));
   // ...but a finding introduced afterwards still does, and only it is
   // reported.
-  write("src/fs/Worse.h", "FsError close(int Fh);\n");
+  writeSwallowedError("src/fs/Worse.cpp", "g");
   std::string Out;
   EXPECT_EQ(1, run(analyzeConfig(), {"--baseline", Base.string()}, &Out));
-  EXPECT_NE(std::string::npos, Out.find("src/fs/Worse.h"));
-  EXPECT_EQ(std::string::npos, Out.find("src/fs/Bad.h"));
+  EXPECT_NE(std::string::npos, Out.find("src/fs/Worse.cpp"));
+  EXPECT_EQ(std::string::npos, Out.find("src/fs/Bad.cpp"));
 }
 
 TEST_F(ToolCliTest, UnreadableBaselineIsAUsageError) {

@@ -1,28 +1,28 @@
-//===- tests/EventQueueTest.cpp - Pluggable event-queue suite -------------===//
+//===- tests/EventQueueTest.cpp - Event-queue suite -----------------------===//
 //
 // Part of the DMetabench reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The calendar queue's contract is bit-exactness: it must pop the same
-/// event sequence as the 4-ary heap, at any horizon, under any tie
-/// permutation, with cancellation in the mix. These tests drive both
-/// implementations head to head — at the queue level with adversarial key
-/// sets, at the scheduler level via event journals, and end to end on the
-/// tier-1 benchmark scenarios under permuted schedules.
+/// The pending queue's contract is exact key order: the 4-ary heap must pop
+/// every entry in (When, TieKey) order at any horizon, with pushes and pops
+/// interleaved. These tests check it at the queue level with adversarial
+/// key sets against a sorted copy of the same keys, and check the
+/// scheduler's generation-validated cancellation on top of it.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dmetabench/DMetabench.h"
 #include <gtest/gtest.h>
 #include <memory>
+#include <set>
 
 using namespace dmb;
 
 namespace {
 
-// --- Queue-level equivalence ---------------------------------------------
+// --- Queue-level order -----------------------------------------------------
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) for adversarial key
 /// sets; stdlib randomness is banned in tests (dmeta-lint: randomness).
@@ -38,46 +38,29 @@ EventQueueEntry makeEntry(SimTime When, uint64_t Tie) {
                          static_cast<uint32_t>(Tie), 0};
 }
 
-/// Pops everything from \p Q and returns the key sequence.
-template <typename Queue>
-std::vector<unsigned __int128> drain(Queue &Q) {
-  std::vector<unsigned __int128> Keys;
-  while (!Q.empty())
-    Keys.push_back(Q.pop().Key);
-  return Keys;
-}
-
-/// Pushes the same entries into a heap and a calendar queue (interleaved
-/// with partial pops, to exercise cursor advances mid-stream) and checks
-/// both pop identical key sequences.
-void expectIdenticalOrders(const std::vector<EventQueueEntry> &Entries,
-                           unsigned WheelLevels) {
+/// Pushes \p Entries into a heap, popping once after every third push so
+/// later pushes land below, between and above keys already popped, and
+/// checks each pop against a sorted copy of the keys still pending.
+void expectKeyOrder(const std::vector<EventQueueEntry> &Entries) {
   HeapEventQueue Heap;
-  CalendarEventQueue Cal(WheelLevels);
-  std::vector<unsigned __int128> HeapKeys, CalKeys;
+  std::multiset<unsigned __int128> Pending;
+  auto PopMatchesMin = [&] {
+    unsigned __int128 Want = *Pending.begin();
+    Pending.erase(Pending.begin());
+    return Heap.pop().Key == Want;
+  };
   size_t I = 0;
   for (const EventQueueEntry &E : Entries) {
     Heap.push(E);
-    Cal.push(E);
-    // Every third push, pop once: the calendar queue's cursor then
-    // advances while later pushes still arrive, including pushes at or
-    // before the advanced cursor.
+    Pending.insert(E.Key);
     if (++I % 3 == 0) {
-      HeapKeys.push_back(Heap.pop().Key);
-      CalKeys.push_back(Cal.pop().Key);
+      ASSERT_TRUE(PopMatchesMin()) << "pop after push " << I;
     }
   }
-  for (unsigned __int128 K : drain(Heap))
-    HeapKeys.push_back(K);
-  for (unsigned __int128 K : drain(Cal))
-    CalKeys.push_back(K);
-  ASSERT_EQ(HeapKeys.size(), CalKeys.size());
-  for (size_t J = 0; J < HeapKeys.size(); ++J)
-    ASSERT_TRUE(HeapKeys[J] == CalKeys[J])
-        << "diverged at pop " << J << " (levels=" << WheelLevels << ")";
-  // Both orders must be sorted on the suffix drained after the last push.
-  for (size_t J = Entries.size() / 3 + 1; J < HeapKeys.size(); ++J)
-    ASSERT_TRUE(HeapKeys[J - 1] < HeapKeys[J]);
+  while (!Heap.empty()) {
+    ASSERT_TRUE(PopMatchesMin()) << Pending.size() << " keys left";
+  }
+  EXPECT_TRUE(Pending.empty());
 }
 
 TEST(EventQueue, MixedHorizonsMatchHeapAtEveryLevelCount) {
@@ -85,9 +68,8 @@ TEST(EventQueue, MixedHorizonsMatchHeapAtEveryLevelCount) {
   uint64_t Tie = 0;
   for (unsigned I = 0; I < 2000; ++I) {
     uint64_t R = mix64(I);
-    // Spread timestamps across radically different scales: same-tick,
-    // sub-slot, within one level, several levels up, and far past any
-    // shallow wheel's horizon (byte 5+ set).
+    // Spread timestamps across radically different scales: one shared
+    // tick, then up to 2^8, 2^16, 2^32 and 2^56 ns.
     SimTime When = 0;
     switch (I % 5) {
     case 0:
@@ -108,8 +90,7 @@ TEST(EventQueue, MixedHorizonsMatchHeapAtEveryLevelCount) {
     }
     Entries.push_back(makeEntry(When, Tie++));
   }
-  for (unsigned Levels : {1u, 2u, 5u, 8u})
-    expectIdenticalOrders(Entries, Levels);
+  expectKeyOrder(Entries);
 }
 
 TEST(EventQueue, SameTickTiesPopInKeyOrder) {
@@ -118,103 +99,54 @@ TEST(EventQueue, SameTickTiesPopInKeyOrder) {
   std::vector<EventQueueEntry> Entries;
   for (unsigned I = 0; I < 500; ++I)
     Entries.push_back(makeEntry(milliseconds(3), mix64(I)));
-  for (unsigned Levels : {1u, 5u})
-    expectIdenticalOrders(Entries, Levels);
+  expectKeyOrder(Entries);
 }
 
 TEST(EventQueue, FarFuturePastWheelHorizonOverflowsCorrectly) {
-  // A 1-level wheel covers only 64K ns; seconds- and hours-scale entries
-  // all land in overflow and must still drain in exact key order, with
-  // near-term entries going first.
+  // Seconds- and hours-scale entries, one pair on the same tick, must
+  // drain in exact key order behind the near-term ones.
   std::vector<EventQueueEntry> Entries;
   uint64_t Tie = 0;
   Entries.push_back(makeEntry(seconds(3600.0), Tie++));
   Entries.push_back(makeEntry(5, Tie++));
   Entries.push_back(makeEntry(seconds(1.0), Tie++));
-  Entries.push_back(makeEntry(seconds(3600.0), Tie++)); // same-tick overflow
+  Entries.push_back(makeEntry(seconds(3600.0), Tie++)); // same tick
   Entries.push_back(makeEntry(200, Tie++));
   Entries.push_back(makeEntry(seconds(7200.0), Tie++));
-  expectIdenticalOrders(Entries, 1);
-  expectIdenticalOrders(Entries, 2);
-}
-
-// --- Scheduler-level equivalence (event journals) ------------------------
-
-SchedulerConfig calendarConfig(unsigned Levels = 5) {
-  SchedulerConfig C;
-  C.Queue = EventQueueKind::Calendar;
-  C.WheelLevels = Levels;
-  return C;
-}
-
-/// A workload with same-tick bursts, far-horizon timers, and chained
-/// rescheduling; returns the executed-event journal.
-std::vector<Scheduler::JournalEntry> runWorkload(const SchedulerConfig &C,
-                                                 uint64_t PerturbSeed) {
-  Scheduler S(C);
-  S.enableEventJournal();
-  if (PerturbSeed)
-    S.enableSchedulePerturbation(PerturbSeed);
-  for (unsigned I = 0; I < 64; ++I) {
-    S.at(milliseconds(1), [&S] {
-      S.after(microseconds(10), [] {});
-      S.after(seconds(2.0), [] {}); // beyond a shallow wheel's horizon
-    });
-    S.at(milliseconds(1) + (I % 4), [] {}); // same-tick ties
-  }
-  S.at(seconds(30.0), [&S] { S.after(0, [] {}); });
-  S.run();
-  return S.eventJournal();
-}
-
-TEST(EventQueueScheduler, JournalsMatchHeapBitForBit) {
-  for (uint64_t Seed : {0ull, 1ull, 42ull, 0xdeadbeefull}) {
-    std::vector<Scheduler::JournalEntry> Heap =
-        runWorkload(SchedulerConfig(), Seed);
-    for (unsigned Levels : {2u, 5u}) {
-      std::vector<Scheduler::JournalEntry> Cal =
-          runWorkload(calendarConfig(Levels), Seed);
-      EXPECT_EQ(Heap, Cal) << "seed " << Seed << " levels " << Levels;
-    }
-  }
+  expectKeyOrder(Entries);
 }
 
 // --- Cancellation --------------------------------------------------------
 
 TEST(EventQueueCancel, CancelledEventDoesNotFire) {
-  for (SchedulerConfig C : {SchedulerConfig(), calendarConfig()}) {
-    Scheduler S(C);
-    int Fired = 0;
-    EventId Id = S.after(milliseconds(5), [&Fired] { Fired += 100; });
-    S.after(milliseconds(5), [&Fired] { ++Fired; });
-    EXPECT_EQ(2u, S.pendingEvents());
-    EXPECT_TRUE(S.cancel(Id));
-    EXPECT_EQ(1u, S.pendingEvents());
-    EXPECT_FALSE(S.cancel(Id)); // stale handle: single-use
-    S.run();
-    EXPECT_EQ(1, Fired);
-    EXPECT_EQ(2u, S.executedEvents() + 1); // tombstone never executed
-  }
+  Scheduler S;
+  int Fired = 0;
+  EventId Id = S.after(milliseconds(5), [&Fired] { Fired += 100; });
+  S.after(milliseconds(5), [&Fired] { ++Fired; });
+  EXPECT_EQ(2u, S.pendingEvents());
+  EXPECT_TRUE(S.cancel(Id));
+  EXPECT_EQ(1u, S.pendingEvents());
+  EXPECT_FALSE(S.cancel(Id)); // stale handle: single-use
+  S.run();
+  EXPECT_EQ(1, Fired);
+  EXPECT_EQ(2u, S.executedEvents() + 1); // tombstone never executed
 }
 
 TEST(EventQueueCancel, CancelThenRescheduleKeepsExactOrder) {
   // Cancelling must not disturb the order of survivors, and a new event
   // that recycles the cancelled slot must fire normally.
-  for (SchedulerConfig C : {SchedulerConfig(), calendarConfig(2)}) {
-    Scheduler S(C);
-    std::vector<int> Order;
-    S.at(milliseconds(1), [&Order] { Order.push_back(1); });
-    EventId Doomed =
-        S.at(seconds(100.0), [&Order] { Order.push_back(-1); });
-    S.at(milliseconds(2), [&Order] { Order.push_back(2); });
-    EXPECT_TRUE(S.cancel(Doomed));
-    // Rescheduled: recycles Doomed's pool slot at a fresh generation.
-    S.at(seconds(100.0), [&Order] { Order.push_back(3); });
-    S.at(milliseconds(3), [&Order] { Order.push_back(4); });
-    S.run();
-    EXPECT_EQ((std::vector<int>{1, 2, 4, 3}), Order);
-    EXPECT_TRUE(S.checkQuiescent().clean());
-  }
+  Scheduler S;
+  std::vector<int> Order;
+  S.at(milliseconds(1), [&Order] { Order.push_back(1); });
+  EventId Doomed = S.at(seconds(100.0), [&Order] { Order.push_back(-1); });
+  S.at(milliseconds(2), [&Order] { Order.push_back(2); });
+  EXPECT_TRUE(S.cancel(Doomed));
+  // Rescheduled: recycles Doomed's pool slot at a fresh generation.
+  S.at(seconds(100.0), [&Order] { Order.push_back(3); });
+  S.at(milliseconds(3), [&Order] { Order.push_back(4); });
+  S.run();
+  EXPECT_EQ((std::vector<int>{1, 2, 4, 3}), Order);
+  EXPECT_TRUE(S.checkQuiescent().clean());
 }
 
 TEST(EventQueueCancel, DefaultAndStaleHandlesAreNoOps) {
@@ -232,85 +164,31 @@ TEST(EventQueueCancel, DefaultAndStaleHandlesAreNoOps) {
 // timer, essentially forever. cancel() must destroy the captured closure
 // immediately and recycle the slot without growing the pool.
 TEST(EventQueueCancel, CancelReleasesPayloadImmediatelyAtFarHorizon) {
-  for (SchedulerConfig C : {SchedulerConfig(), calendarConfig()}) {
-    Scheduler S(C);
-    auto Payload = std::make_shared<int>(7);
-    EventId Id = S.at(seconds(86400.0), [Payload] { (void)*Payload; });
-    EXPECT_EQ(2, Payload.use_count());
-    EXPECT_TRUE(S.cancel(Id));
-    // The closure (and its shared_ptr ref) is gone NOW, not at t=86400s.
-    EXPECT_EQ(1, Payload.use_count());
-  }
+  Scheduler S;
+  auto Payload = std::make_shared<int>(7);
+  EventId Id = S.at(seconds(86400.0), [Payload] { (void)*Payload; });
+  EXPECT_EQ(2, Payload.use_count());
+  EXPECT_TRUE(S.cancel(Id));
+  // The closure (and its shared_ptr ref) is gone NOW, not at t=86400s.
+  EXPECT_EQ(1, Payload.use_count());
 }
 
 TEST(EventQueueCancel, ScheduleCancelChurnDoesNotGrowThePool) {
-  for (SchedulerConfig C : {SchedulerConfig(), calendarConfig()}) {
-    Scheduler S(C);
-    // Keep one real event so the run has work to do.
-    int Fired = 0;
-    S.after(milliseconds(1), [&Fired] { ++Fired; });
-    for (unsigned I = 0; I < 10000; ++I) {
-      EventId Id = S.at(seconds(86400.0) + I, [] {});
-      ASSERT_TRUE(S.cancel(Id));
-    }
-    // Each cancel recycles its slot at once, so churn reuses one slot
-    // instead of allocating ten thousand.
-    EXPECT_LE(S.eventPoolCapacity(), 4u);
-    EXPECT_EQ(1u, S.pendingEvents());
-    S.runUntil(milliseconds(2));
-    EXPECT_EQ(1, Fired);
-    EXPECT_EQ(0u, S.pendingEvents());
+  Scheduler S;
+  // Keep one real event so the run has work to do.
+  int Fired = 0;
+  S.after(milliseconds(1), [&Fired] { ++Fired; });
+  for (unsigned I = 0; I < 10000; ++I) {
+    EventId Id = S.at(seconds(86400.0) + I, [] {});
+    ASSERT_TRUE(S.cancel(Id));
   }
-}
-
-// --- Tier-1 invariance on the calendar queue -----------------------------
-
-/// The verify-schedules tier-1 scenarios, run entirely on the calendar
-/// queue: output must be invariant under 8 permuted same-timestamp
-/// schedules there too (ScheduleVerifyOptions.Config).
-ScheduleScenario tier1Scenario(std::string Name, const std::string &FsName,
-                               std::vector<std::string> Ops) {
-  ScheduleScenario Sc;
-  Sc.Name = std::move(Name);
-  Sc.Run = [FsName, Ops](Scheduler &S) {
-    Cluster C(S, 2, 4);
-    std::unique_ptr<DistributedFs> Fs;
-    if (FsName == "nfs")
-      Fs = std::make_unique<NfsFs>(S);
-    else
-      Fs = std::make_unique<LustreFs>(S);
-    C.mountEverywhere(*Fs);
-    BenchParams P;
-    P.Operations = Ops;
-    P.ProblemSize = 150;
-    P.TimeLimit = seconds(1.0);
-    MpiEnvironment Env = MpiEnvironment::uniform(2, 3);
-    Master M(C, Env, FsName, P);
-    return canonicalResultText(M.runCombination(2, 2));
-  };
-  return Sc;
-}
-
-TEST(EventQueueTier1, NfsInvariantUnderPermutedSchedulesOnCalendar) {
-  ScheduleVerifyOptions Opt;
-  Opt.Config = calendarConfig();
-  ScheduleVerifyResult R = verifySchedules(
-      tier1Scenario("nfs-makefiles-statfiles-cal", "nfs",
-                    {"MakeFiles", "StatFiles"}),
-      Opt);
-  EXPECT_TRUE(R.IdentityIdentical);
-  EXPECT_TRUE(R.Deterministic) << R.Report;
-  EXPECT_EQ(8u, R.SchedulesRun);
-}
-
-TEST(EventQueueTier1, LustreInvariantUnderPermutedSchedulesOnCalendar) {
-  ScheduleVerifyOptions Opt;
-  Opt.Config = calendarConfig(2); // shallow wheel: overflow in the loop
-  ScheduleVerifyResult R = verifySchedules(
-      tier1Scenario("lustre-makefiles-cal", "lustre", {"MakeFiles"}), Opt);
-  EXPECT_TRUE(R.IdentityIdentical);
-  EXPECT_TRUE(R.Deterministic) << R.Report;
-  EXPECT_EQ(8u, R.SchedulesRun);
+  // Each cancel recycles its slot at once, so churn reuses one slot
+  // instead of allocating ten thousand.
+  EXPECT_LE(S.eventPoolCapacity(), 4u);
+  EXPECT_EQ(1u, S.pendingEvents());
+  S.runUntil(milliseconds(2));
+  EXPECT_EQ(1, Fired);
+  EXPECT_EQ(0u, S.pendingEvents());
 }
 
 } // namespace

@@ -44,8 +44,8 @@ TEST(ReaddirPlus, ReturnsEntriesWithAttributes) {
     MetaReply O = runSync(
         S, *C, makeOpen("/d/f" + std::to_string(I), OpenWrite | OpenCreate));
     ASSERT_TRUE(O.ok());
-    runSync(S, *C, makeWrite(O.Fh, 100 * (I + 1)));
-    runSync(S, *C, makeClose(O.Fh));
+    ASSERT_TRUE(runSync(S, *C, makeWrite(O.Fh, 100 * (I + 1))).ok());
+    ASSERT_TRUE(runSync(S, *C, makeClose(O.Fh)).ok());
   }
   MetaReply R = runSync(S, *C, makeReaddirPlus("/d"));
   ASSERT_TRUE(R.ok());
@@ -65,7 +65,7 @@ TEST(ReaddirPlus, WarmsTheAttributeCache) {
   for (int I = 0; I < 10; ++I) {
     MetaReply O = runSync(
         S, *C, makeOpen("/d/f" + std::to_string(I), OpenWrite | OpenCreate));
-    runSync(S, *C, makeClose(O.Fh));
+    ASSERT_TRUE(runSync(S, *C, makeClose(O.Fh)).ok());
   }
   C->dropCaches();
   ASSERT_TRUE(runSync(S, *C, makeReaddirPlus("/d")).ok());

@@ -366,6 +366,33 @@ TEST(Scheduler, QuiescenceReportsHeldMutexAndStrandedWaiters) {
   EXPECT_TRUE(S.checkQuiescent().clean());
 }
 
+// Regression (pre-fix quadratic): every SharedProcessor, Resource and
+// SimMutex destructor unregisters its check, so tearing down a cluster
+// removes them all, mostly in registration order. A removal that scans the
+// registry makes this case run for minutes; its ctest TIMEOUT catches that.
+TEST(Scheduler, QuiescenceCheckRemovalIsNotQuadratic) {
+  constexpr uint64_t N = uint64_t(1) << 17;
+  auto Kept = [](uint64_t I) { return I % 4096 == 7 && I != 4096 + 7; };
+  Scheduler S;
+  std::vector<uint64_t> Ids, Ran, Want;
+  for (uint64_t I = 0; I < N; ++I)
+    Ids.push_back(S.addQuiescenceCheck(
+        [&Ran, I](SimDiagnostics &) { Ran.push_back(I); }));
+  // A few removals out of order first: the newest check, one from the
+  // middle, and one the in-order sweep below would keep.
+  for (uint64_t I : {N - 1, N / 2 + 1, uint64_t(4096 + 7)})
+    S.removeQuiescenceCheck(Ids[I]);
+  // Then registration order; removing an id a second time is a no-op.
+  for (uint64_t I = 0; I < N; ++I)
+    if (!Kept(I))
+      S.removeQuiescenceCheck(Ids[I]);
+  for (uint64_t I = 0; I < N; ++I)
+    if (Kept(I))
+      Want.push_back(I);
+  EXPECT_TRUE(S.checkQuiescent().clean());
+  EXPECT_EQ(Want, Ran);
+}
+
 TEST(Resource, QuiescenceReportsInFlightWork) {
   Scheduler S;
   Resource R(S, "disk", 1);

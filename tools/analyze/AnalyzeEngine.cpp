@@ -53,23 +53,6 @@ bool isIdent(const Token &T, const char *Text) {
   return T.Kind == TokKind::Ident && T.Text == Text;
 }
 
-/// Index of the token matching the closer at \p CloseIdx, walking
-/// backwards ( ')' -> '(', ']' -> '[' ), or npos when unbalanced.
-size_t matchBackward(const std::vector<Token> &T, size_t CloseIdx) {
-  const std::string &Close = T[CloseIdx].Text;
-  std::string Open = Close == ")" ? "(" : Close == "]" ? "[" : "{";
-  int Depth = 0;
-  for (size_t I = CloseIdx + 1; I-- > 0;) {
-    if (T[I].Kind != TokKind::Punct)
-      continue;
-    if (T[I].Text == Close)
-      ++Depth;
-    else if (T[I].Text == Open && --Depth == 0)
-      return I;
-  }
-  return std::string::npos;
-}
-
 /// True when the '[' at \p I opens a lambda capture list rather than a
 /// subscript or attribute: it follows a token that can only precede an
 /// expression, not a value.
@@ -96,7 +79,6 @@ public:
     ST.build(Files);
     CG.build(ST, Files);
     indexDefinitions();
-    harvestWrapperFunctions();
     buildTaintSummaries();
     // Container declarations are tracked per file first, so a .cpp can
     // inherit the members its own header declares (fsck iterating the
@@ -125,7 +107,6 @@ public:
       if (determinismScope(F.RelPath)) {
         checkLoops(F);
         checkPointerFormatting(F);
-        checkDiscardedErrors(F);
         checkDeterminismTaint(F);
         checkErrorPropagation(F);
       }
@@ -137,8 +118,6 @@ public:
         // completion there is a deliberate fixture shape.
         checkSwallowedCompletionErrors(F);
       }
-      if (startsWith(F.RelPath, "src/") && endsWith(F.RelPath, ".h"))
-        checkNodiscardAnnotations(F);
     }
     IncludeGraph Graph(Files);
     Graph.check(Out);
@@ -552,130 +531,6 @@ private:
   }
 
   //===--------------------------------------------------------------------===
-  // Rule: discarded-error / nodiscard-annotation
-  //===--------------------------------------------------------------------===
-
-  /// Collects names of functions declared in src/ with an FsError or
-  /// MetaReply return type, so call sites anywhere can be checked without
-  /// hand-maintaining a list.
-  void harvestErrorFunctions() {
-    for (const SourceFile &F : Files) {
-      if (!startsWith(F.RelPath, "src/"))
-        continue;
-      const std::vector<Token> &T = F.Toks.Tokens;
-      for (size_t I = 0; I + 2 < T.size(); ++I) {
-        if (!(isIdent(T[I], "FsError") || isIdent(T[I], "MetaReply")))
-          continue;
-        if (T[I].ParenDepth != 0)
-          continue; // parameter, not return type
-        if (T[I + 1].Kind == TokKind::Ident && isPunct(T[I + 2], "("))
-          ErrorFns.insert(T[I + 1].Text);
-      }
-    }
-  }
-
-  /// Walks back from the member-chain head of the call whose callee name
-  /// is at \p NameIdx: over `obj.`, `obj->`, `ns::` and balanced closers,
-  /// returning the index of the token *before* the whole call expression
-  /// (npos at file start).
-  static size_t beforeChainHead(const std::vector<Token> &T, size_t NameIdx) {
-    size_t J = NameIdx;
-    while (J > 0) {
-      const Token &P = T[J - 1];
-      if (isPunct(P, ".") || isPunct(P, "->") || isPunct(P, "::")) {
-        if (J < 2)
-          return std::string::npos;
-        const Token &Obj = T[J - 2];
-        if (Obj.Kind == TokKind::Ident) {
-          J -= 2;
-          continue;
-        }
-        if (isPunct(Obj, ")") || isPunct(Obj, "]")) {
-          size_t Open = matchBackward(T, J - 2);
-          if (Open == std::string::npos)
-            return std::string::npos;
-          J = Open;
-          // A preceding identifier (callee / array name) belongs to the
-          // chain too: a(b)[c].f() …
-          if (J > 0 && T[J - 1].Kind == TokKind::Ident)
-            --J;
-          continue;
-        }
-        return std::string::npos;
-      }
-      break;
-    }
-    return J == 0 ? std::string::npos : J - 1;
-  }
-
-  void checkDiscardedErrors(const SourceFile &F) {
-    const std::vector<Token> &T = F.Toks.Tokens;
-    for (size_t I = 0; I + 1 < T.size(); ++I) {
-      if (T[I].Kind != TokKind::Ident || !ErrorFns.count(T[I].Text) ||
-          !isPunct(T[I + 1], "("))
-        continue;
-      size_t Close = matchForward(T, I + 1);
-      if (Close + 1 >= T.size() || !isPunct(T[Close + 1], ";"))
-        continue; // result feeds an expression
-      size_t Before = beforeChainHead(T, I);
-      if (Before == std::string::npos)
-        continue;
-      const Token &P = T[Before];
-      bool Discarded = false;
-      if (P.Kind == TokKind::Punct &&
-          (P.Text == ";" || P.Text == "{" || P.Text == "}" || P.Text == ":"))
-        Discarded = true;
-      else if (isIdent(P, "else") || isIdent(P, "do"))
-        Discarded = true;
-      else if (isPunct(P, ")")) {
-        // `(void)call();` is the sanctioned explicit discard; any other
-        // close-paren here is a control-statement header (if/for/while)
-        // followed by a discarded call statement.
-        size_t Open = matchBackward(T, Before);
-        bool VoidCast = Open != std::string::npos && Open + 2 == Before &&
-                        isIdent(T[Open + 1], "void");
-        Discarded = !VoidCast;
-      }
-      if (!Discarded)
-        continue;
-      emit(F, T[I].Line, "discarded-error",
-           "result of '" + T[I].Text +
-               "()' (FsError/MetaReply) is discarded; check it or cast to "
-               "(void) with a comment");
-    }
-  }
-
-  void checkNodiscardAnnotations(const SourceFile &F) {
-    const std::vector<Token> &T = F.Toks.Tokens;
-    for (size_t I = 0; I + 2 < T.size(); ++I) {
-      if (!(isIdent(T[I], "FsError") || isIdent(T[I], "MetaReply")))
-        continue;
-      if (T[I].ParenDepth != 0 || T[I].BraceDepth > 2)
-        continue;
-      if (T[I + 1].Kind != TokKind::Ident || !isPunct(T[I + 2], "("))
-        continue;
-      // Scan back over the declaration's specifiers for [[nodiscard]].
-      bool Annotated = false;
-      for (size_t J = I; J-- > 0;) {
-        const Token &P = T[J];
-        if (P.Kind == TokKind::Punct &&
-            (P.Text == ";" || P.Text == "{" || P.Text == "}" ||
-             P.Text == ":"))
-          break;
-        if (isIdent(P, "nodiscard")) {
-          Annotated = true;
-          break;
-        }
-      }
-      if (!Annotated)
-        emit(F, T[I].Line, "nodiscard-annotation",
-             "'" + T[I + 1].Text + "' returns " + T[I].Text +
-                 " but is not declared [[nodiscard]]; annotate it so the "
-                 "compiler backs the discarded-error rule");
-    }
-  }
-
-  //===--------------------------------------------------------------------===
   // Interprocedural infrastructure (SymbolTable + CallGraph)
   //===--------------------------------------------------------------------===
 
@@ -706,79 +561,30 @@ private:
   // Rule: error-path-propagation
   //===--------------------------------------------------------------------===
 
-  /// Extends the harvested error-returning set through `auto`-returning
-  /// wrappers whose body forwards an error call: `auto w() { return
-  /// f(...); }` with f in ErrorFns makes w report like an error function.
-  /// Runs to a fixpoint so wrappers of wrappers are covered.
-  void harvestWrapperFunctions() {
-    const std::vector<Symbol> &Syms = ST.symbols();
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (int D : ST.definitions()) {
-        const Symbol &S = Syms[D];
-        if (WrapperOf.count(S.Name) || ErrorFns.count(S.Name))
+  /// Collects names of functions declared in src/ with an FsError or
+  /// MetaReply return type, so `auto E = f(...)` locals anywhere can be
+  /// checked without hand-maintaining a list.
+  void harvestErrorFunctions() {
+    for (const SourceFile &F : Files) {
+      if (!startsWith(F.RelPath, "src/"))
+        continue;
+      const std::vector<Token> &T = F.Toks.Tokens;
+      for (size_t I = 0; I + 2 < T.size(); ++I) {
+        if (!(isIdent(T[I], "FsError") || isIdent(T[I], "MetaReply")))
           continue;
-        const std::string &Ret = S.ReturnType;
-        bool AutoRet = Ret == "auto" || endsWith(Ret, " auto");
-        if (!AutoRet)
-          continue;
-        const std::vector<Token> &T = Files[S.FileIndex].Toks.Tokens;
-        for (size_t I = S.BodyBegin; I + 2 < S.BodyEnd; ++I) {
-          if (!isIdent(T[I], "return") || T[I + 1].Kind != TokKind::Ident ||
-              !isPunct(T[I + 2], "("))
-            continue;
-          const std::string &Callee = T[I + 1].Text;
-          if (ErrorFns.count(Callee)) {
-            WrapperOf[S.Name] = Callee;
-            Changed = true;
-          } else if (WrapperOf.count(Callee)) {
-            WrapperOf[S.Name] = WrapperOf[Callee];
-            Changed = true;
-          }
-        }
+        if (T[I].ParenDepth != 0)
+          continue; // parameter, not return type
+        if (T[I + 1].Kind == TokKind::Ident && isPunct(T[I + 2], "("))
+          ErrorFns.insert(T[I + 1].Text);
       }
     }
   }
 
   void checkErrorPropagation(const SourceFile &F) {
     const std::vector<Token> &T = F.Toks.Tokens;
-
-    // Half 1: a discarded call of a wrapper discards the wrapped
-    // FsError/MetaReply — same statement shapes as discarded-error.
-    for (size_t I = 0; I + 1 < T.size(); ++I) {
-      if (T[I].Kind != TokKind::Ident || !WrapperOf.count(T[I].Text) ||
-          !isPunct(T[I + 1], "("))
-        continue;
-      size_t Close = matchForward(T, I + 1);
-      if (Close + 1 >= T.size() || !isPunct(T[Close + 1], ";"))
-        continue;
-      size_t Before = beforeChainHead(T, I);
-      if (Before == std::string::npos)
-        continue;
-      const Token &P = T[Before];
-      bool Discarded = false;
-      if (P.Kind == TokKind::Punct &&
-          (P.Text == ";" || P.Text == "{" || P.Text == "}" || P.Text == ":"))
-        Discarded = true;
-      else if (isIdent(P, "else") || isIdent(P, "do"))
-        Discarded = true;
-      else if (isPunct(P, ")")) {
-        size_t Open = matchBackward(T, Before);
-        bool VoidCast = Open != std::string::npos && Open + 2 == Before &&
-                        isIdent(T[Open + 1], "void");
-        Discarded = !VoidCast;
-      }
-      if (Discarded)
-        emit(F, T[I].Line, "error-path-propagation",
-             "result of '" + T[I].Text + "()' forwards the error of '" +
-                 WrapperOf.at(T[I].Text) +
-                 "()' but is discarded here; check it or cast to (void) "
-                 "with a comment");
-    }
-
-    // Half 2: an error result stored in a local the function never reads
-    // again — the error is swallowed even though the call "used" it.
+    // An error result stored in a local the function never reads again
+    // is swallowed even though the call "used" it. The compiler flags an
+    // unread FsError local (-Wunused-variable) but not a MetaReply one.
     auto FIt = FileIndexOf.find(F.RelPath);
     if (FIt == FileIndexOf.end())
       return;
@@ -793,8 +599,7 @@ private:
         } else if (isIdent(T[I], "auto") && T[I + 1].Kind == TokKind::Ident &&
                    isPunct(T[I + 2], "=") && I + 3 < S.BodyEnd &&
                    T[I + 3].Kind == TokKind::Ident &&
-                   (ErrorFns.count(T[I + 3].Text) ||
-                    WrapperOf.count(T[I + 3].Text))) {
+                   ErrorFns.count(T[I + 3].Text)) {
           Var = T[I + 1].Text;
         }
         if (Var.empty())
@@ -1315,7 +1120,6 @@ private:
   std::map<int, std::vector<int>> DefsByFile;       ///< FileIndex -> defs
   std::map<std::string, int> FileIndexOf;           ///< RelPath -> FileIndex
   std::map<int, std::vector<CallSite>> DefCalls;    ///< def -> call sites
-  std::map<std::string, std::string> WrapperOf;     ///< wrapper -> error fn
   std::map<int, std::string> ReturnsTainted;        ///< def -> source desc
   std::map<int, std::set<std::string>> TaintedLocals;
   std::map<int, std::map<std::string, std::string>> LocalWhy;
@@ -1392,12 +1196,11 @@ bool dmb::analyze::writeCallGraphDot(const std::string &Root,
 
 const std::vector<std::string> &dmb::analyze::analyzeRuleNames() {
   static const std::vector<std::string> Names = {
-      "unordered-iteration",  "pointer-identity",
-      "callback-lifetime",    "discarded-error",
-      "nodiscard-annotation", "determinism-taint",
+      "unordered-iteration",    "pointer-identity",
+      "callback-lifetime",      "determinism-taint",
       "error-path-propagation", "blocking-in-callback",
       "swallowed-completion-error",
-      "layering",             "include-cycle",
+      "layering",               "include-cycle",
       "unused-include"};
   return Names;
 }

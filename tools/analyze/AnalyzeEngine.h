@@ -31,15 +31,6 @@
 ///    ([p = &x]) dangles if the callback outlives the frame. tests/ and
 ///    bench/ are exempt (the capturing frame runs the scheduler to
 ///    completion); src/ and tools/ are not.
-///  - discarded-error: a statement-expression call of a function whose
-///    return type is FsError or MetaReply, with the result discarded.
-///    With the PR-5 retry layer an ignored FsError::TimedOut is a silent
-///    correctness hole. The function set is harvested from declarations
-///    in the tree itself, so new APIs are covered automatically.
-///  - nodiscard-annotation: an FsError/MetaReply-returning function
-///    declared in a header without [[nodiscard]] — the compile-time half
-///    of discarded-error ( -Werror turns the compiler into the second
-///    gate).
 ///  - swallowed-completion-error: a completion lambda handed to an async
 ///    submission API (submit/enqueue/rpc/transact/process/processEager)
 ///    that names its MetaReply parameter but never reads .Err/.ok() nor
@@ -59,12 +50,11 @@
 ///    reaches a determinism sink — a trace/result call, a printf/stream
 ///    emission, a scheduled time, or a call whose callee transitively
 ///    reaches such a sink.
-///  - error-path-propagation: the interprocedural half of
-///    discarded-error. `auto`-returning wrappers that just forward an
-///    FsError/MetaReply-returning call join the checked set
-///    transitively, so discarding a wrapper's result is flagged too; and
-///    a function that stores an error result in a local it never reads
-///    afterwards ("swallowed error") is flagged at the assignment.
+///  - error-path-propagation: a function that stores an FsError or
+///    MetaReply result in a local it never reads afterwards ("swallowed
+///    error") is flagged at the assignment. Discarded results need no
+///    rule: FsError, MetaReply and Result<T> are [[nodiscard]] types, so
+///    -Werror rejects them, through `auto` wrappers too.
 ///  - blocking-in-callback: call-graph reachability from callback
 ///    contexts to primitives that must not run there. Quiescence checks
 ///    (Scheduler::addQuiescenceCheck) are read-only diagnostics: reaching

@@ -14,9 +14,7 @@
 ///  - determinism-taint walks edges forward to propagate "returns a
 ///    nondeterministic value" summaries to callers,
 ///  - blocking-in-callback asks reachability questions ("can this
-///    quiescence-check lambda reach SimMutex::lock?"),
-///  - error-path-propagation extends the error-returning set through
-///    wrapper functions.
+///    quiescence-check lambda reach SimMutex::lock?").
 ///
 /// Strongly connected components are condensed with Tarjan's algorithm so
 /// fixpoint passes can run in reverse topological order over the DAG.

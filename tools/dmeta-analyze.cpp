@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Driver for the symbol-aware analyzer: determinism (unordered-iteration,
-/// pointer-identity), lifetime (callback-lifetime), error discipline
-/// (discarded-error, nodiscard-annotation), interprocedural dataflow
-/// (determinism-taint, error-path-propagation, blocking-in-callback over
-/// the whole-program symbol table and call graph) and architecture
-/// (layering, include-cycle, unused-include) rules over src/, tests/,
-/// bench/ and tools/. `--dot <file>` exports the call graph. See
+/// pointer-identity), lifetime (callback-lifetime), interprocedural
+/// dataflow (determinism-taint, error-path-propagation,
+/// blocking-in-callback over the whole-program symbol table and call
+/// graph) and architecture (layering, include-cycle, unused-include) rules
+/// over src/, tests/, bench/ and tools/. `--dot <file>` exports the call
+/// graph. See
 /// tools/analyze/AnalyzeEngine.h for the rule catalogue and DESIGN.md
 /// ("Static analysis") for the rationale.
 ///

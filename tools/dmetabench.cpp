@@ -26,16 +26,10 @@
 /// latency-breakdown chart; --outdir then also receives trace.txt.
 ///
 /// The "verify-schedules" verb (dmetabench verify-schedules [--schedules N]
-/// [--seed S]) reruns built-in tier-1 scenarios under N permuted
-/// same-timestamp schedules (sim/ScheduleVerify.h) and fails if any
-/// rerun's interval TSVs or summaries differ from the default schedule.
-///
-/// The "verify-queues" verb runs tier-1 scenarios for six file system
-/// models once on the binary-heap event queue and once per calendar-queue
-/// variant (the default wheel plus a shallow wheel that forces overflow
-/// traffic), and fails unless output *and* the executed-event journal are
-/// bit-identical — the two queue implementations must produce the same
-/// schedule, not merely the same results.
+/// [--seed S]) reruns built-in tier-1 scenarios for six file system models
+/// (nfs, lustre, afs, gx, cxfs, localfs) under N permuted same-timestamp
+/// schedules (sim/ScheduleVerify.h) and fails if any rerun's interval TSVs
+/// or summaries differ from the default schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,17 +61,14 @@ struct CliOptions {
 
 void usage() {
   std::fputs(
-      "usage: dmetabench [trace|verify-schedules|verify-queues] [options]\n"
+      "usage: dmetabench [trace|verify-schedules] [options]\n"
       "  trace                record per-operation span traces and print\n"
       "                       the latency report and breakdown chart\n"
-      "  verify-schedules     rerun built-in tier-1 scenarios under\n"
-      "                       permuted same-timestamp schedules and check\n"
+      "  verify-schedules     rerun built-in tier-1 scenarios (nfs, lustre,\n"
+      "                       afs, gx, cxfs, localfs) under permuted\n"
+      "                       same-timestamp schedules and check\n"
       "                       bit-identical results (options: --schedules N\n"
       "                       [default 8], --seed S [default 1])\n"
-      "  verify-queues        run tier-1 scenarios on the heap and the\n"
-      "                       calendar event queue and check bit-identical\n"
-      "                       outputs and event journals (option:\n"
-      "                       --shallow-levels N [default 2])\n"
       "  --np N               total MPI slots (default 9)\n"
       "  --nodes N            cluster nodes (default 3)\n"
       "  --cores N            cores per node (default 8)\n"
@@ -281,13 +272,17 @@ int runVerifySchedules(int Argc, char **Argv) {
   }
   // The tier-1 scenarios of tests/IntegrationTest.cpp in miniature: the
   // protocol-mediated baseline and the writeback variant whose consistency
-  // points add background timer traffic.
+  // points add background timer traffic, then one small MakeFiles run per
+  // remaining model family.
   std::vector<ScheduleScenario> Scenarios;
   Scenarios.push_back(makeVerifyScenario("nfs-makefiles-statfiles", "nfs",
                                          {"MakeFiles", "StatFiles"}, 300, 2,
                                          2));
   Scenarios.push_back(makeVerifyScenario("lustre-makefiles", "lustre",
                                          {"MakeFiles"}, 300, 2, 2));
+  for (const char *FsName : {"afs", "gx", "cxfs", "localfs"})
+    Scenarios.push_back(makeVerifyScenario(std::string(FsName) + "-makefiles",
+                                           FsName, {"MakeFiles"}, 200, 2, 2));
   bool AllOk = true;
   for (const ScheduleScenario &Sc : Scenarios) {
     ScheduleVerifyResult R = verifySchedules(Sc, Opt);
@@ -297,94 +292,11 @@ int runVerifySchedules(int Argc, char **Argv) {
   return AllOk ? 0 : 1;
 }
 
-/// One run of a scenario under an explicit scheduler configuration,
-/// capturing both the canonical output and the executed-event journal.
-struct QueueRunOutcome {
-  std::string Output;
-  std::vector<Scheduler::JournalEntry> Journal;
-};
-
-QueueRunOutcome runQueueOnce(const ScheduleScenario &Sc,
-                             const SchedulerConfig &Config) {
-  Scheduler S(Config);
-  S.enableEventJournal();
-  QueueRunOutcome Out;
-  Out.Output = Sc.Run(S);
-  Out.Journal = S.eventJournal();
-  return Out;
-}
-
-int runVerifyQueues(int Argc, char **Argv) {
-  unsigned ShallowLevels = 2;
-  for (int I = 1; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    if (!std::strcmp(Arg, "--help") || !std::strcmp(Arg, "-h")) {
-      usage();
-      return 0;
-    }
-    if (!std::strcmp(Arg, "--shallow-levels") && I + 1 < Argc) {
-      ShallowLevels = std::strtoul(Argv[++I], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "error: unknown verify-queues option %s\n", Arg);
-      usage();
-      return 2;
-    }
-  }
-  // One small tier-1 combination per model family. The shallow wheel keeps
-  // only ShallowLevels byte levels, so second-scale timers overflow and the
-  // drain/migrate path runs under real traffic, not just unit tests.
-  std::vector<ScheduleScenario> Scenarios;
-  for (const char *FsName :
-       {"nfs", "lustre", "afs", "gx", "cxfs", "localfs"})
-    Scenarios.push_back(makeVerifyScenario(std::string(FsName) + "-makefiles",
-                                           FsName, {"MakeFiles"}, 200, 2, 2));
-
-  SchedulerConfig Heap;
-  SchedulerConfig Calendar;
-  Calendar.Queue = EventQueueKind::Calendar;
-  SchedulerConfig Shallow = Calendar;
-  Shallow.WheelLevels = ShallowLevels;
-
-  bool AllOk = true;
-  for (const ScheduleScenario &Sc : Scenarios) {
-    QueueRunOutcome Base = runQueueOnce(Sc, Heap);
-    if (Base.Output.empty()) {
-      std::printf("verify-queues: %s produced no output; refusing to "
-                  "verify an empty result\n",
-                  Sc.Name.c_str());
-      AllOk = false;
-      continue;
-    }
-    struct Variant {
-      const char *Label;
-      const SchedulerConfig *Config;
-    } Variants[] = {{"calendar", &Calendar}, {"calendar-shallow", &Shallow}};
-    bool Ok = true;
-    for (const Variant &V : Variants) {
-      QueueRunOutcome Got = runQueueOnce(Sc, *V.Config);
-      if (Got.Output != Base.Output || Got.Journal != Base.Journal) {
-        std::printf("verify-queues: %s DIVERGED on %s queue (%s differs)\n",
-                    Sc.Name.c_str(), V.Label,
-                    Got.Output != Base.Output ? "output" : "event journal");
-        Ok = false;
-      }
-    }
-    if (Ok)
-      std::printf("verify-queues: %s: heap and calendar queues "
-                  "bit-identical (%zu events)\n",
-                  Sc.Name.c_str(), Base.Journal.size());
-    AllOk = AllOk && Ok;
-  }
-  return AllOk ? 0 : 1;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   if (Argc > 1 && !std::strcmp(Argv[1], "verify-schedules"))
     return runVerifySchedules(Argc - 1, Argv + 1);
-  if (Argc > 1 && !std::strcmp(Argv[1], "verify-queues"))
-    return runVerifyQueues(Argc - 1, Argv + 1);
   // The optional "trace" verb comes before the flags.
   bool Trace = Argc > 1 && !std::strcmp(Argv[1], "trace");
   CliOptions Opt;

@@ -130,10 +130,10 @@ bool inTraceClockScope(const std::string &RelPath) {
   return startsWith(RelPath, "src/sim/") || startsWith(RelPath, "src/dfs/");
 }
 
-/// Directories where pending-event ordering must go through the
-/// sim/EventQueue interface. A hand-rolled priority queue next to the
-/// scheduler silently diverges from the calendar queue's tie discipline;
-/// only the EventQueue implementation file may use heap primitives.
+/// Directories where pending-event ordering must go through
+/// sim/EventQueue. A hand-rolled priority queue next to the scheduler
+/// silently diverges from its (time, tie key) order; only the EventQueue
+/// files may use heap primitives.
 /// tests/ are exempt (lint fixtures quote the patterns on purpose).
 bool inEventQueueScope(const std::string &RelPath) {
   return (startsWith(RelPath, "src/") || startsWith(RelPath, "bench/") ||
@@ -263,7 +263,10 @@ std::vector<std::string> parseEnumMembers(const std::string &ErrorH) {
   bool InEnum = false;
   for (const std::string &L : sanitizeSource(ErrorH)) {
     if (!InEnum) {
-      if (L.find("enum class FsError") != std::string::npos)
+      // `enum class [[nodiscard]] FsError {`: attributes may sit between.
+      size_t Enum = L.find("enum class");
+      if (Enum != std::string::npos &&
+          L.find("FsError", Enum) != std::string::npos)
         InEnum = true;
       continue;
     }
@@ -365,9 +368,8 @@ void dmb::lint::lintContent(const std::string &RelPath,
       Out.push_back({RelPath, LineNo, "event-queue",
                      std::string("heap scheduling primitive '") + Hit +
                          "' outside sim/EventQueue; route pending-event "
-                         "ordering through the EventQueue interface so the "
-                         "heap and calendar implementations stay "
-                         "interchangeable"});
+                         "ordering through HeapEventQueue so every event "
+                         "pops in one (time, tie key) order"});
 
     if (TraceScope && !allowed(Raw, "trace-clock") &&
         matchesAny(L, TraceSinkPatterns, std::size(TraceSinkPatterns), Hit))
