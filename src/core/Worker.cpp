@@ -23,7 +23,6 @@ void WorkerProcess::runPhase(std::unique_ptr<OpStream> S, bool Rec,
   Record = Rec;
   Deadline = PhaseDeadline;
   Done = std::move(OnDone);
-  LastReply = MetaReply();
   AtOpBoundary = true;
   if (!Stream) {
     // Empty phase: complete via the scheduler to keep ordering uniform.
@@ -33,10 +32,10 @@ void WorkerProcess::runPhase(std::unique_ptr<OpStream> S, bool Rec,
     });
     return;
   }
-  step();
+  step(MetaReply());
 }
 
-void WorkerProcess::step() {
+void WorkerProcess::step(const MetaReply &Last) {
   // Time-limited phases stop at operation boundaries only, so compound
   // operations (open+close) are never cut in half.
   if (Deadline != 0 && AtOpBoundary && Sched.now() >= Deadline) {
@@ -47,44 +46,44 @@ void WorkerProcess::step() {
   }
 
   StreamStep Step;
-  if (!Stream->next(LastReply, Step)) {
+  if (!Stream->next(Last, Step)) {
     std::function<void()> Fn = std::move(Done);
     Stream.reset();
     Fn();
     return;
   }
 
-  bool Completes = Step.CompletesOp;
-  uint64_t OpCount = Step.OpCount;
-  MetaRequest Req = std::move(Step.Req);
+  Completes = Step.CompletesOp;
+  OpCount = Step.OpCount;
+  Req = std::move(Step.Req);
   Req.Creds = Config.Creds;
   // Each call costs client-side CPU (interpreter + syscall overhead,
   // \S 4.2.2) — this is what a co-located CPU hog steals (Fig. 4.4).
-  Config.Cpu->submit(
-      Config.PerCallOverhead, Config.CpuWeight,
-      [this, Req = std::move(Req), Completes, OpCount]() {
-        // Bench-phase calls open a span record (no-op without a sink on
-        // the scheduler); the id rides the event graph to every hop.
-        uint64_t Trace =
-            Record ? Sched.traceBegin(metaOpName(Req.Op)) : 0;
-        Config.Client->submit(Req, [this, Trace, Completes,
-                                    OpCount](MetaReply Reply) {
-          // Bookkeeping runs before traceFinish deactivates the trace so
-          // the happens-before hooks see the operation as their context;
-          // nothing here stamps or schedules, so timing is unaffected.
-          if (!Reply.ok()) {
-            ++Failures;
-            DMB_HB_WRITE(Sched, Failures, "WorkerProcess.Failures");
-          }
-          if (Record && Completes) {
-            Log.record(Sched.now(), OpCount);
-            DMB_HB_WRITE(Sched, Log, "WorkerProcess.TimeLog");
-          }
-          AtOpBoundary = Completes;
-          LastReply = std::move(Reply);
-          DMB_HB_WRITE(Sched, LastReply, "WorkerProcess.LastReply");
-          Sched.traceFinish(Trace);
-          step();
-        });
-      });
+  Config.Cpu->submit(Config.PerCallOverhead, Config.CpuWeight,
+                     [this]() { submitRequest(); });
+}
+
+void WorkerProcess::submitRequest() {
+  // Bench-phase calls open a span record (no-op without a sink on the
+  // scheduler); the id rides the event graph to every hop.
+  Trace = Record ? Sched.traceBegin(metaOpName(Req.Op)) : 0;
+  Config.Client->submit(Req,
+                        [this](MetaReply Reply) { onReply(std::move(Reply)); });
+}
+
+void WorkerProcess::onReply(MetaReply Reply) {
+  // Bookkeeping runs before traceFinish deactivates the trace so the
+  // happens-before hooks see the operation as their context; nothing here
+  // stamps or schedules, so timing is unaffected.
+  if (!Reply.ok()) {
+    ++Failures;
+    DMB_HB_WRITE(Sched, Failures, "WorkerProcess.Failures");
+  }
+  if (Record && Completes) {
+    Log.record(Sched.now(), OpCount);
+    DMB_HB_WRITE(Sched, Log, "WorkerProcess.TimeLog");
+  }
+  AtOpBoundary = Completes;
+  Sched.traceFinish(Trace);
+  step(Reply);
 }

@@ -64,7 +64,13 @@ public:
   void resetFailures() { Failures = 0; }
 
 private:
-  void step();
+  /// Starts the next request of the phase, which the stream derives from
+  /// \p Last, the reply to the previous one.
+  void step(const MetaReply &Last);
+  /// Hands the in-flight request to the client, once the node CPU has
+  /// charged the call overhead.
+  void submitRequest();
+  void onReply(MetaReply Reply);
 
   Scheduler &Sched;
   WorkerConfig Config;
@@ -76,8 +82,14 @@ private:
   bool Record = false;
   SimTime Deadline = 0;
   std::function<void()> Done;
-  MetaReply LastReply;
   bool AtOpBoundary = true;
+
+  // The single in-flight request of this closed loop, so that the CPU and
+  // reply closures capture only `this`.
+  MetaRequest Req;
+  bool Completes = false;
+  uint64_t OpCount = 0;
+  uint64_t Trace = 0;
 };
 
 } // namespace dmb

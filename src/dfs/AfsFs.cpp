@@ -119,41 +119,40 @@ SimDuration AfsClient::vldbCost(const std::string &Volume) {
 }
 
 void AfsClient::rpc(unsigned ServerIndex, const std::string &Volume,
-                    MetaRequest Req, const std::string &FullPath,
+                    const MetaRequest &Req, const std::string &FullPath,
                     Callback Done) {
+  Exchange *X = newExchange(
+      Req, [this, ServerIndex, Volume, Op = Req.Op, Flags = Req.Flags,
+            FullPath, Done = std::move(Done)](MetaReply Reply) mutable {
+        if (Reply.ok()) {
+          if (Op == MetaOp::Stat || Op == MetaOp::Lstat)
+            Cache.insert(FullPath, Reply.A, sched().now());
+          if (isMutation(Op) || (Op == MetaOp::Open && (Flags & OpenCreate))) {
+            Cache.invalidate(FullPath);
+            Cell.breakCallbacks(this, FullPath);
+          }
+          if (Op == MetaOp::Open) {
+            // Wrap the server handle in a client-local handle so handles
+            // from different volumes cannot collide.
+            FileHandle Local = NextLocalFh++;
+            Handles[Local] = HandleInfo{ServerIndex, Volume, Reply.Fh};
+            Reply.Fh = Local;
+          }
+        }
+        slotDone();
+        Done(std::move(Reply));
+      });
+  X->Server = ServerIndex;
+  X->VolId = Cell.server(ServerIndex).volumeId(Volume);
   // A first access to a volume pays the VLDB lookup on top of the request
   // hop — modelled as SendExtra so retransmits do not pay it again.
-  SimDuration Vldb = vldbCost(Volume);
-  withSlot([this, ServerIndex, Volume, Req = std::move(Req), FullPath, Vldb,
-            Done = std::move(Done)]() mutable {
-    transact(
-        Req, Vldb,
-        [this, ServerIndex, Volume](
-            const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Cell.server(ServerIndex).process(Volume, R, std::move(Reply));
-        },
-        [this, ServerIndex, Volume, Req, FullPath,
-         Done = std::move(Done)](MetaReply Reply) mutable {
-          if (Reply.ok()) {
-            if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat)
-              Cache.insert(FullPath, Reply.A, sched().now());
-            if (isMutation(Req.Op) ||
-                (Req.Op == MetaOp::Open && (Req.Flags & OpenCreate))) {
-              Cache.invalidate(FullPath);
-              Cell.breakCallbacks(this, FullPath);
-            }
-            if (Req.Op == MetaOp::Open) {
-              // Wrap the server handle in a client-local handle so handles
-              // from different volumes cannot collide.
-              FileHandle Local = NextLocalFh++;
-              Handles[Local] = HandleInfo{ServerIndex, Volume, Reply.Fh};
-              Reply.Fh = Local;
-            }
-          }
-          slotDone();
-          Done(Reply);
-        });
-  });
+  X->SendExtra = vldbCost(Volume);
+  withSlot([this, X]() { transact(X); });
+}
+
+void AfsClient::dispatch(Exchange *X) {
+  Cell.server(X->Server).process(X->VolId, X->Req, X->Reply,
+                                 [this, X]() { serverReply(X); });
 }
 
 void AfsClient::submit(const MetaRequest &Req, Callback Done) {
@@ -173,8 +172,7 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    rpc(Info.ServerIndex, Info.Volume, std::move(Fwd), Req.Path,
-        std::move(Done));
+    rpc(Info.ServerIndex, Info.Volume, Fwd, Req.Path, std::move(Done));
     return;
   }
 
@@ -219,6 +217,5 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
     }
   }
 
-  rpc(Mount->ServerIndex, Mount->Volume, std::move(Fwd), Req.Path,
-      std::move(Done));
+  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req.Path, std::move(Done));
 }

@@ -128,8 +128,10 @@ private:
     FileHandle ServerFh;
   };
 
-  void rpc(unsigned ServerIndex, const std::string &Volume, MetaRequest Req,
-           const std::string &FullPath, Callback Done);
+  void rpc(unsigned ServerIndex, const std::string &Volume,
+           const MetaRequest &Req, const std::string &FullPath,
+           Callback Done);
+  void dispatch(Exchange *X) override;
   SimDuration vldbCost(const std::string &Volume);
 
   AfsFs &Cell;

@@ -8,11 +8,15 @@
 
 using namespace dmb;
 
-void AttrCache::insert(const std::string &Path, const Attr &A, SimTime Now) {
-  Entries[Path] = Entry{A, Now};
+void AttrCache::insert(std::string_view Path, const Attr &A, SimTime Now) {
+  auto It = Entries.find(Path);
+  if (It != Entries.end())
+    It->second = Entry{A, Now};
+  else
+    Entries.emplace(std::string(Path), Entry{A, Now});
 }
 
-std::optional<Attr> AttrCache::lookup(const std::string &Path, SimTime Now) {
+std::optional<Attr> AttrCache::lookup(std::string_view Path, SimTime Now) {
   auto It = Entries.find(Path);
   if (It == Entries.end()) {
     ++Misses;
@@ -30,7 +34,19 @@ std::optional<Attr> AttrCache::lookup(const std::string &Path, SimTime Now) {
   return It->second.A;
 }
 
-void AttrCache::invalidate(const std::string &Path) { Entries.erase(Path); }
+void AttrCache::invalidate(std::string_view Path) {
+  auto It = Entries.find(Path);
+  if (It != Entries.end())
+    Entries.erase(It);
+}
+
+void AttrCache::invalidateMutated(const MetaRequest &Req) {
+  if (!isMutation(Req.Op))
+    return;
+  invalidate(Req.Path);
+  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link)
+    invalidate(Req.Path2);
+}
 
 void AttrCache::invalidateForMutation(const MetaRequest &Req) {
   bool ShapeChange = false;
@@ -58,18 +74,18 @@ void AttrCache::invalidateForMutation(const MetaRequest &Req) {
     return; // reads and handle-only ops leave the cache intact
   }
   if (!Req.Path.empty()) {
-    Entries.erase(Req.Path);
+    invalidate(Req.Path);
     if (ShapeChange)
       if (std::string_view Parent = parentPath(Req.Path); !Parent.empty())
-        Entries.erase(std::string(Parent));
+        invalidate(Parent);
   }
   // Rename/link/symlink name a second path whose attrs (and parent) the
   // mutation also touches; for setxattr Path2 is the xattr key, not a path.
   if (!Req.Path2.empty() && Req.Op != MetaOp::Setxattr) {
-    Entries.erase(Req.Path2);
+    invalidate(Req.Path2);
     if (ShapeChange)
       if (std::string_view Parent = parentPath(Req.Path2); !Parent.empty())
-        Entries.erase(std::string(Parent));
+        invalidate(Parent);
   }
 }
 

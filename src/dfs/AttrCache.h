@@ -17,10 +17,9 @@
 
 #include "dfs/Message.h"
 #include "fs/Types.h"
+#include "support/StringHash.h"
 #include <optional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace dmb {
 
@@ -40,14 +39,21 @@ public:
   /// \p Ttl of 0 means entries never expire (invalidation-only caches).
   explicit AttrCache(SimDuration Ttl) : Ttl(Ttl) {}
 
-  /// Stores attributes observed at \p Now.
-  void insert(const std::string &Path, const Attr &A, SimTime Now);
+  /// Stores attributes observed at \p Now, overwriting an existing entry
+  /// for \p Path in place.
+  void insert(std::string_view Path, const Attr &A, SimTime Now);
 
   /// Returns fresh attributes or nullopt on miss/expiry.
-  std::optional<Attr> lookup(const std::string &Path, SimTime Now);
+  std::optional<Attr> lookup(std::string_view Path, SimTime Now);
 
   /// Drops one entry (mutation invalidation / callback break).
-  void invalidate(const std::string &Path);
+  void invalidate(std::string_view Path);
+
+  /// Drops what a successful synchronous mutation \p Req makes stale: the
+  /// entry for Req.Path, and for Req.Path2 on rename and link. Called on
+  /// the mutation's reply (write-behind clients use
+  /// invalidateForMutation() at enqueue instead).
+  void invalidateMutated(const MetaRequest &Req);
 
   /// Drops every entry a queued-but-unflushed (or just-applied) mutation
   /// makes stale: the primary path, the secondary path (rename target,
@@ -74,7 +80,7 @@ private:
   };
 
   SimDuration Ttl;
-  std::unordered_map<std::string, Entry> Entries;
+  StringMap<Entry> Entries;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

@@ -263,6 +263,17 @@ MetaReply FileServer::processEager(const std::string &Volume,
 
 MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
                                    std::function<void()> Committed) {
+  MetaReply Reply;
+  admit(VolId, Req, [&](MetaReply &&R) {
+    Reply = std::move(R);
+    return std::move(Committed);
+  });
+  return Reply;
+}
+
+template <typename FinishFn>
+void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
+                       FinishFn &&Finish) {
   // Request arrival at the server: from here until the CPU picks it up the
   // operation is queueing, not being serviced.
   Sched.traceStamp(TracePoint::QueueEnter);
@@ -274,10 +285,10 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
     // record that entered the queue and never came out.
     Sched.traceStamp(TracePoint::ServiceStart);
     Sched.traceStamp(TracePoint::ServiceEnd);
-    Sched.after(0, std::move(Committed));
     MetaReply Reply;
     Reply.Err = FsError::Stale;
-    return Reply;
+    Sched.after(0, Finish(std::move(Reply)));
+    return;
   }
 
   // Duplicate-request cache lookup (\S 2.6.4 retransmit semantics): a
@@ -291,8 +302,8 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
       ++DrcHits;
       ++Processed;
       DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
-      Cpu.request(Config.DrcHitCost, std::move(Committed));
-      return It->second.Reply;
+      Cpu.request(Config.DrcHitCost, Finish(MetaReply(It->second.Reply)));
+      return;
     }
   }
 
@@ -319,33 +330,10 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
     const std::string &VolName = VolumeIds.name(VolId);
     // Asynchronous metadata logging (\S 2.7.1): append now, durable when
     // the server finishes the operation.
-    if (Journal) {
+    if (Journal)
       if (std::optional<uint64_t> Seq =
-              Journal->append(VolName, Req, Sched.now())) {
+              Journal->append(VolName, Req, Sched.now()))
         JournalSeqPlus1 = *Seq + 1;
-        // The CPU finishing this request means the stable write is done —
-        // but the ack may only leave once the journal's per-volume commit
-        // frontier reaches this record (log-prefix rule): a 4-thread CPU
-        // finishes service out of append order, and acking a dependent op
-        // whose predecessor's record is still in flight lets a crash
-        // commit the dependent without the predecessor. Park the ack; the
-        // onCommit hook (or the crash sweep, for discarded records)
-        // releases it.
-        Committed = [this, Seq = *Seq,
-                     Inner = std::move(Committed)]() mutable {
-          if (Journal->isDiscarded(Seq)) {
-            // Crashed before the stable write finished: the record is
-            // gone, but the reply still travels (it models a message the
-            // server sent before it lost the op's durability, the E29
-            // acked-but-lost window).
-            Inner();
-            return;
-          }
-          HeldCommitAcks.emplace(Seq, std::move(Inner));
-          Journal->commit(Seq);
-        };
-      }
-    }
     // Change notification (\S 2.8.3).
     for (const auto &W : Watchers)
       W(VolName, Req);
@@ -359,6 +347,30 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
       drcCacheable(Req.Op))
     drcInsert(drcKey(Req),
               DrcEntry{Req.Op, Reply, Req.Path, VolId, JournalSeqPlus1});
+
+  std::function<void()> Committed = Finish(std::move(Reply));
+  if (JournalSeqPlus1) {
+    // The CPU finishing this request means the stable write is done — but
+    // the ack may only leave once the journal's per-volume commit frontier
+    // reaches this record (log-prefix rule): a 4-thread CPU finishes
+    // service out of append order, and acking a dependent op whose
+    // predecessor's record is still in flight lets a crash commit the
+    // dependent without the predecessor. Park the ack; the onCommit hook
+    // (or the crash sweep, for discarded records) releases it.
+    Committed = [this, Seq = JournalSeqPlus1 - 1,
+                 Inner = std::move(Committed)]() mutable {
+      if (Journal->isDiscarded(Seq)) {
+        // Crashed before the stable write finished: the record is gone,
+        // but the reply still travels (it models a message the server
+        // sent before it lost the op's durability, the E29 acked-but-lost
+        // window).
+        Inner();
+        return;
+      }
+      HeldCommitAcks.emplace(Seq, std::move(Inner));
+      Journal->commit(Seq);
+    };
+  }
   if (JitterMean > 0) {
     // Mostly small per-request extras with an occasional heavy hit.
     double Extra = JitterRng.exponential(static_cast<double>(JitterMean));
@@ -379,11 +391,10 @@ MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
     Sched.at(Admit, [this, Service, Committed = std::move(Committed)]() {
       Cpu.request(Service, std::move(Committed));
     });
-    return Reply;
+    return;
   }
 
   Cpu.request(Service, std::move(Committed));
-  return Reply;
 }
 
 void FileServer::enableJournal() {
@@ -548,9 +559,18 @@ void FileServer::process(const std::string &Volume, const MetaRequest &Req,
 
 void FileServer::process(uint32_t VolId, const MetaRequest &Req,
                          Callback Done) {
-  auto Holder = std::make_shared<MetaReply>();
-  *Holder = processEager(VolId, Req, [Done = std::move(Done), Holder]() {
-    Done(*Holder);
+  admit(VolId, Req, [&Done](MetaReply &&R) -> std::function<void()> {
+    return [Done = std::move(Done), R = std::move(R)]() mutable {
+      Done(std::move(R));
+    };
+  });
+}
+
+void FileServer::process(uint32_t VolId, const MetaRequest &Req,
+                         MetaReply &Reply, std::function<void()> Done) {
+  admit(VolId, Req, [&](MetaReply &&R) {
+    Reply = std::move(R);
+    return std::move(Done);
   });
 }
 

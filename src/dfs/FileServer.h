@@ -117,6 +117,12 @@ public:
   /// reply callback fires after CPU queueing + service (+ commit latency
   /// for mutations).
   void process(uint32_t VolId, const MetaRequest &Req, Callback Done);
+  /// The same, with the reply stored by the caller: it is moved into
+  /// \p Reply when the request executes (at arrival), and \p Done fires
+  /// when the callback of the overload above would. \p Reply must stay
+  /// alive and untouched until then.
+  void process(uint32_t VolId, const MetaRequest &Req, MetaReply &Reply,
+               std::function<void()> Done);
   /// String-keyed convenience overload of the above.
   void process(const std::string &Volume, const MetaRequest &Req,
                Callback Done);
@@ -231,6 +237,11 @@ public:
                            SimTime Now, OpCost &Cost);
 
 private:
+  /// Executes \p Req at arrival and queues its service. \p Finish takes
+  /// the reply (MetaReply &&) and returns the completion, a
+  /// std::function<void()>, to run once the server has finished the work.
+  template <typename FinishFn>
+  void admit(uint32_t VolId, const MetaRequest &Req, FinishFn &&Finish);
   void noteMutation(const MetaRequest &Req);
   void maybeStartConsistencyPoint();
   void startConsistencyPoint();

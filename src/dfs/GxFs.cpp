@@ -77,77 +77,59 @@ std::string GxClient::describe() const {
 }
 
 void GxClient::rpc(unsigned OwnerIndex, const std::string &Volume,
-                   MetaRequest Req, const std::string &FullPath,
+                   const MetaRequest &Req, const std::string &FullPath,
                    Callback Done) {
-  bool Remote = OwnerIndex != Nblade;
+  // Back on the client: update caches, wrap handles, free the slot.
+  Exchange *X = newExchange(
+      Req, [this, OwnerIndex, Volume, Op = Req.Op, FullPath,
+            Done = std::move(Done)](MetaReply Reply) mutable {
+        if (Reply.ok()) {
+          if (Op == MetaOp::Stat || Op == MetaOp::Lstat || Op == MetaOp::Open)
+            Cache.insert(FullPath, Reply.A, sched().now());
+          if (isMutation(Op))
+            Cache.invalidate(FullPath);
+          if (Op == MetaOp::Open) {
+            // Wrap the server handle in a client-local handle so handles
+            // from different volumes cannot collide.
+            FileHandle Local = NextLocalFh++;
+            Handles[Local] = HandleInfo{OwnerIndex, Volume, Reply.Fh};
+            Reply.Fh = Local;
+          }
+        }
+        slotDone();
+        Done(std::move(Reply));
+      });
+  X->Server = OwnerIndex;
+  X->VolId = Cluster.filer(OwnerIndex).volumeId(Volume);
+  withSlot([this, X]() { transact(X); });
+}
 
-  withSlot([this, OwnerIndex, Volume, Req = std::move(Req), FullPath, Remote,
-            Done = std::move(Done)]() mutable {
-    transact(
-        Req, 0,
-        // Server side of the exchange: N-blade translation, then either the
-        // local D-blade or a forwarded hop over the cluster fabric.
-        [this, OwnerIndex, Volume, Remote](
-            const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          const GxOptions &O = Cluster.options();
-          FileServer &NbladeFiler = Cluster.filer(Nblade);
-          SimDuration Translate =
-              O.NbladeCost + (Remote ? O.ForwardExtraCost : 0);
-          // N-blade: TCP termination + translation to the internal protocol.
-          NbladeFiler.injectWork(Translate, [this, OwnerIndex, Volume, R,
-                                             Remote, Reply = std::move(
-                                                         Reply)]() mutable {
-            const GxOptions &O2 = Cluster.options();
-            if (!Remote) {
-              Cluster.filer(Nblade).process(Volume, R, std::move(Reply));
-              return;
-            }
-            // Forward over the cluster fabric to the owning D-blade and
-            // back (Fig. 4.3: at most two nodes touch a request).
-            sched().after(O2.ClusterHopLatency, [this, OwnerIndex, Volume, R,
-                                                 Reply = std::move(
-                                                     Reply)]() mutable {
-              Cluster.filer(OwnerIndex)
-                  .process(Volume, R,
-                           [this, Reply = std::move(Reply)](
-                               MetaReply Rep) mutable {
-                             const GxOptions &O3 = Cluster.options();
-                             sched().after(
-                                 O3.ClusterHopLatency,
-                                 [this, Reply = std::move(Reply),
-                                  Rep = std::move(Rep)]() mutable {
-                                   // Reply passes back through the N-blade.
-                                   Cluster.filer(Nblade).injectWork(
-                                       Cluster.options().ForwardExtraCost,
-                                       [Reply = std::move(Reply),
-                                        Rep = std::move(Rep)]() mutable {
-                                         Reply(Rep);
-                                       });
-                                 });
-                           });
+// Server side of the exchange: N-blade translation, then either the local
+// D-blade or a forwarded hop over the cluster fabric.
+void GxClient::dispatch(Exchange *X) {
+  const GxOptions &O = Cluster.options();
+  SimDuration Translate =
+      O.NbladeCost + (X->Server != Nblade ? O.ForwardExtraCost : 0);
+  // N-blade: TCP termination + translation to the internal protocol.
+  Cluster.filer(Nblade).injectWork(Translate, [this, X]() {
+    if (X->Server == Nblade) {
+      Cluster.filer(Nblade).process(X->VolId, X->Req, X->Reply,
+                                    [this, X]() { serverReply(X); });
+      return;
+    }
+    // Forward over the cluster fabric to the owning D-blade and back
+    // (Fig. 4.3: at most two nodes touch a request).
+    sched().after(Cluster.options().ClusterHopLatency, [this, X]() {
+      Cluster.filer(X->Server)
+          .process(X->VolId, X->Req, X->Reply, [this, X]() {
+            sched().after(Cluster.options().ClusterHopLatency, [this, X]() {
+              // Reply passes back through the N-blade.
+              Cluster.filer(Nblade).injectWork(
+                  Cluster.options().ForwardExtraCost,
+                  [this, X]() { serverReply(X); });
             });
           });
-        },
-        // Back on the client: update caches, wrap handles, free the slot.
-        [this, OwnerIndex, Volume, Req, FullPath,
-         Done = std::move(Done)](MetaReply Reply) mutable {
-          if (Reply.ok()) {
-            if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
-                Req.Op == MetaOp::Open)
-              Cache.insert(FullPath, Reply.A, sched().now());
-            if (isMutation(Req.Op))
-              Cache.invalidate(FullPath);
-            if (Req.Op == MetaOp::Open) {
-              // Wrap the server handle in a client-local handle so handles
-              // from different volumes cannot collide.
-              FileHandle Local = NextLocalFh++;
-              Handles[Local] = HandleInfo{OwnerIndex, Volume, Reply.Fh};
-              Reply.Fh = Local;
-            }
-          }
-          slotDone();
-          Done(Reply);
-        });
+    });
   });
 }
 
@@ -168,8 +150,7 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    rpc(Info.FilerIndex, Info.Volume, std::move(Fwd), Req.Path,
-        std::move(Done));
+    rpc(Info.FilerIndex, Info.Volume, Fwd, Req.Path, std::move(Done));
     return;
   }
 
@@ -214,6 +195,5 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
     }
   }
 
-  rpc(Mount->ServerIndex, Mount->Volume, std::move(Fwd), Req.Path,
-      std::move(Done));
+  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req.Path, std::move(Done));
 }

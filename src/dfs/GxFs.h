@@ -101,8 +101,10 @@ private:
     FileHandle ServerFh;
   };
 
-  void rpc(unsigned OwnerIndex, const std::string &Volume, MetaRequest Req,
-           const std::string &FullPath, Callback Done);
+  void rpc(unsigned OwnerIndex, const std::string &Volume,
+           const MetaRequest &Req, const std::string &FullPath,
+           Callback Done);
+  void dispatch(Exchange *X) override;
 
   GxFs &Cluster;
   unsigned NodeIndex;

@@ -72,22 +72,26 @@ static bool isCreateLike(const MetaRequest &Req) {
 void LustreClient::rpc(const MetaRequest &Req, Callback Done) {
   // Creating a file also pre-allocates an object on an OSS; the MDS hides
   // most of this with pre-created object pools — a small extra cost.
-  SimDuration Extra =
-      isCreateLike(Req) ? Options.OssObjectCreateCost : SimDuration(0);
-  withSlot([this, Req, Extra, Done = std::move(Done)]() mutable {
-    transact(
-        Req, Extra,
-        [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Mds.process(VolId, R, std::move(Reply));
-        },
-        [this, Req, Done = std::move(Done)](MetaReply Reply) {
-          if (Reply.ok() &&
-              (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat))
-            Cache.insert(Req.Path, Reply.A, sched().now());
-          slotDone();
-          Done(Reply);
-        });
-  });
+  Exchange *X = newExchange(Req, std::move(Done));
+  if (isCreateLike(Req))
+    X->SendExtra = Options.OssObjectCreateCost;
+  withSlot([this, X]() { transact(X); });
+}
+
+void LustreClient::dispatch(Exchange *X) {
+  Mds.process(VolId, X->Req, X->Reply, [this, X]() { serverReply(X); });
+}
+
+void LustreClient::finish(Exchange *X) {
+  const MetaRequest &Req = X->Req;
+  if (X->Reply.ok()) {
+    if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat)
+      Cache.insert(Req.Path, X->Reply.A, sched().now());
+    else
+      Cache.invalidateMutated(Req);
+  }
+  slotDone();
+  complete(X);
 }
 
 void LustreClient::submit(const MetaRequest &Req, Callback Done) {

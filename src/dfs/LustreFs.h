@@ -100,6 +100,8 @@ public:
 private:
   void rpc(const MetaRequest &Req, Callback Done);
   void submitDirect(const MetaRequest &Req, Callback Done);
+  void dispatch(Exchange *X) override;
+  void finish(Exchange *X) override;
 
   FileServer &Mds;
   uint32_t VolId; ///< interned VolumeName, resolved once at mount

@@ -78,21 +78,6 @@ void NfsClient::postProcess(const MetaRequest &Req, const MetaReply &Reply) {
     // after creating a file is served locally (\S 3.4.3).
     Cache.insert(Req.Path, Reply.A, sched().now());
     break;
-  case MetaOp::Unlink:
-  case MetaOp::Remove:
-  case MetaOp::Rmdir:
-    Cache.invalidate(Req.Path);
-    break;
-  case MetaOp::Rename:
-    Cache.invalidate(Req.Path);
-    Cache.invalidate(Req.Path2);
-    break;
-  case MetaOp::Chmod:
-  case MetaOp::Chown:
-  case MetaOp::Utimes:
-  case MetaOp::Setxattr:
-    Cache.invalidate(Req.Path);
-    break;
   case MetaOp::ReaddirPlus: {
     // READDIRPLUS warms the attribute cache for every entry at once
     // (\S 5.3.2) — subsequent stat()s are local.
@@ -102,23 +87,24 @@ void NfsClient::postProcess(const MetaRequest &Req, const MetaReply &Reply) {
     break;
   }
   default:
+    Cache.invalidateMutated(Req);
     break;
   }
 }
 
 void NfsClient::rpc(const MetaRequest &Req, Callback Done) {
-  withSlot([this, Req, Done = std::move(Done)]() mutable {
-    transact(
-        Req, 0,
-        [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Server.process(VolId, R, std::move(Reply));
-        },
-        [this, Req, Done = std::move(Done)](MetaReply Reply) {
-          postProcess(Req, Reply);
-          slotDone();
-          Done(Reply);
-        });
-  });
+  Exchange *X = newExchange(Req, std::move(Done));
+  withSlot([this, X]() { transact(X); });
+}
+
+void NfsClient::dispatch(Exchange *X) {
+  Server.process(VolId, X->Req, X->Reply, [this, X]() { serverReply(X); });
+}
+
+void NfsClient::finish(Exchange *X) {
+  postProcess(X->Req, X->Reply);
+  slotDone();
+  complete(X);
 }
 
 void NfsClient::submit(const MetaRequest &Req, Callback Done) {

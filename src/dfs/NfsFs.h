@@ -91,6 +91,8 @@ public:
 private:
   void rpc(const MetaRequest &Req, Callback Done);
   void submitDirect(const MetaRequest &Req, Callback Done);
+  void dispatch(Exchange *X) override;
+  void finish(Exchange *X) override;
   void postProcess(const MetaRequest &Req, const MetaReply &Reply);
 
   FileServer &Server;

@@ -62,21 +62,21 @@ void ReexportClient::submit(const MetaRequest &Req, Callback Done) {
     }
   }
 
-  withSlot([this, Req, Done = std::move(Done)]() mutable {
-    transact(
-        Req, 0,
-        [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-          Gateway.forward(R, std::move(Reply));
-        },
-        [this, Req, Done = std::move(Done)](MetaReply Reply) mutable {
-          if (Reply.ok() &&
-              (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
-               Req.Op == MetaOp::Open))
-            Cache.insert(Req.Path, Reply.A, sched().now());
-          if (isMutation(Req.Op))
-            Cache.invalidate(Req.Path);
-          slotDone();
-          Done(Reply);
-        });
-  });
+  Exchange *X = newExchange(Req, std::move(Done));
+  withSlot([this, X]() { transact(X); });
+}
+
+void ReexportClient::dispatch(Exchange *X) {
+  Gateway.forward(X->Req, replyTo(X));
+}
+
+void ReexportClient::finish(Exchange *X) {
+  const MetaRequest &Req = X->Req;
+  if (X->Reply.ok() && (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
+                        Req.Op == MetaOp::Open))
+    Cache.insert(Req.Path, X->Reply.A, sched().now());
+  if (isMutation(Req.Op))
+    Cache.invalidate(Req.Path);
+  slotDone();
+  complete(X);
 }

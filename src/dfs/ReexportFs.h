@@ -86,6 +86,9 @@ public:
   std::string describe() const override;
 
 private:
+  void dispatch(Exchange *X) override;
+  void finish(Exchange *X) override;
+
   ReexportFs &Gateway;
   unsigned NodeIndex;
   AttrCache Cache;

@@ -19,6 +19,14 @@
 /// every attempt so the server's duplicate-request cache can recognise the
 /// retransmit, and discards orphaned late replies.
 ///
+/// Each RPC lives in one pooled Exchange record from the model's rpc() to
+/// the caller's completion: the request is copied in once, the server
+/// writes the reply into it, and the reply is moved out to the caller.
+/// Every event and server continuation on the way captures only {this,
+/// record}, so an RPC allocates nothing once the pool has warmed up. The
+/// model supplies the two halves: dispatch() at the server, finish() back
+/// at the client.
+///
 /// Construction goes through dfs/ClientBuilder.h, and the common
 /// write-behind wiring every model used to copy lives in
 /// mountWriteBehind() — the model constructors shrink to their
@@ -42,6 +50,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 namespace dmb {
 
@@ -101,15 +110,50 @@ protected:
     DMB_HB_WRITE(Sched, InFlight, "RpcClientBase.InFlight");
   }
 
-  /// Server-side half of an exchange: receives the (xid-stamped) request
-  /// and must eventually run the reply continuation exactly once per call.
-  using DispatchFn =
-      std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>;
+  /// One RPC: the request, stored once, the reply the server writes, and
+  /// the caller's completion. Records are pooled per client, created on
+  /// demand and recycled once no scheduled event or server continuation
+  /// names them; each of those captures only {this, record}.
+  struct Exchange {
+    MetaRequest Req; ///< sent on every attempt, with one (ClientId, Xid)
+    MetaReply Reply; ///< written by the server, moved to the caller
+    Callback Done;   ///< the caller's completion
+    SimDuration SendExtra = 0;
+    /// Where the model routes the request: server, filer or shard index,
+    /// and the volume id at that server. Single-server models leave them.
+    unsigned Server = 0;
+    uint32_t VolId = 0;
 
-  /// One client<->server exchange: request hop over this client's link,
-  /// \p Dispatch at the server, reply hop back, then \p OnReply. The
-  /// request message spends \p SendExtra on top of the link delay
-  /// (model-specific costs such as OSS object creation or VLDB lookups).
+    /// \name Bookkeeping of RpcClientBase
+    /// @{
+    /// The record holding the operation's state: the record itself, or,
+    /// for a retransmit, the first attempt's record. A retransmit gets a
+    /// record of its own so that every attempt's reply travels on its own.
+    Exchange *Op = nullptr;
+    unsigned Attempt = 0; ///< retransmits so far (operation record)
+    unsigned Refs = 0;    ///< scheduled events and continuations naming it
+    bool Completed = false;
+    Exchange *NextFree = nullptr;
+    /// @}
+  };
+
+  /// Takes a record from the pool, creating one when none is free, for a
+  /// new RPC of \p Req that completes through \p Done.
+  Exchange *newExchange(const MetaRequest &Req, Callback Done) {
+    Exchange *X = acquireExchange();
+    X->Req = Req;
+    X->Done = std::move(Done);
+    X->SendExtra = 0;
+    X->Server = 0;
+    X->VolId = 0;
+    X->Op = X;
+    return X;
+  }
+
+  /// One client<->server exchange of \p X: request hop over this client's
+  /// link (plus X->SendExtra, model-specific costs such as OSS object
+  /// creation or VLDB lookups), dispatch() at the server, reply hop back,
+  /// then finish().
   ///
   /// Fire-and-forget (Retry.Timeout == 0): a single attempt whose event
   /// chain and timing are identical to the historical
@@ -125,44 +169,51 @@ protected:
   /// are discarded at delivery. Retransmit wait time shows up in trace.txt
   /// inside the NetOut->QueueEnter (request lost) or ServiceEnd->Deliver
   /// (reply lost) span of the operation.
-  void transact(const MetaRequest &Req, SimDuration SendExtra,
-                DispatchFn Dispatch, std::function<void(MetaReply)> OnReply) {
-    if (!Config.Retry.enabled()) {
-      // Single-attempt path. plan() keeps the traffic counters truthful;
-      // with no faults configured it cannot drop and adds no jitter, so
-      // the schedule is bit-identical to the fire-and-forget client.
-      NetworkLink::Delivery D = ToServer.plan(0);
-      if (D.Dropped)
-        return;
-      Sched.after(D.Delay + SendExtra,
-                  [this, Req, Dispatch = std::move(Dispatch),
-                   OnReply = std::move(OnReply)]() mutable {
-                    Dispatch(Req, [this, OnReply = std::move(OnReply)](
-                                      MetaReply Reply) mutable {
-                      NetworkLink::Delivery RD = FromServer.plan(0);
-                      if (RD.Dropped)
-                        return;
-                      Sched.after(RD.Delay,
-                                  [OnReply = std::move(OnReply),
-                                   Reply = std::move(Reply)]() mutable {
-                                    OnReply(std::move(Reply));
-                                  });
-                    });
-                  });
+  void transact(Exchange *X) {
+    if (Config.Retry.enabled()) {
+      X->Req.ClientId = ClientIdV;
+      // A caller-stamped Xid is kept (pinned): a client re-issuing a
+      // redirected operation passes the original Xid so the destination
+      // server's duplicate-request cache still recognises the op. Requests
+      // built by the ordinary constructors carry Xid 0 and get a fresh one.
+      if (!X->Req.Xid)
+        X->Req.Xid = ++LastXid;
+    }
+    startAttempt(X);
+  }
+
+  /// Server half of an exchange: delivers X->Req to the server the model
+  /// routes it to. The server must answer each call exactly once, by
+  /// filling X->Reply and calling serverReply(X) (or through replyTo(X)).
+  virtual void dispatch(Exchange *X) = 0;
+
+  /// Client half: runs once per operation, when its reply (or a TimedOut
+  /// error) arrives in X->Reply. Whoever took the RPC slot releases it,
+  /// here or in X->Done. The default completes the operation.
+  virtual void finish(Exchange *X) { complete(X); }
+
+  /// Hands X->Reply to the caller's completion.
+  void complete(Exchange *X) {
+    Callback Done = std::move(X->Done);
+    Done(std::move(X->Reply));
+  }
+
+  /// The server answered attempt \p X: the reply hop back to this client.
+  void serverReply(Exchange *X) {
+    NetworkLink::Delivery RD = FromServer.plan(0);
+    if (RD.Dropped) {
+      unref(X); // reply lost; a resilient client's timer recovers
       return;
     }
-    auto Ex = std::make_shared<Exchange>();
-    Ex->Req = Req;
-    Ex->Req.ClientId = ClientIdV;
-    // A caller-stamped Xid is kept (pinned): a client re-issuing a
-    // redirected operation passes the original Xid so the destination
-    // server's duplicate-request cache still recognises the op. Requests
-    // built by the ordinary constructors carry Xid 0 and get a fresh one.
-    Ex->Req.Xid = Req.Xid ? Req.Xid : ++LastXid;
-    Ex->SendExtra = SendExtra;
-    Ex->Dispatch = std::move(Dispatch);
-    Ex->OnReply = std::move(OnReply);
-    startAttempt(std::move(Ex));
+    Sched.after(RD.Delay, [this, X]() { deliver(X); });
+  }
+
+  /// A server continuation for APIs that answer with a MetaReply value.
+  auto replyTo(Exchange *X) {
+    return [this, X](MetaReply R) {
+      X->Reply = std::move(R);
+      serverReply(X);
+    };
   }
 
   /// Mounts \p WB behind \p Policy with the hook wiring every model used
@@ -252,16 +303,6 @@ private:
     size_t Count = 0;
   };
 
-  /// Retry state shared by the attempts of one logical operation.
-  struct Exchange {
-    MetaRequest Req; ///< same Xid on every attempt
-    SimDuration SendExtra = 0;
-    DispatchFn Dispatch;
-    std::function<void(MetaReply)> OnReply;
-    bool Completed = false;
-    unsigned Attempt = 0; ///< retransmits so far
-  };
-
   SimDuration timeoutFor(unsigned Attempt) const {
     // The backoff train is computed step-by-step in integer sim-time: a
     // real client arms each timer from the previous timer's (tick-rounded)
@@ -279,37 +320,87 @@ private:
     return T < Config.Retry.MaxTimeout ? T : Config.Retry.MaxTimeout;
   }
 
-  void startAttempt(std::shared_ptr<Exchange> Ex) {
+  Exchange *acquireExchange() {
+    if (!FreeExchanges) {
+      Exchanges.push_back(std::make_unique<Exchange>());
+      return Exchanges.back().get();
+    }
+    Exchange *X = FreeExchanges;
+    FreeExchanges = X->NextFree;
+    return X;
+  }
+
+  /// Drops one reference to \p X. A record goes back to the pool once
+  /// nothing names it: an attempt record then, an operation record only
+  /// after it completed (an operation whose message was lost without a
+  /// retransmit timer stays pending, like before).
+  void unref(Exchange *X) {
+    if (--X->Refs != 0 || (X->Op == X && !X->Completed))
+      return;
+    Exchange *Op = X->Op;
+    X->Done = nullptr;
+    X->Attempt = 0;
+    X->Completed = false;
+    X->NextFree = FreeExchanges;
+    FreeExchanges = X;
+    if (Op != X)
+      unref(Op);
+  }
+
+  /// Sends one attempt: the request hop to dispatch().
+  void send(Exchange *A) {
+    ++A->Refs;
     NetworkLink::Delivery D = ToServer.plan(0);
-    if (!D.Dropped)
-      Sched.after(D.Delay + Ex->SendExtra, [this, Ex]() {
-        Ex->Dispatch(Ex->Req, [this, Ex](MetaReply Reply) {
-          NetworkLink::Delivery RD = FromServer.plan(0);
-          if (RD.Dropped)
-            return; // reply lost; the retransmit timer recovers
-          Sched.after(RD.Delay, [Ex, Reply = std::move(Reply)]() mutable {
-            if (Ex->Completed)
-              return; // orphan reply of a superseded attempt
-            Ex->Completed = true;
-            Ex->OnReply(std::move(Reply));
-          });
-        });
-      });
-    Sched.after(timeoutFor(Ex->Attempt), [this, Ex]() {
-      if (Ex->Completed)
-        return;
-      if (Ex->Attempt >= Config.Retry.MaxRetransmits) {
-        Ex->Completed = true;
-        ++TimedOutOps;
-        MetaReply R;
-        R.Err = FsError::TimedOut;
-        Ex->OnReply(std::move(R));
-        return;
+    if (D.Dropped) {
+      unref(A); // request lost; a resilient client's timer recovers
+      return;
+    }
+    Sched.after(D.Delay + A->SendExtra, [this, A]() { dispatch(A); });
+  }
+
+  void startAttempt(Exchange *Op) {
+    Exchange *A = Op;
+    if (Op->Attempt > 0) {
+      A = acquireExchange();
+      A->Req = Op->Req;
+      A->SendExtra = Op->SendExtra;
+      A->Server = Op->Server;
+      A->VolId = Op->VolId;
+      A->Op = Op;
+      ++Op->Refs;
+    }
+    send(A);
+    if (!Config.Retry.enabled())
+      return;
+    ++Op->Refs;
+    Sched.after(timeoutFor(Op->Attempt), [this, Op]() {
+      if (!Op->Completed) {
+        if (Op->Attempt >= Config.Retry.MaxRetransmits) {
+          Op->Completed = true;
+          ++TimedOutOps;
+          Op->Reply = MetaReply();
+          Op->Reply.Err = FsError::TimedOut;
+          finish(Op);
+        } else {
+          ++Op->Attempt;
+          ++Retransmits;
+          startAttempt(Op);
+        }
       }
-      ++Ex->Attempt;
-      ++Retransmits;
-      startAttempt(Ex);
+      unref(Op);
     });
+  }
+
+  /// The reply of attempt \p A reached this client.
+  void deliver(Exchange *A) {
+    Exchange *Op = A->Op;
+    if (!Op->Completed) { // else an orphan reply of a superseded attempt
+      Op->Completed = true;
+      if (A != Op)
+        Op->Reply = std::move(A->Reply);
+      finish(Op);
+    }
+    unref(A);
   }
 
   Scheduler &Sched;
@@ -323,6 +414,8 @@ private:
   uint64_t Retransmits = 0;
   uint64_t TimedOutOps = 0;
   PendingRing Pending;
+  std::vector<std::unique_ptr<Exchange>> Exchanges; ///< the record pool
+  Exchange *FreeExchanges = nullptr;
 };
 
 } // namespace dmb

@@ -821,17 +821,13 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    withSlot([this, Fwd = std::move(Fwd), Info, Done = std::move(Done)]() mutable {
-      transact(Fwd, 0,
-               [this, Info](const MetaRequest &R,
-                            std::function<void(MetaReply)> Reply) {
-                 Fs.dispatchAtShard(Info.Shard, R, std::move(Reply));
-               },
-               [this, Done = std::move(Done)](MetaReply Reply) mutable {
-                 slotDone();
-                 Done(std::move(Reply));
-               });
-    });
+    Exchange *X = newExchange(
+        Fwd, [this, Done = std::move(Done)](MetaReply Reply) mutable {
+          slotDone();
+          Done(std::move(Reply));
+        });
+    X->Server = Info.Shard;
+    withSlot([this, X]() { transact(X); });
     return;
   }
   // Errors the first routing pass can already see (bad paths, cross-shard
@@ -871,12 +867,8 @@ void ShardedClient::attempt(const MetaRequest &Req, uint64_t Xid,
   unsigned Shard = Rt.Shard;
   uint64_t Tok = Rt.DirToken;
   uint64_t Tok2 = Rt.DirToken2;
-  transact(
-      Rt.Phys, 0,
-      [this, Shard](const MetaRequest &R,
-                    std::function<void(MetaReply)> Reply) {
-        Fs.dispatchAtShard(Shard, R, std::move(Reply));
-      },
+  Exchange *X = newExchange(
+      Rt.Phys,
       [this, Req, Xid, RedirectsLeft, Shard, Tok, Tok2,
        Done = std::move(Done)](MetaReply Reply) mutable {
         if (Reply.Err == FsError::StaleMap && RedirectsLeft > 0) {
@@ -906,4 +898,10 @@ void ShardedClient::attempt(const MetaRequest &Req, uint64_t Xid,
         }
         Done(std::move(Reply));
       });
+  X->Server = Shard;
+  transact(X);
+}
+
+void ShardedClient::dispatch(Exchange *X) {
+  Fs.dispatchAtShard(X->Server, X->Req, replyTo(X));
 }

@@ -280,6 +280,7 @@ private:
   /// \p Xid until RedirectsLeft runs out. Runs under one RPC slot.
   void attempt(const MetaRequest &Req, uint64_t Xid, unsigned RedirectsLeft,
                Callback Done);
+  void dispatch(Exchange *X) override;
   void failLocally(FsError Err, Callback Done);
 
   ShardedFs &Fs;

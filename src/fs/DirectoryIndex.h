@@ -17,10 +17,8 @@
 #define DMETABENCH_FS_DIRECTORYINDEX_H
 
 #include "fs/Types.h"
-#include <map>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace dmb {
@@ -38,13 +36,15 @@ const char *dirIndexKindName(DirIndexKind K);
 /// Abstract container of (name -> inode) directory entries.
 ///
 /// All mutators/readers report the number of entries they examined through
-/// \p Cost so the caller can charge realistic service time.
+/// \p Cost so the caller can charge realistic service time. Every kind
+/// stores each name once, in its DirEntry, and looks names up by view, so
+/// a path walk compares its components in place.
 class DirectoryIndex {
 public:
   virtual ~DirectoryIndex();
 
   /// Looks up \p Name; returns the entry or nullptr.
-  virtual const DirEntry *lookup(const std::string &Name,
+  virtual const DirEntry *lookup(std::string_view Name,
                                  OpCost &Cost) const = 0;
 
   /// Inserts an entry. Precondition: no entry with the same name exists
@@ -52,7 +52,7 @@ public:
   virtual void insert(DirEntry Entry, OpCost &Cost) = 0;
 
   /// Erases \p Name. Returns false when absent.
-  virtual bool erase(const std::string &Name, OpCost &Cost) = 0;
+  virtual bool erase(std::string_view Name, OpCost &Cost) = 0;
 
   /// Appends all entries to \p Out in iteration order.
   virtual void list(std::vector<DirEntry> &Out, OpCost &Cost) const = 0;

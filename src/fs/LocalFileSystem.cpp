@@ -7,7 +7,6 @@
 #include "fs/LocalFileSystem.h"
 #include "support/Assert.h"
 #include "support/Format.h"
-#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -42,18 +41,14 @@ LocalFileSystem::LocalFileSystem(FsConfig C) : Config(C) {
   Root->A.BlockSize = Config.BlockSize;
   Root->Dir = makeDirectoryIndex(Config.DirIndex);
   Root->Parent = RootIno; // Root's dot-dot points to itself (\S 2.1.1).
-  Inodes.emplace(RootIno, std::move(Root));
+  Inodes.resize(RootIno); // no inode 0
+  Inodes.push_back(std::move(Root));
+  LiveInodes = 1;
 }
 
 LocalFileSystem::~LocalFileSystem() = default;
 
-LocalFileSystem::Inode *LocalFileSystem::getInode(InodeNum Ino) {
-  auto It = Inodes.find(Ino);
-  return It == Inodes.end() ? nullptr : It->second.get();
-}
-
-const DirEntry *LocalFileSystem::dirLookup(Inode &Dir,
-                                           const std::string &Name,
+const DirEntry *LocalFileSystem::dirLookup(Inode &Dir, std::string_view Name,
                                            OpCost &Cost) const {
   DMB_ASSERT(Dir.Dir, "dirLookup on non-directory");
   return Dir.Dir->lookup(Name, Cost);
@@ -85,36 +80,59 @@ bool LocalFileSystem::checkAccess(const Cred &C, const Inode &Node,
   return (Node.A.Mode >> Shift) & Bit;
 }
 
-FsError LocalFileSystem::checkName(const std::string &Name) const {
+FsError LocalFileSystem::checkName(std::string_view Name) const {
   if (Name.empty())
     return FsError::Invalid;
   if (Name.size() > Config.NameMax)
     return FsError::NameTooLong;
-  if (Name.find('/') != std::string::npos)
+  if (Name.find('/') != std::string_view::npos)
     return FsError::Invalid;
   return FsError::Ok;
 }
 
-auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
+/// Pushes the components of \p Text onto \p Walk, unless it has none.
+/// Every view on the stack starts with a component, so the walk is at its
+/// last component exactly when the stack is empty.
+static void pushComponents(std::vector<std::string_view> &Walk,
+                           std::string_view Text) {
+  size_t First = Text.find_first_not_of('/');
+  if (First != std::string_view::npos)
+    Walk.push_back(Text.substr(First));
+}
+
+/// Takes the next component off the top of \p Walk.
+static std::string_view popComponent(std::vector<std::string_view> &Walk) {
+  std::string_view &Top = Walk.back();
+  size_t End = Top.find('/');
+  std::string_view Name = Top.substr(0, End);
+  size_t Next = End == std::string_view::npos
+                    ? End
+                    : Top.find_first_not_of('/', End);
+  if (Next == std::string_view::npos)
+    Walk.pop_back();
+  else
+    Top.remove_prefix(Next);
+  return Name;
+}
+
+auto LocalFileSystem::resolve(OpCtx &Ctx, std::string_view Path,
                               bool FollowLast) -> Result<Resolved> {
   if (Path.empty() || Path[0] != '/')
     return FsError::Invalid;
 
-  std::deque<std::string> Work;
-  for (std::string &C : split(Path, '/'))
-    if (!C.empty())
-      Work.push_back(std::move(C));
+  std::vector<std::string_view> &Work = WalkStack;
+  Work.clear();
+  pushComponents(Work, Path);
 
   // The root itself: its own parent, empty leaf.
   if (Work.empty())
-    return Resolved{RootIno, std::string(), RootIno};
+    return Resolved{RootIno, {}, RootIno};
 
   InodeNum Cur = RootIno;
   int SymlinkDepth = 0;
 
   while (!Work.empty()) {
-    std::string Name = std::move(Work.front());
-    Work.pop_front();
+    std::string_view Name = popComponent(Work);
     bool IsLast = Work.empty();
 
     Inode *CurNode = getInode(Cur);
@@ -145,7 +163,7 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
     const DirEntry *Entry = dirLookup(*CurNode, Name, Ctx.Cost);
     if (!Entry) {
       if (IsLast)
-        return Resolved{Cur, std::move(Name), 0};
+        return Resolved{Cur, Name, 0};
       return FsError::NoEnt;
     }
 
@@ -156,30 +174,29 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, const std::string &Path,
       if (++SymlinkDepth > Config.MaxSymlinkDepth)
         return FsError::Loop;
       ++Ctx.Cost.SymlinksFollowed;
-      std::vector<std::string> Target = split(Found->LinkTarget, '/');
-      // Splice target components in front of the remaining work.
-      for (auto It = Target.rbegin(), E = Target.rend(); It != E; ++It)
-        if (!It->empty())
-          Work.push_front(std::move(*It));
-      if (!Found->LinkTarget.empty() && Found->LinkTarget[0] == '/')
+      // Splice the target in front of the rest of the walk.
+      const std::string &Target = Found->LinkTarget;
+      pushComponents(Work, Target);
+      if (Target[0] == '/')
         Cur = RootIno;
       if (Work.empty()) {
-        // Symlink to "/" (or an all-empty target): resolves to Cur itself.
+        // A last component linking to a target made only of slashes:
+        // resolves to the root. (symlink() rejects an empty target.)
         Inode *Node = getInode(Cur);
-        return Resolved{Node->Parent, std::string(), Cur};
+        return Resolved{Node->Parent, {}, Cur};
       }
       continue;
     }
 
     if (IsLast)
-      return Resolved{Cur, std::move(Name), Entry->Ino};
+      return Resolved{Cur, Name, Entry->Ino};
     Cur = Entry->Ino;
   }
   return FsError::NoEnt; // Unreachable; loop always returns on last.
 }
 
 Result<InodeNum> LocalFileSystem::resolveExisting(OpCtx &Ctx,
-                                                  const std::string &Path,
+                                                  std::string_view Path,
                                                   bool FollowLast) {
   Result<Resolved> R = resolve(Ctx, Path, FollowLast);
   if (!R.ok())
@@ -192,10 +209,11 @@ Result<InodeNum> LocalFileSystem::resolveExisting(OpCtx &Ctx,
 LocalFileSystem::Inode *LocalFileSystem::createInode(OpCtx &Ctx,
                                                      FileType Type,
                                                      uint32_t Mode) {
-  if (Inodes.size() >= Config.MaxInodes)
+  if (LiveInodes >= Config.MaxInodes)
     return nullptr;
   auto Node = std::make_unique<Inode>();
   Inode *Ptr = Node.get();
+  DMB_ASSERT(NextIno == Inodes.size(), "inode table out of step");
   Node->A.Ino = NextIno++;
   Node->A.Dev = Config.DeviceId;
   Node->A.Type = Type;
@@ -207,13 +225,15 @@ LocalFileSystem::Inode *LocalFileSystem::createInode(OpCtx &Ctx,
   if (Type == FileType::Directory)
     Node->Dir = makeDirectoryIndex(Config.DirIndex);
   ++Ctx.Cost.InodesTouched;
-  Inodes.emplace(Ptr->A.Ino, std::move(Node));
+  Inodes.push_back(std::move(Node));
+  ++LiveInodes;
   return Ptr;
 }
 
 void LocalFileSystem::destroyInode(Inode &Node) {
   AllocatedBlocks -= Node.A.Blocks;
-  Inodes.erase(Node.A.Ino);
+  --LiveInodes;
+  Inodes[Node.A.Ino].reset();
 }
 
 void LocalFileSystem::maybeReap(InodeNum Ino) {
@@ -273,8 +293,9 @@ FsError LocalFileSystem::mkdir(OpCtx &Ctx, const std::string &Path,
   Node->A.Nlink = 2; // "." plus the entry in the parent.
   Node->Parent = Parent->A.Ino;
 
-  Parent->Dir->insert(DirEntry{R->Leaf, Node->A.Ino, FileType::Directory},
-                      Ctx.Cost);
+  Parent->Dir->insert(
+      DirEntry{std::string(R->Leaf), Node->A.Ino, FileType::Directory},
+      Ctx.Cost);
   ++Parent->A.Nlink; // The child's "..".
   Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
   ++Ctx.Cost.InodesTouched;
@@ -411,8 +432,9 @@ FsError LocalFileSystem::rename(OpCtx &Ctx, const std::string &From,
   }
 
   SrcParent->Dir->erase(Src->Leaf, Ctx.Cost);
-  DstParent->Dir->insert(DirEntry{Dst->Leaf, Src->Target, SrcNode->A.Type},
-                         Ctx.Cost);
+  DstParent->Dir->insert(
+      DirEntry{std::string(Dst->Leaf), Src->Target, SrcNode->A.Type},
+      Ctx.Cost);
   if (SrcIsDir && Src->Parent != Dst->Parent) {
     --SrcParent->A.Nlink;
     ++DstParent->A.Nlink;
@@ -448,7 +470,8 @@ FsError LocalFileSystem::link(OpCtx &Ctx, const std::string &Existing,
   if (!checkAccess(Ctx.Creds, *Parent, Access::Write))
     return FsError::Access;
 
-  Parent->Dir->insert(DirEntry{Dst->Leaf, *Src, SrcNode->A.Type}, Ctx.Cost);
+  Parent->Dir->insert(DirEntry{std::string(Dst->Leaf), *Src, SrcNode->A.Type},
+                      Ctx.Cost);
   ++SrcNode->A.Nlink;
   SrcNode->A.Ctime = Ctx.Now;
   Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
@@ -458,6 +481,9 @@ FsError LocalFileSystem::link(OpCtx &Ctx, const std::string &Existing,
 
 FsError LocalFileSystem::symlink(OpCtx &Ctx, const std::string &Target,
                                  const std::string &LinkPath) {
+  // Linux symlink(2): an empty target is ENOENT.
+  if (Target.empty())
+    return FsError::NoEnt;
   Result<Resolved> Dst = resolve(Ctx, LinkPath, /*FollowLast=*/false);
   if (!Dst.ok())
     return Dst.error();
@@ -477,8 +503,9 @@ FsError LocalFileSystem::symlink(OpCtx &Ctx, const std::string &Target,
   Node->A.Size = Target.size();
   Node->A.Nlink = 1;
 
-  Parent->Dir->insert(DirEntry{Dst->Leaf, Node->A.Ino, FileType::Symlink},
-                      Ctx.Cost);
+  Parent->Dir->insert(
+      DirEntry{std::string(Dst->Leaf), Node->A.Ino, FileType::Symlink},
+      Ctx.Cost);
   Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
   return FsError::Ok;
 }
@@ -672,8 +699,9 @@ Result<FileHandle> LocalFileSystem::open(OpCtx &Ctx, const std::string &Path,
     if (!Node)
       return FsError::NoSpace;
     Node->A.Nlink = 1;
-    Parent->Dir->insert(DirEntry{R->Leaf, Node->A.Ino, FileType::Regular},
-                        Ctx.Cost);
+    Parent->Dir->insert(
+        DirEntry{std::string(R->Leaf), Node->A.Ino, FileType::Regular},
+        Ctx.Cost);
     Parent->A.Mtime = Parent->A.Ctime = Ctx.Now;
     Target = Node->A.Ino;
   } else {
@@ -853,28 +881,28 @@ LocalFileSystem::FsckReport LocalFileSystem::fsck() const {
   while (!Work.empty()) {
     InodeNum DirIno = Work.front();
     Work.pop_front();
-    auto DirIt = Inodes.find(DirIno);
-    if (DirIt == Inodes.end()) {
+    const Inode *DirPtr = getInode(DirIno);
+    if (!DirPtr) {
       Error(format("directory inode %llu vanished during walk",
                    (unsigned long long)DirIno));
       continue;
     }
-    const Inode &Dir = *DirIt->second;
+    const Inode &Dir = *DirPtr;
     ++Report.DirectoriesChecked;
 
     std::vector<DirEntry> Entries;
     OpCost Cost;
     Dir.Dir->list(Entries, Cost);
     for (const DirEntry &E : Entries) {
-      auto It = Inodes.find(E.Ino);
-      if (It == Inodes.end()) {
+      const Inode *ChildPtr = getInode(E.Ino);
+      if (!ChildPtr) {
         Error(format("entry '%s' in dir %llu references missing inode "
                      "%llu",
                      E.Name.c_str(), (unsigned long long)DirIno,
                      (unsigned long long)E.Ino));
         continue;
       }
-      const Inode &Child = *It->second;
+      const Inode &Child = *ChildPtr;
       if (Child.A.Type != E.Type)
         Error(format("entry '%s' type mismatch for inode %llu",
                      E.Name.c_str(), (unsigned long long)E.Ino));
@@ -895,18 +923,14 @@ LocalFileSystem::FsckReport LocalFileSystem::fsck() const {
     }
   }
 
-  // Per-inode invariants, in inode-number order: the Inodes table is an
-  // unordered_map, and fsck messages are part of replay-compared output,
-  // so hash order must not leak into the report.
-  std::vector<InodeNum> InodeOrder;
-  InodeOrder.reserve(Inodes.size());
-  for (const auto &[Ino, NodePtr] : Inodes)
-    InodeOrder.push_back(Ino);
-  std::sort(InodeOrder.begin(), InodeOrder.end());
-
+  // Per-inode invariants, in inode-number order: the table is indexed by
+  // inode number, and fsck messages are part of replay-compared output.
   uint64_t BlockSum = 0;
-  for (InodeNum Ino : InodeOrder) {
-    const Inode &Node = *Inodes.at(Ino);
+  for (const std::unique_ptr<Inode> &Slot : Inodes) {
+    if (!Slot)
+      continue;
+    const Inode &Node = *Slot;
+    InodeNum Ino = Node.A.Ino;
     ++Report.InodesChecked;
     BlockSum += Node.A.Blocks;
 

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -136,7 +137,7 @@ public:
 
   /// \name Introspection (tests, servers, capacity accounting)
   /// @{
-  uint64_t numInodes() const { return Inodes.size(); }
+  uint64_t numInodes() const { return LiveInodes; }
   uint64_t allocatedBlocks() const { return AllocatedBlocks; }
   size_t openHandleCount() const { return OpenFiles.size(); }
   const FsConfig &config() const { return Config; }
@@ -153,19 +154,24 @@ private:
   };
   struct Resolved {
     InodeNum Parent = 0;      ///< directory containing the leaf
-    std::string Leaf;         ///< final path component ("" for root)
+    /// Final path component ("" for root): a view into the walked path or
+    /// into the target of a symlink followed on the way, so it lives as
+    /// long as the request and that symlink inode do.
+    std::string_view Leaf;
     InodeNum Target = 0;      ///< inode of the leaf, 0 when absent
   };
 
-  Inode *getInode(InodeNum Ino);
-  const DirEntry *dirLookup(Inode &Dir, const std::string &Name,
+  Inode *getInode(InodeNum Ino) const {
+    return Ino < Inodes.size() ? Inodes[Ino].get() : nullptr;
+  }
+  const DirEntry *dirLookup(Inode &Dir, std::string_view Name,
                             OpCost &Cost) const;
   bool checkAccess(const Cred &C, const Inode &Node, Access Want) const;
   /// Core path walk with symlink handling. When \p FollowLast is false the
   /// final component is not dereferenced if it is a symlink (lstat).
-  Result<Resolved> resolve(OpCtx &Ctx, const std::string &Path,
+  Result<Resolved> resolve(OpCtx &Ctx, std::string_view Path,
                            bool FollowLast);
-  Result<InodeNum> resolveExisting(OpCtx &Ctx, const std::string &Path,
+  Result<InodeNum> resolveExisting(OpCtx &Ctx, std::string_view Path,
                                    bool FollowLast);
   Inode *createInode(OpCtx &Ctx, FileType Type, uint32_t Mode);
   void destroyInode(Inode &Node);
@@ -175,10 +181,18 @@ private:
   /// Adjusts block accounting when a file's size changes. Returns false if
   /// the allocation would exceed MaxBlocks.
   bool reallocate(OpCtx &Ctx, Inode &Node, uint64_t NewSize);
-  FsError checkName(const std::string &Name) const;
+  FsError checkName(std::string_view Name) const;
 
   FsConfig Config;
-  std::unordered_map<InodeNum, std::unique_ptr<Inode>> Inodes;
+  /// Indexed by inode number. Numbers come from NextIno, which only grows,
+  /// so the table is dense and in inode order; a freed inode leaves a null
+  /// slot.
+  std::vector<std::unique_ptr<Inode>> Inodes;
+  uint64_t LiveInodes = 0;
+  /// The unwalked rest of the path, top last, one view per symlink target
+  /// spliced in (resolve()). A member, so a walk allocates only when a
+  /// deeper splice than ever before grows it.
+  std::vector<std::string_view> WalkStack;
   std::unordered_map<FileHandle, OpenFile> OpenFiles;
   InodeNum RootIno = 1;
   InodeNum NextIno = 2;

@@ -204,6 +204,31 @@ TEST_P(DfsSemanticsTest, HandlesAreIndependentPerOpen) {
   EXPECT_EQ(FsError::BadFd, run(*A, makeClose(O2.Fh)).Err);
 }
 
+// A client's own successful mutation must not leave it serving the
+// attributes it just changed from its cache (\S 2.6: even close-to-open
+// clients see their own writes).
+TEST_P(DfsSemanticsTest, OwnMutationsInvalidateCachedAttributes) {
+  ASSERT_EQ(FsError::Ok, touch(*A, "/f"));
+  ASSERT_TRUE(run(*A, makeStat("/f")).ok()); // warm the cache
+  ASSERT_EQ(FsError::Ok, run(*A, makeUnlink("/f")).Err);
+  EXPECT_EQ(FsError::NoEnt, run(*A, makeStat("/f")).Err);
+
+  ASSERT_EQ(FsError::Ok, touch(*A, "/m"));
+  ASSERT_EQ(0644u, run(*A, makeStat("/m")).A.Mode);
+  MetaRequest Chmod;
+  Chmod.Op = MetaOp::Chmod;
+  Chmod.Path = "/m";
+  Chmod.Mode = 0600;
+  ASSERT_EQ(FsError::Ok, run(*A, Chmod).Err);
+  EXPECT_EQ(0600u, run(*A, makeStat("/m")).A.Mode);
+
+  ASSERT_EQ(FsError::Ok, touch(*A, "/g"));
+  ASSERT_EQ(1u, run(*A, makeStat("/g")).A.Nlink);
+  ASSERT_EQ(FsError::Ok, run(*A, makeLink("/g", "/h")).Err);
+  EXPECT_EQ(2u, run(*A, makeStat("/g")).A.Nlink);
+  EXPECT_EQ(2u, run(*A, makeStat("/h")).A.Nlink);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, DfsSemanticsTest,
                          ::testing::Values(FsKind::Nfs, FsKind::Lustre,
                                            FsKind::LustreWriteback,

@@ -324,6 +324,15 @@ TEST_F(FsTest, SymlinkLoopDetected) {
   EXPECT_EQ(FsError::Loop, Fs.stat(Ctx, "/a").error());
 }
 
+TEST_F(FsTest, SymlinkRejectsEmptyTarget) {
+  // Linux symlink(2): an empty target is ENOENT. Accepted, it would make
+  // the link resolve to its own directory.
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/d", 0755));
+  EXPECT_EQ(FsError::NoEnt, Fs.symlink(Ctx, "", "/d/empty"));
+  EXPECT_EQ(FsError::NoEnt, Fs.lstat(Ctx, "/d/empty").error());
+  EXPECT_TRUE(Fs.fsck().clean());
+}
+
 TEST_F(FsTest, ReadlinkOnNonSymlinkFails) {
   ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/f"));
   EXPECT_EQ(FsError::Invalid, Fs.readlink(Ctx, "/f").error());
@@ -613,6 +622,177 @@ TEST(FsCost, DirectorySizeIntrospection) {
     ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/d/f" + std::to_string(I)));
   EXPECT_EQ(10u, Fs.directorySize("/d"));
   EXPECT_EQ(0u, Fs.directorySize("/missing"));
+}
+
+/// Builds the tree every pinned path-walk case runs against. Creation order
+/// is fixed, so inode numbers are too.
+void buildWalkTree(LocalFileSystem &Fs) {
+  OpCtx Ctx = userCtx();
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/a", 0755));              // ino 2
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/a/b", 0755));            // ino 3
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/a/b/f"));               // ino 4
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "b", "/a/rel"));         // ino 5
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "/a/b", "/abs"));        // ino 6
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "f", "/a/b/lf"));        // ino 7
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "/a/b/f", "/a/b/absf")); // ino 8
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "../rel/f", "/a/b/up"));
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "/", "/toroot"));
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "b/new", "/a/dang"));
+  ASSERT_EQ(FsError::Ok, Fs.symlink(Ctx, "/a/b/anew", "/adang"));
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/nox", 0755));            // ino 13
+  ASSERT_EQ(FsError::Ok, touch(Fs, Ctx, "/nox/f"));
+  ASSERT_EQ(FsError::Ok, Fs.chmod(Ctx, "/nox", 0600)); // no search bit
+  // A chain /s/l0 -> /s/l1 -> ... -> /s/l40 -> /a/b/f: resolving /s/lK
+  // follows 41 - K links, and MaxSymlinkDepth is 40.
+  ASSERT_EQ(FsError::Ok, Fs.mkdir(Ctx, "/s", 0755));
+  int Depth = FsConfig().MaxSymlinkDepth;
+  for (int I = Depth; I >= 0; --I) {
+    std::string Target =
+        I == Depth ? std::string("/a/b/f") : "/s/l" + std::to_string(I + 1);
+    ASSERT_EQ(FsError::Ok,
+              Fs.symlink(Ctx, Target, "/s/l" + std::to_string(I)));
+  }
+}
+
+enum class WalkOp { Stat, Lstat, Create };
+
+/// One pinned walk: the request, and what it must return and cost. Only
+/// DirEntriesScanned depends on the directory index kind.
+struct WalkCase {
+  const char *Name;
+  WalkOp Op;
+  std::string Path;
+  FsError Err;
+  InodeNum Ino;                ///< resulting inode, 0 on error
+  uint64_t Scanned[3];         ///< linear, hashed, btree
+  uint64_t Written;            ///< DirEntriesWritten
+  uint64_t Inodes;             ///< InodesTouched
+  uint64_t Symlinks;           ///< SymlinksFollowed
+  const char *Creates = nullptr; ///< where a create must land
+};
+
+// The walk's results and every OpCost counter are the simulated cost of a
+// request, so they are pinned case by case: a rewrite of resolve() must
+// reproduce them exactly on every directory index kind.
+TEST(FsCost, PathWalkResultsAndCostsArePinned) {
+  using enum WalkOp;
+  const std::string Long(FsConfig().NameMax + 1, 'x');
+  const WalkCase Cases[] = {
+      {"root", Stat, "/", FsError::Ok, 1, {0, 0, 0}, 0, 1, 0},
+      {"file", Stat, "/a/b/f", FsError::Ok, 4, {3, 3, 10}, 0, 4, 0},
+      {"dot middle", Stat, "/a/./b/f", FsError::Ok, 4, {3, 3, 10}, 0, 5, 0},
+      {"dot last", Stat, "/a/b/.", FsError::Ok, 3, {2, 2, 7}, 0, 4, 0},
+      {"dotdot middle", Stat, "/a/b/../b/f", FsError::Ok, 4, {4, 4, 13}, 0,
+       6, 0},
+      {"dotdot last", Stat, "/a/b/..", FsError::Ok, 2, {2, 2, 7}, 0, 4, 0},
+      {"dotdot at root", Stat, "/../a", FsError::Ok, 2, {1, 1, 4}, 0, 3, 0},
+      {"dot at root", Lstat, "/.", FsError::Ok, 1, {0, 0, 0}, 0, 2, 0},
+      {"repeated slashes", Stat, "//a///b//f", FsError::Ok, 4, {3, 3, 10}, 0,
+       4, 0},
+      {"trailing slash dir", Stat, "/a/b/", FsError::Ok, 3, {2, 2, 7}, 0, 3,
+       0},
+      {"trailing slashes file", Stat, "/a/b/f//", FsError::Ok, 4, {3, 3, 10},
+       0, 4, 0},
+      {"missing last", Stat, "/a/b/missing", FsError::NoEnt, 0, {6, 3, 10}, 0,
+       3, 0},
+      {"missing middle", Stat, "/a/zz/f", FsError::NoEnt, 0, {4, 2, 7}, 0, 2,
+       0},
+      {"file as middle", Stat, "/a/b/f/g", FsError::NotDir, 0, {3, 3, 10}, 0,
+       3, 0},
+      {"relative link middle, stat", Stat, "/a/rel/f", FsError::Ok, 4,
+       {5, 4, 13}, 0, 5, 1},
+      {"relative link middle, lstat", Lstat, "/a/rel/f", FsError::Ok, 4,
+       {5, 4, 13}, 0, 5, 1},
+      {"absolute link middle, stat", Stat, "/abs/f", FsError::Ok, 4,
+       {5, 4, 14}, 0, 5, 1},
+      {"absolute link middle, lstat", Lstat, "/abs/f", FsError::Ok, 4,
+       {5, 4, 14}, 0, 5, 1},
+      {"relative link last, stat", Stat, "/a/b/lf", FsError::Ok, 4,
+       {5, 4, 13}, 0, 5, 1},
+      {"relative link last, lstat", Lstat, "/a/b/lf", FsError::Ok, 7,
+       {4, 3, 10}, 0, 4, 0},
+      {"absolute link last, stat", Stat, "/a/b/absf", FsError::Ok, 4,
+       {8, 6, 20}, 0, 7, 1},
+      {"absolute link last, lstat", Lstat, "/a/b/absf", FsError::Ok, 8,
+       {5, 3, 10}, 0, 4, 0},
+      {"dotdot inside a target", Stat, "/a/b/up", FsError::Ok, 4,
+       {10, 6, 19}, 0, 8, 2},
+      {"link to root, last", Stat, "/toroot", FsError::Ok, 1, {3, 1, 4}, 0, 2,
+       1},
+      {"link to root, middle", Stat, "/toroot/a/b", FsError::Ok, 3,
+       {5, 3, 11}, 0, 4, 1},
+      {"dangling link", Stat, "/a/dang", FsError::NoEnt, 0, {9, 4, 13}, 0, 4,
+       1},
+      {"chain one short of the limit", Stat, "/s/l2", FsError::Ok, 4,
+       {1017, 81, 439}, 0, 82, 39},
+      {"chain at the limit", Stat, "/s/l1", FsError::Ok, 4, {1063, 83, 450},
+       0, 84, 40},
+      {"chain past the limit", Stat, "/s/l0", FsError::Loop, 0,
+       {1107, 82, 451}, 0, 82, 40},
+      {"chain past the limit, lstat", Lstat, "/s/l0", FsError::Ok, 56,
+       {47, 2, 11}, 0, 3, 0},
+      {"name too long in the middle", Stat, "/a/" + Long + "/f",
+       FsError::NameTooLong, 0, {1, 1, 4}, 0, 2, 0},
+      {"no search permission", Stat, "/nox/f", FsError::Access, 0, {5, 1, 4},
+       0, 1, 0},
+      {"no search permission, dir itself", Stat, "/nox", FsError::Ok, 13,
+       {5, 1, 4}, 0, 2, 0},
+      {"create", Create, "/a/b/plain", FsError::Ok, 57, {10, 4, 13}, 1, 5, 0,
+       "/a/b/plain"},
+      {"create through dangling relative link", Create, "/a/dang",
+       FsError::Ok, 57, {13, 5, 16}, 1, 6, 1, "/a/b/new"},
+      {"create through dangling absolute link", Create, "/adang", FsError::Ok,
+       57, {14, 5, 17}, 1, 6, 1, "/a/b/anew"},
+      {"create existing", Create, "/a/b/f", FsError::Ok, 4, {3, 3, 10}, 0, 4,
+       0},
+      {"create in missing dir", Create, "/a/zz/new", FsError::NoEnt, 0,
+       {4, 2, 7}, 0, 2, 0},
+      {"create at root", Create, "/", FsError::IsDir, 0, {0, 0, 0}, 0, 0, 0},
+  };
+  const DirIndexKind Kinds[] = {DirIndexKind::Linear, DirIndexKind::Hashed,
+                                DirIndexKind::BTree};
+  for (size_t K = 0; K < std::size(Kinds); ++K) {
+    for (const WalkCase &C : Cases) {
+      SCOPED_TRACE(std::string(dirIndexKindName(Kinds[K])) + ": " + C.Name);
+      FsConfig Config;
+      Config.DirIndex = Kinds[K];
+      LocalFileSystem Fs(Config); // fresh: creates change the tree
+      ASSERT_NO_FATAL_FAILURE(buildWalkTree(Fs));
+      OpCtx Ctx = userCtx();
+      OpCtx Aside = userCtx(); // probes whose cost is not the walk's
+      FsError Err = FsError::Ok;
+      InodeNum Ino = 0;
+      if (C.Op == Create) {
+        Result<FileHandle> Fh = Fs.open(Ctx, C.Path, OpenWrite | OpenCreate);
+        Err = Fh.error();
+        if (Fh.ok()) {
+          Ino = Fs.fstat(Aside, *Fh)->Ino;
+          EXPECT_EQ(FsError::Ok, Fs.close(Aside, *Fh));
+        }
+      } else {
+        Result<Attr> A = C.Op == Stat ? Fs.stat(Ctx, C.Path)
+                                      : Fs.lstat(Ctx, C.Path);
+        Err = A.error();
+        Ino = A.ok() ? A->Ino : 0;
+      }
+      EXPECT_EQ(C.Err, Err);
+      EXPECT_EQ(C.Ino, Ino);
+      const OpCost &Cost = Ctx.Cost;
+      EXPECT_EQ(C.Scanned[K], Cost.DirEntriesScanned);
+      EXPECT_EQ(C.Written, Cost.DirEntriesWritten);
+      EXPECT_EQ(C.Inodes, Cost.InodesTouched);
+      EXPECT_EQ(0u, Cost.BlocksAllocated);
+      EXPECT_EQ(0u, Cost.BlocksFreed);
+      EXPECT_EQ(0u, Cost.BytesWritten);
+      EXPECT_EQ(0u, Cost.BytesRead);
+      EXPECT_EQ(C.Symlinks, Cost.SymlinksFollowed);
+      if (C.Creates) {
+        Result<Attr> Made = Fs.lstat(Aside, C.Creates);
+        ASSERT_TRUE(Made.ok());
+        EXPECT_EQ(Ino, Made->Ino);
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

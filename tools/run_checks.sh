@@ -19,12 +19,14 @@
 #      check fails — and the E30 (sharded) and E31 (write-behind
 #      crash-consistency) self-checking benches, whose JSON must
 #      reproduce the committed BENCH_E30.json / BENCH_E31.json,
-#   7. the trace, fault and write-behind tests rebuilt under ASan+UBSan
-#      (always — the trace layer threads ids through every queue, the
-#      retry path keeps exchange state alive until each attempt's
-#      retransmit timer fires, even after the reply came back, and the
-#      write-behind queue keeps ops, handles and stalled enqueues alive
-#      across flushes; all must stay memory-clean),
+#   7. the trace, fault, write-behind, fs and dfs tests rebuilt under
+#      ASan+UBSan (always — the trace layer threads ids through every
+#      queue, the retry path keeps exchange records alive until each
+#      attempt's retransmit timer fires, even after the reply came back,
+#      and recycles them afterwards, the write-behind queue keeps ops,
+#      handles and stalled enqueues alive across flushes, and a path walk
+#      returns its leaf as a view into the request path or a symlink
+#      target; all must stay memory-clean),
 #   8. (optionally) the full suite rebuilt under sanitizers.
 #
 # Exits nonzero on the first failure. Usage:
@@ -124,20 +126,28 @@ if [ -n "$SANITIZE" ]; then
   step "ctest under sanitizers"
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS"
 else
-  # Even without --sanitize, the trace, fault and write-behind tests
-  # always run under ASan+UBSan: the trace layer threads ids through every
-  # internal queue, the retry path keeps shared Exchange state alive
-  # across retransmits, orphaned replies and a mid-run server crash, and
-  # the write-behind queue hands ops, queue-local handles and stalled
-  # enqueues between flushes, closures and completions — exactly the kind
-  # of plumbing where lifetime bugs hide.
-  step "trace + fault + write-behind tests under ASan+UBSan (build-sanitize/)"
+  # Even without --sanitize, the trace, fault, write-behind, fs and dfs
+  # tests always run under ASan+UBSan: the trace layer threads ids
+  # through every internal queue, the retry path keeps pooled exchange
+  # records alive across retransmits, orphaned replies and a mid-run
+  # server crash and recycles them afterwards, the write-behind queue
+  # hands ops, queue-local handles and stalled enqueues between flushes,
+  # closures and completions, and the path walk hands out its leaf as a
+  # view into the request path or a symlink target — exactly the kind of
+  # plumbing where lifetime bugs hide.
+  step "trace, fault, write-behind, fs and dfs tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
-        --target trace_test fault_test writebehind_test
+        --target trace_test fault_test writebehind_test fs_test dfs_test \
+        dfs_semantics_test
+  # The test suites of those six binaries.
+  SUITES='^Trace|^Fault|^Network|^WriteBehind'
+  SUITES+='|^Fs|^AllKinds/DirIndexParamTest'
+  SUITES+='|^Afs|^AttrCacheUnit|^Cxfs|^Gx|^LocalModel|^Lustre|^Mounts|^Nfs'
+  SUITES+='|^Server|^AllModels/DfsSemanticsTest'
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
-        -R '^Trace|^Fault|^Network|^WriteBehind'
+        -R "$SUITES"
 fi
 
 echo
