@@ -80,10 +80,10 @@ bool AfsFs::moveVolume(const std::string &MountPrefix, unsigned NewServer) {
   return Vldb.setServer(MountPrefix, NewServer);
 }
 
-void AfsFs::breakCallbacks(const AfsClient *Origin, const std::string &Path) {
+void AfsFs::breakCallbacks(MetaOp Op, std::string_view Path,
+                           std::string_view Path2) {
   for (AfsClient *C : Clients)
-    if (C != Origin)
-      C->invalidatePath(Path);
+    C->dropStale(Op, Path, Path2);
 }
 
 void AfsFs::unregisterClient(AfsClient *C) {
@@ -118,19 +118,26 @@ SimDuration AfsClient::vldbCost(const std::string &Volume) {
   return Cell.options().VldbLookupCost;
 }
 
+void AfsClient::dropStale(MetaOp Op, std::string_view Path,
+                          std::string_view Path2) {
+  if (isMutation(Op))
+    Cache.invalidateMutated(Op, Path, Path2);
+  else
+    Cache.invalidate(Path); // a creating open
+}
+
 void AfsClient::rpc(unsigned ServerIndex, const std::string &Volume,
-                    const MetaRequest &Req, const std::string &FullPath,
+                    const MetaRequest &Req, const MetaRequest &Full,
                     Callback Done) {
   Exchange *X = newExchange(
       Req, [this, ServerIndex, Volume, Op = Req.Op, Flags = Req.Flags,
-            FullPath, Done = std::move(Done)](MetaReply Reply) mutable {
+            FullPath = Full.Path, FullPath2 = Full.Path2,
+            Done = std::move(Done)](MetaReply Reply) mutable {
         if (Reply.ok()) {
           if (Op == MetaOp::Stat || Op == MetaOp::Lstat)
             Cache.insert(FullPath, Reply.A, sched().now());
-          if (isMutation(Op) || (Op == MetaOp::Open && (Flags & OpenCreate))) {
-            Cache.invalidate(FullPath);
-            Cell.breakCallbacks(this, FullPath);
-          }
+          if (isMutation(Op) || (Op == MetaOp::Open && (Flags & OpenCreate)))
+            Cell.breakCallbacks(Op, FullPath, FullPath2);
           if (Op == MetaOp::Open) {
             // Wrap the server handle in a client-local handle so handles
             // from different volumes cannot collide.
@@ -172,7 +179,7 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    rpc(Info.ServerIndex, Info.Volume, Fwd, Req.Path, std::move(Done));
+    rpc(Info.ServerIndex, Info.Volume, Fwd, Req, std::move(Done));
     return;
   }
 
@@ -207,15 +214,10 @@ void AfsClient::submit(const MetaRequest &Req, Callback Done) {
 
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      sched().after(Cell.options().CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
-                      MetaReply Reply;
-                      Reply.A = A;
-                      Done(Reply);
-                    });
+      replyFromCache(Cell.options().CacheHitCost, *A, std::move(Done));
       return;
     }
   }
 
-  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req.Path, std::move(Done));
+  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req, std::move(Done));
 }

@@ -85,9 +85,11 @@ public:
   const MountTable &vldb() const { return Vldb; }
   const AfsOptions &options() const { return Options; }
 
-  /// Callback break: a successful mutation of \p Path by \p Origin
-  /// invalidates the cached attributes of every *other* client.
-  void breakCallbacks(const AfsClient *Origin, const std::string &Path);
+  /// Callback break: a successful mutation \p Op of \p Path (and \p
+  /// Path2) drops the entries it made stale from every client's cache,
+  /// the mutating client's own included.
+  void breakCallbacks(MetaOp Op, std::string_view Path,
+                      std::string_view Path2);
 
   /// \name Client registry (managed by AfsClient)
   /// @{
@@ -113,8 +115,10 @@ public:
   void dropCaches() override { Cache.clear(); }
   std::string describe() const override;
 
-  /// Invalidation entry point for callback breaks.
-  void invalidatePath(const std::string &Path) { Cache.invalidate(Path); }
+  /// Invalidation entry point for callback breaks: what a successful
+  /// mutation \p Op (or a creating open) of \p Path and \p Path2 makes
+  /// stale.
+  void dropStale(MetaOp Op, std::string_view Path, std::string_view Path2);
 
   /// Called by ~AfsFs on clients that outlive the cell (e.g. when a
   /// Cluster holding the clients is destroyed after the cell): the dying
@@ -128,9 +132,10 @@ private:
     FileHandle ServerFh;
   };
 
+  /// Sends \p Req, routed to a volume and relative to its root; \p Full is
+  /// the request as submitted, with the full paths the cache is keyed by.
   void rpc(unsigned ServerIndex, const std::string &Volume,
-           const MetaRequest &Req, const std::string &FullPath,
-           Callback Done);
+           const MetaRequest &Req, const MetaRequest &Full, Callback Done);
   void dispatch(Exchange *X) override;
   SimDuration vldbCost(const std::string &Volume);
 

@@ -9,43 +9,56 @@
 using namespace dmb;
 
 void AttrCache::insert(std::string_view Path, const Attr &A, SimTime Now) {
-  auto It = Entries.find(Path);
-  if (It != Entries.end())
-    It->second = Entry{A, Now};
-  else
-    Entries.emplace(std::string(Path), Entry{A, Now});
+  Entry *E = Entries.tryEmplace(Path).first;
+  E->A = A;
+  E->InsertedAt = Now;
 }
 
 std::optional<Attr> AttrCache::lookup(std::string_view Path, SimTime Now) {
-  auto It = Entries.find(Path);
-  if (It == Entries.end()) {
+  Entry *E = Entries.find(Path);
+  if (!E) {
     ++Misses;
     return std::nullopt;
   }
   // An entry is valid strictly within the TTL window: at age == Ttl the
   // attributes are already stale (acregmax semantics), so the boundary
   // lookup must revalidate, not hit.
-  if (Ttl > 0 && Now - It->second.InsertedAt >= Ttl) {
-    Entries.erase(It);
+  if (Ttl > 0 && Now - E->InsertedAt >= Ttl) {
+    Entries.erase(E);
     ++Misses;
     return std::nullopt;
   }
   ++Hits;
-  return It->second.A;
+  return E->A;
 }
 
-void AttrCache::invalidate(std::string_view Path) {
-  auto It = Entries.find(Path);
-  if (It != Entries.end())
-    Entries.erase(It);
-}
+void AttrCache::invalidate(std::string_view Path) { Entries.erase(Path); }
 
-void AttrCache::invalidateMutated(const MetaRequest &Req) {
-  if (!isMutation(Req.Op))
+void AttrCache::invalidateSubtree(std::string_view Path) {
+  if (Path.empty())
     return;
-  invalidate(Req.Path);
-  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link)
-    invalidate(Req.Path2);
+  Entries.eraseIf([Path](const Entry &E) {
+    std::string_view P = E.Path;
+    return P.starts_with(Path) &&
+           (P.size() == Path.size() || P[Path.size()] == '/' ||
+            Path.back() == '/');
+  });
+}
+
+void AttrCache::invalidateMutated(MetaOp Op, std::string_view Path,
+                                  std::string_view Path2) {
+  if (!isMutation(Op))
+    return;
+  if (Op == MetaOp::Rename) {
+    // A renamed directory takes its subtree along; a replaced target may
+    // have been a directory too.
+    invalidateSubtree(Path);
+    invalidateSubtree(Path2);
+    return;
+  }
+  invalidate(Path);
+  if (Op == MetaOp::Link)
+    invalidate(Path2);
 }
 
 void AttrCache::invalidateForMutation(const MetaRequest &Req) {
@@ -73,20 +86,21 @@ void AttrCache::invalidateForMutation(const MetaRequest &Req) {
   default:
     return; // reads and handle-only ops leave the cache intact
   }
-  if (!Req.Path.empty()) {
-    invalidate(Req.Path);
+  auto Drop = [&](std::string_view P) {
+    if (Req.Op == MetaOp::Rename)
+      invalidateSubtree(P);
+    else
+      invalidate(P);
     if (ShapeChange)
-      if (std::string_view Parent = parentPath(Req.Path); !Parent.empty())
+      if (std::string_view Parent = parentPath(P); !Parent.empty())
         invalidate(Parent);
-  }
+  };
+  if (!Req.Path.empty())
+    Drop(Req.Path);
   // Rename/link/symlink name a second path whose attrs (and parent) the
   // mutation also touches; for setxattr Path2 is the xattr key, not a path.
-  if (!Req.Path2.empty() && Req.Op != MetaOp::Setxattr) {
-    invalidate(Req.Path2);
-    if (ShapeChange)
-      if (std::string_view Parent = parentPath(Req.Path2); !Parent.empty())
-        invalidate(Parent);
-  }
+  if (!Req.Path2.empty() && Req.Op != MetaOp::Setxattr)
+    Drop(Req.Path2);
 }
 
 void AttrCache::clear() { Entries.clear(); }

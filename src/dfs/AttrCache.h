@@ -17,8 +17,9 @@
 
 #include "dfs/Message.h"
 #include "fs/Types.h"
-#include "support/StringHash.h"
+#include "support/FlatTable.h"
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace dmb {
@@ -49,17 +50,23 @@ public:
   /// Drops one entry (mutation invalidation / callback break).
   void invalidate(std::string_view Path);
 
-  /// Drops what a successful synchronous mutation \p Req makes stale: the
-  /// entry for Req.Path, and for Req.Path2 on rename and link. Called on
-  /// the mutation's reply (write-behind clients use
+  /// Drops what a successful synchronous mutation \p Op of \p Path (and
+  /// \p Path2) makes stale: the entry for Path, the one for Path2 on link,
+  /// and on rename both names with everything cached below them. Called
+  /// on the mutation's reply (write-behind clients use
   /// invalidateForMutation() at enqueue instead).
-  void invalidateMutated(const MetaRequest &Req);
+  void invalidateMutated(MetaOp Op, std::string_view Path,
+                         std::string_view Path2);
+  void invalidateMutated(const MetaRequest &Req) {
+    invalidateMutated(Req.Op, Req.Path, Req.Path2);
+  }
 
   /// Drops every entry a queued-but-unflushed (or just-applied) mutation
   /// makes stale: the primary path, the secondary path (rename target,
   /// link name), and — for namespace-shape changes (create, unlink,
   /// rename, link, mkdir, rmdir) — the parent directory entries, whose
-  /// size/mtime the mutation changes. A client queueing \p Req in a
+  /// size/mtime the mutation changes. A rename also drops everything
+  /// cached below either name. A client queueing \p Req in a
   /// write-behind pipeline must call this at enqueue time, not at reply
   /// time: between the local ack and the flush, a cached stat would
   /// otherwise observe pre-mutation attributes the application already
@@ -75,12 +82,17 @@ public:
 
 private:
   struct Entry {
+    std::string Path;
     Attr A;
     SimTime InsertedAt = 0;
   };
 
+  /// Drops \p Path and every entry below it. A scan of the dense entry
+  /// array: only renames call it, and none runs at scale.
+  void invalidateSubtree(std::string_view Path);
+
   SimDuration Ttl;
-  StringMap<Entry> Entries;
+  FlatTable<Entry, &Entry::Path> Entries;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

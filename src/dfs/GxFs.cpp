@@ -77,17 +77,17 @@ std::string GxClient::describe() const {
 }
 
 void GxClient::rpc(unsigned OwnerIndex, const std::string &Volume,
-                   const MetaRequest &Req, const std::string &FullPath,
+                   const MetaRequest &Req, const MetaRequest &Full,
                    Callback Done) {
   // Back on the client: update caches, wrap handles, free the slot.
   Exchange *X = newExchange(
-      Req, [this, OwnerIndex, Volume, Op = Req.Op, FullPath,
+      Req, [this, OwnerIndex, Volume, Op = Req.Op, FullPath = Full.Path,
+            FullPath2 = Full.Path2,
             Done = std::move(Done)](MetaReply Reply) mutable {
         if (Reply.ok()) {
           if (Op == MetaOp::Stat || Op == MetaOp::Lstat || Op == MetaOp::Open)
             Cache.insert(FullPath, Reply.A, sched().now());
-          if (isMutation(Op))
-            Cache.invalidate(FullPath);
+          Cache.invalidateMutated(Op, FullPath, FullPath2);
           if (Op == MetaOp::Open) {
             // Wrap the server handle in a client-local handle so handles
             // from different volumes cannot collide.
@@ -150,7 +150,7 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
       Handles.erase(It);
     MetaRequest Fwd = Req;
     Fwd.Fh = Info.ServerFh;
-    rpc(Info.FilerIndex, Info.Volume, Fwd, Req.Path, std::move(Done));
+    rpc(Info.FilerIndex, Info.Volume, Fwd, Req, std::move(Done));
     return;
   }
 
@@ -185,15 +185,10 @@ void GxClient::submit(const MetaRequest &Req, Callback Done) {
 
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      sched().after(Cluster.options().CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
-                      MetaReply Reply;
-                      Reply.A = A;
-                      Done(Reply);
-                    });
+      replyFromCache(Cluster.options().CacheHitCost, *A, std::move(Done));
       return;
     }
   }
 
-  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req.Path, std::move(Done));
+  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req, std::move(Done));
 }

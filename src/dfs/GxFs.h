@@ -101,9 +101,10 @@ private:
     FileHandle ServerFh;
   };
 
+  /// Sends \p Req, routed to a volume and relative to its root; \p Full is
+  /// the request as submitted, with the full paths the cache is keyed by.
   void rpc(unsigned OwnerIndex, const std::string &Volume,
-           const MetaRequest &Req, const std::string &FullPath,
-           Callback Done);
+           const MetaRequest &Req, const MetaRequest &Full, Callback Done);
   void dispatch(Exchange *X) override;
 
   GxFs &Cluster;

@@ -129,12 +129,7 @@ void LustreClient::submit(const MetaRequest &Req, Callback Done) {
 void LustreClient::submitDirect(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      sched().after(Options.CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
-                      MetaReply Reply;
-                      Reply.A = A;
-                      Done(Reply);
-                    });
+      replyFromCache(Options.CacheHitCost, *A, std::move(Done));
       return;
     }
   }

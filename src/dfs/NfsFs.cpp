@@ -134,12 +134,7 @@ void NfsClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // — the reason StatFiles and StatNocacheFiles differ (\S 3.4.3).
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      sched().after(Options.CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
-                      MetaReply Reply;
-                      Reply.A = A;
-                      Done(Reply);
-                    });
+      replyFromCache(Options.CacheHitCost, *A, std::move(Done));
       return;
     }
   }

@@ -52,12 +52,7 @@ void ReexportClient::submit(const MetaRequest &Req, Callback Done) {
   // Plain NFS semantics toward the client: TTL attribute cache.
   if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
     if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      sched().after(Gateway.Options.CacheHitCost,
-                    [Done = std::move(Done), A = *A]() {
-                      MetaReply Reply;
-                      Reply.A = A;
-                      Done(Reply);
-                    });
+      replyFromCache(Gateway.Options.CacheHitCost, *A, std::move(Done));
       return;
     }
   }

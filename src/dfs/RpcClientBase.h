@@ -198,6 +198,22 @@ protected:
     Done(std::move(X->Reply));
   }
 
+  /// Answers \p Done after \p Cost with attributes \p A from the client's
+  /// cache. The reply waits in a pooled exchange record, so the event
+  /// captures only {this, record} and allocates nothing.
+  void replyFromCache(SimDuration Cost, const Attr &A, Callback Done) {
+    Exchange *X = acquireExchange();
+    X->Reply = MetaReply();
+    X->Reply.A = A;
+    X->Done = std::move(Done);
+    Sched.after(Cost, [this, X]() {
+      Callback Done = std::move(X->Done);
+      MetaReply Reply = std::move(X->Reply);
+      recycle(X);
+      Done(std::move(Reply));
+    });
+  }
+
   /// The server answered attempt \p X: the reply hop back to this client.
   void serverReply(Exchange *X) {
     NetworkLink::Delivery RD = FromServer.plan(0);
@@ -338,13 +354,18 @@ private:
     if (--X->Refs != 0 || (X->Op == X && !X->Completed))
       return;
     Exchange *Op = X->Op;
+    recycle(X);
+    if (Op != X)
+      unref(Op);
+  }
+
+  /// Puts \p X back into the pool.
+  void recycle(Exchange *X) {
     X->Done = nullptr;
     X->Attempt = 0;
     X->Completed = false;
     X->NextFree = FreeExchanges;
     FreeExchanges = X;
-    if (Op != X)
-      unref(Op);
   }
 
   /// Sends one attempt: the request hop to dispatch().

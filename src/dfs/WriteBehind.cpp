@@ -79,12 +79,12 @@ std::vector<uint64_t> WriteBehindQueue::seedsFor(const MetaRequest &Req) const {
   auto AddPath = [&](const std::string &P) {
     if (P.empty())
       return;
-    if (auto It = LastByPath.find(P); It != LastByPath.end())
-      AddLive(It->second);
+    if (const PathOp *E = LastByPath.find(P))
+      AddLive(E->Id);
     // Reading a directory (or fsyncing it) also needs its queued children
     // settled: their creates change the listing and the dir's attrs.
-    if (auto It = LastChildOf.find(P); It != LastChildOf.end())
-      AddLive(It->second);
+    if (const PathOp *E = LastChildOf.find(P))
+      AddLive(E->Id);
   };
   AddPath(Req.Path);
   if (path2IsPath(Req.Op))
@@ -161,8 +161,8 @@ bool WriteBehindQueue::coalesce(const MetaRequest &Req) {
   case MetaOp::Chown:
   case MetaOp::Utimes:
   case MetaOp::Setxattr:
-    if (auto It = LastByPath.find(Req.Path); It != LastByPath.end())
-      CandidateId = It->second;
+    if (const PathOp *E = LastByPath.find(Req.Path))
+      CandidateId = E->Id;
     break;
   case MetaOp::Write:
     if (isLocalFh(Req.Fh))
@@ -227,16 +227,11 @@ void WriteBehindQueue::indexOp(const Op &O) {
   auto Index = [&](const std::string &P) {
     if (P.empty())
       return;
-    LastByPath[P] = O.Id;
-    std::string_view Parent = parentPath(P);
-    if (Parent.empty())
-      return;
-    // Most ops land in an already-indexed directory: update in place and
-    // build the key string only for a new one.
-    if (auto It = LastChildOf.find(Parent); It != LastChildOf.end())
-      It->second = O.Id;
-    else
-      LastChildOf.emplace(Parent, O.Id);
+    LastByPath.tryEmplace(P).first->Id = O.Id;
+    // Most ops land in an already-indexed directory: updated in place, a
+    // key string is built only for a new one.
+    if (std::string_view Parent = parentPath(P); !Parent.empty())
+      LastChildOf.tryEmplace(Parent).first->Id = O.Id;
   };
   Index(O.Req.Path);
   if (path2IsPath(O.Req.Op))
@@ -281,19 +276,19 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
   auto DepPath = [&](const std::string &P) {
     if (P.empty())
       return;
-    if (auto It = LastByPath.find(P); It != LastByPath.end())
-      addDep(O, It->second);
+    if (const PathOp *E = LastByPath.find(P))
+      addDep(O, E->Id);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      if (auto It = LastByPath.find(Parent); It != LastByPath.end())
-        addDep(O, It->second);
+      if (const PathOp *E = LastByPath.find(Parent))
+        addDep(O, E->Id);
   };
   DepPath(O.Req.Path);
   if (path2IsPath(O.Req.Op))
     DepPath(O.Req.Path2);
   if (O.Req.Op == MetaOp::Rmdir || O.Req.Op == MetaOp::Rename) {
     // Removing or renaming a directory orders after its queued children.
-    if (auto It = LastChildOf.find(O.Req.Path); It != LastChildOf.end())
-      addDep(O, It->second);
+    if (const PathOp *E = LastChildOf.find(O.Req.Path))
+      addDep(O, E->Id);
   }
   if (isLocalFh(O.Req.Fh)) {
     // A handle retired while this op stalled has no entry left; issueOp
@@ -437,13 +432,11 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   auto Unindex = [&](const std::string &P) {
     if (P.empty())
       return;
-    if (auto PIt = LastByPath.find(P);
-        PIt != LastByPath.end() && PIt->second == Id)
-      LastByPath.erase(PIt);
+    if (const PathOp *E = LastByPath.find(P); E && E->Id == Id)
+      LastByPath.erase(E);
     if (std::string_view Parent = parentPath(P); !Parent.empty())
-      if (auto CIt = LastChildOf.find(Parent);
-          CIt != LastChildOf.end() && CIt->second == Id)
-        LastChildOf.erase(CIt);
+      if (const PathOp *E = LastChildOf.find(Parent); E && E->Id == Id)
+        LastChildOf.erase(E);
   };
   Unindex(O.Req.Path);
   if (path2IsPath(O.Req.Op))

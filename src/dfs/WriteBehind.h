@@ -40,7 +40,7 @@
 #include "dfs/ClientConfig.h"
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
-#include "support/StringHash.h"
+#include "support/FlatTable.h"
 #include <deque>
 #include <functional>
 #include <set>
@@ -159,6 +159,13 @@ private:
     Callback Done;
   };
 
+  /// The last live op on a path (LastByPath) or on a child of a directory
+  /// (LastChildOf).
+  struct PathOp {
+    std::string Path;
+    uint64_t Id = 0;
+  };
+
   /// State of a queue-local file handle minted for a deferred creating
   /// open.
   struct LocalHandle {
@@ -219,8 +226,8 @@ private:
   /// scheduled (or completed) some of them already. Empty whenever
   /// QueuedCount is 0.
   std::vector<uint64_t> QueuedIds;
-  StringMap<uint64_t> LastByPath;  ///< path -> last live op on it
-  StringMap<uint64_t> LastChildOf; ///< dir -> last live op on a child
+  FlatTable<PathOp, &PathOp::Path> LastByPath;
+  FlatTable<PathOp, &PathOp::Path> LastChildOf;
   std::unordered_map<FileHandle, LocalHandle> LocalFhs;
   FileHandle NextLocalFh = LocalFhTag | 1;
 

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "fs/DirectoryIndex.h"
+#include "support/FlatTable.h"
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <set>
-#include <unordered_set>
 
 using namespace dmb;
 
@@ -73,26 +72,8 @@ private:
   std::vector<DirEntry> Entries;
 };
 
-/// Hash and equality of directory entries by name, transparent to a
-/// std::string_view so lookups need no key object.
-struct EntryNameHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view Name) const {
-    return std::hash<std::string_view>{}(Name);
-  }
-  size_t operator()(const DirEntry &E) const { return (*this)(E.Name); }
-};
-
 std::string_view entryName(std::string_view Name) { return Name; }
 std::string_view entryName(const DirEntry &E) { return E.Name; }
-
-struct EntryNameEq {
-  using is_transparent = void;
-  template <typename A, typename B>
-  bool operator()(const A &X, const B &Y) const {
-    return entryName(X) == entryName(Y);
-  }
-};
 
 struct EntryNameLess {
   using is_transparent = void;
@@ -109,40 +90,37 @@ public:
   const DirEntry *lookup(std::string_view Name,
                          OpCost &Cost) const override {
     ++Cost.DirEntriesScanned;
-    auto It = Set.find(Name);
-    return It == Set.end() ? nullptr : &*It;
+    return Table.find(Name);
   }
 
   void insert(DirEntry Entry, OpCost &Cost) override {
     ++Cost.DirEntriesScanned;
     ++Cost.DirEntriesWritten;
-    Set.insert(std::move(Entry));
+    Table.insert(std::move(Entry));
   }
 
   bool erase(std::string_view Name, OpCost &Cost) override {
     ++Cost.DirEntriesScanned;
-    auto It = Set.find(Name);
-    if (It == Set.end())
+    if (!Table.erase(Name))
       return false;
-    Set.erase(It);
     ++Cost.DirEntriesWritten;
     return true;
   }
 
   void list(std::vector<DirEntry> &Out, OpCost &Cost) const override {
-    Cost.DirEntriesScanned += Set.size();
+    Cost.DirEntriesScanned += Table.size();
     // Deterministic listing order: sort by name (real readdir order for a
     // hash directory is arbitrary; sorting keeps simulations reproducible).
     size_t Start = Out.size();
-    Out.insert(Out.end(), Set.begin(), Set.end());
+    Table.forEach([&Out](const DirEntry &E) { Out.push_back(E); });
     std::sort(Out.begin() + static_cast<ptrdiff_t>(Start), Out.end(),
               EntryNameLess());
   }
 
-  size_t size() const override { return Set.size(); }
+  size_t size() const override { return Table.size(); }
 
 private:
-  std::unordered_set<DirEntry, EntryNameHash, EntryNameEq> Set;
+  FlatTable<DirEntry, &DirEntry::Name> Table;
 };
 
 /// XFS/ext3-style tree directory: O(log n) lookups.

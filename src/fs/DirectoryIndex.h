@@ -43,7 +43,8 @@ class DirectoryIndex {
 public:
   virtual ~DirectoryIndex();
 
-  /// Looks up \p Name; returns the entry or nullptr.
+  /// Looks up \p Name; returns the entry or nullptr. The entry is valid
+  /// until the next insert() or erase().
   virtual const DirEntry *lookup(std::string_view Name,
                                  OpCost &Cost) const = 0;
 

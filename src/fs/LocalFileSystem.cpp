@@ -13,23 +13,33 @@
 using namespace dmb;
 
 /// One inode: attributes plus type-specific payload. Directories own their
-/// entry index and remember their parent (the ".." entry); symlinks store
-/// their target path; regular files track only size/blocks (content is
-/// opaque to metadata benchmarking).
+/// entry index and remember their parent (the ".." entry); regular files
+/// track only size/blocks (content is opaque to metadata benchmarking).
+/// Fields that few inodes use live in a record allocated on first use.
 struct LocalFileSystem::Inode {
+  struct ExtraFields {
+    std::string LinkTarget; ///< symlink target path
+    std::map<std::string, std::string> XAttrs;
+    std::set<FileHandle> ReadLockers; ///< advisory read locks (\S 2.3.2)
+  };
+
   Attr A;
   std::unique_ptr<DirectoryIndex> Dir; ///< non-null for directories
   InodeNum Parent = 0;                 ///< ".." for directories
-  std::string LinkTarget;              ///< symlink target path
-  std::map<std::string, std::string> XAttrs;
   uint32_t OpenCount = 0; ///< open handles; unlinked files linger (\S 2.3.1)
+  FileHandle WriteLocker = InvalidHandle; ///< advisory write lock (\S 2.3.2)
+  std::unique_ptr<ExtraFields> Extra;     ///< null until first needed
 
-  // Advisory whole-file locks (\S 2.3.2).
-  std::set<FileHandle> ReadLockers;
-  FileHandle WriteLocker = InvalidHandle;
+  ExtraFields &extra() {
+    if (!Extra)
+      Extra = std::make_unique<ExtraFields>();
+    return *Extra;
+  }
 };
 
 LocalFileSystem::LocalFileSystem(FsConfig C) : Config(C) {
+  static_assert(sizeof(Inode) <= 128,
+                "keep fields few inodes use in Inode::ExtraFields");
   auto Root = std::make_unique<Inode>();
   Root->A.Ino = RootIno;
   Root->A.Dev = Config.DeviceId;
@@ -175,7 +185,7 @@ auto LocalFileSystem::resolve(OpCtx &Ctx, std::string_view Path,
         return FsError::Loop;
       ++Ctx.Cost.SymlinksFollowed;
       // Splice the target in front of the rest of the walk.
-      const std::string &Target = Found->LinkTarget;
+      const std::string &Target = Found->Extra->LinkTarget;
       pushComponents(Work, Target);
       if (Target[0] == '/')
         Cur = RootIno;
@@ -499,7 +509,7 @@ FsError LocalFileSystem::symlink(OpCtx &Ctx, const std::string &Target,
   Inode *Node = createInode(Ctx, FileType::Symlink, 0777);
   if (!Node)
     return FsError::NoSpace;
-  Node->LinkTarget = Target;
+  Node->extra().LinkTarget = Target;
   Node->A.Size = Target.size();
   Node->A.Nlink = 1;
 
@@ -519,7 +529,7 @@ Result<std::string> LocalFileSystem::readlink(OpCtx &Ctx,
   if (Node->A.Type != FileType::Symlink)
     return FsError::Invalid;
   ++Ctx.Cost.InodesTouched;
-  return Node->LinkTarget;
+  return Node->Extra->LinkTarget;
 }
 
 //===----------------------------------------------------------------------===//
@@ -622,7 +632,7 @@ FsError LocalFileSystem::setxattr(OpCtx &Ctx, const std::string &Path,
   Inode *Node = getInode(*R);
   if (!checkAccess(Ctx.Creds, *Node, Access::Write))
     return FsError::Access;
-  Node->XAttrs[Key] = Value;
+  Node->extra().XAttrs[Key] = Value;
   Node->A.Ctime = Ctx.Now;
   ++Ctx.Cost.InodesTouched;
   return FsError::Ok;
@@ -637,8 +647,10 @@ Result<std::string> LocalFileSystem::getxattr(OpCtx &Ctx,
   Inode *Node = getInode(*R);
   if (!checkAccess(Ctx.Creds, *Node, Access::Read))
     return FsError::Access;
-  auto It = Node->XAttrs.find(Key);
-  if (It == Node->XAttrs.end())
+  if (!Node->Extra)
+    return FsError::NoAttr;
+  auto It = Node->Extra->XAttrs.find(Key);
+  if (It == Node->Extra->XAttrs.end())
     return FsError::NoAttr;
   ++Ctx.Cost.InodesTouched;
   return It->second;
@@ -653,8 +665,9 @@ LocalFileSystem::listxattr(OpCtx &Ctx, const std::string &Path) {
   if (!checkAccess(Ctx.Creds, *Node, Access::Read))
     return FsError::Access;
   std::vector<std::string> Keys;
-  for (const auto &KV : Node->XAttrs)
-    Keys.push_back(KV.first);
+  if (Node->Extra)
+    for (const auto &KV : Node->Extra->XAttrs)
+      Keys.push_back(KV.first);
   ++Ctx.Cost.InodesTouched;
   return Keys;
 }
@@ -667,7 +680,7 @@ FsError LocalFileSystem::removexattr(OpCtx &Ctx, const std::string &Path,
   Inode *Node = getInode(*R);
   if (!checkAccess(Ctx.Creds, *Node, Access::Write))
     return FsError::Access;
-  if (Node->XAttrs.erase(Key) == 0)
+  if (!Node->Extra || Node->Extra->XAttrs.erase(Key) == 0)
     return FsError::NoAttr;
   Node->A.Ctime = Ctx.Now;
   ++Ctx.Cost.InodesTouched;
@@ -738,7 +751,8 @@ FsError LocalFileSystem::close(OpCtx &Ctx, FileHandle Fh) {
   DMB_ASSERT(Node && Node->OpenCount > 0, "open count underflow");
   --Node->OpenCount;
   // Process termination or close releases the handle's locks (\S 2.3.2).
-  Node->ReadLockers.erase(Fh);
+  if (Node->Extra)
+    Node->Extra->ReadLockers.erase(Fh);
   if (Node->WriteLocker == Fh)
     Node->WriteLocker = InvalidHandle;
   ++Ctx.Cost.InodesTouched;
@@ -757,10 +771,12 @@ FsError LocalFileSystem::lockFile(OpCtx &Ctx, FileHandle Fh,
     // A write lock requires no other holder of any kind.
     if (Node->WriteLocker != InvalidHandle && Node->WriteLocker != Fh)
       return FsError::Busy;
-    for (FileHandle Reader : Node->ReadLockers)
-      if (Reader != Fh)
-        return FsError::Busy;
-    Node->ReadLockers.erase(Fh); // upgrade
+    if (Node->Extra) {
+      for (FileHandle Reader : Node->Extra->ReadLockers)
+        if (Reader != Fh)
+          return FsError::Busy;
+      Node->Extra->ReadLockers.erase(Fh); // upgrade
+    }
     Node->WriteLocker = Fh;
     return FsError::Ok;
   }
@@ -769,7 +785,7 @@ FsError LocalFileSystem::lockFile(OpCtx &Ctx, FileHandle Fh,
     return FsError::Busy;
   if (Node->WriteLocker == Fh)
     Node->WriteLocker = InvalidHandle; // downgrade
-  Node->ReadLockers.insert(Fh);
+  Node->extra().ReadLockers.insert(Fh);
   return FsError::Ok;
 }
 
@@ -783,7 +799,7 @@ FsError LocalFileSystem::unlockFile(OpCtx &Ctx, FileHandle Fh) {
     Node->WriteLocker = InvalidHandle;
     return FsError::Ok;
   }
-  if (Node->ReadLockers.erase(Fh))
+  if (Node->Extra && Node->Extra->ReadLockers.erase(Fh))
     return FsError::Ok;
   return FsError::Invalid;
 }

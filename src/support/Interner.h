@@ -19,11 +19,11 @@
 #define DMETABENCH_SUPPORT_INTERNER_H
 
 #include "support/Assert.h"
-#include "support/StringHash.h"
+#include "support/FlatTable.h"
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace dmb {
 
@@ -35,35 +35,41 @@ public:
 
   /// Returns the id of \p S, interning it first if needed.
   uint32_t intern(std::string_view S) {
-    auto It = Map.find(S);
-    if (It != Map.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(Names.size());
-    // unordered_map nodes are stable, so the key's address can back the
-    // id -> name vector without a second copy of the string.
-    auto [Ins, _] = Map.emplace(std::string(S), Id);
-    Names.push_back(&Ins->first);
-    return Id;
+    auto [E, Added] = Ids.tryEmplace(S);
+    if (Added) {
+      // Re-key the new entry to the kept copy: same characters, so its
+      // slot stays where the hash put it.
+      E->Name = Names.emplace_back(S);
+      E->Id = static_cast<uint32_t>(Names.size() - 1);
+    }
+    return E->Id;
   }
 
   /// Returns the id of \p S, or None when it was never interned.
   uint32_t find(std::string_view S) const {
-    auto It = Map.find(S);
-    return It == Map.end() ? None : It->second;
+    const NameRef *E = Ids.find(S);
+    return E ? E->Id : None;
   }
 
-  /// The string behind \p Id (must be a live id from this interner).
+  /// The string behind \p Id (must be a live id from this interner). The
+  /// reference stays valid for the interner's lifetime.
   const std::string &name(uint32_t Id) const {
     DMB_ASSERT(Id < Names.size(), "Interner::name: id out of range");
-    return *Names[Id];
+    return Names[Id];
   }
 
   /// Number of distinct strings interned (ids are 0 .. size()-1).
   uint32_t size() const { return static_cast<uint32_t>(Names.size()); }
 
 private:
-  StringMap<uint32_t> Map;
-  std::vector<const std::string *> Names;
+  struct NameRef {
+    std::string_view Name; ///< into Names
+    uint32_t Id = 0;
+  };
+
+  /// The strings in id order; a deque never moves its elements.
+  std::deque<std::string> Names;
+  FlatTable<NameRef, &NameRef::Name> Ids;
 };
 
 } // namespace dmb

@@ -15,7 +15,9 @@
 #include "workload/Plugin.h"
 #include "workload/StreamHelpers.h"
 #include "support/Format.h"
+#include <charconv>
 #include <functional>
+#include <iterator>
 
 using namespace dmb;
 
@@ -29,6 +31,20 @@ std::unique_ptr<OpStream> dmb::emptyStream() {
 
 std::string dmb::ownDir(const PluginContext &Ctx) {
   return Ctx.WorkDir + format("/p%u", Ctx.Ordinal);
+}
+
+std::string dmb::objectPath(std::string_view Own, uint64_t Dir,
+                            uint64_t Index) {
+  char DirDigits[20], IndexDigits[20]; // 2^64 has 20 decimal digits
+  char *DirEnd = std::to_chars(DirDigits, std::end(DirDigits), Dir).ptr;
+  char *IndexEnd =
+      std::to_chars(IndexDigits, std::end(IndexDigits), Index).ptr;
+  std::string Path;
+  Path.reserve(Own.size() + 3 + static_cast<size_t>(DirEnd - DirDigits) +
+               static_cast<size_t>(IndexEnd - IndexDigits));
+  Path.append(Own).append("/d").append(DirDigits, DirEnd);
+  Path.append(1, '/').append(IndexDigits, IndexEnd);
+  return Path;
 }
 
 std::unique_ptr<OpStream> dmb::makeFileSetPrepare(std::string Own,
@@ -50,8 +66,7 @@ std::unique_ptr<OpStream> dmb::makeFileSetPrepare(std::string Own,
       St->Phase = NumFiles ? State::OpenFile : State::Done;
       return true;
     case State::OpenFile:
-      Out.Req = makeOpen(Own + format("/d0/%llu",
-                                      (unsigned long long)St->Index),
+      Out.Req = makeOpen(objectPath(Own, 0, St->Index),
                          OpenWrite | OpenCreate);
       St->Phase = State::CloseFile;
       return true;
@@ -78,8 +93,7 @@ std::unique_ptr<OpStream> dmb::makeFileSetCleanup(std::string Own,
       [St, Own, NumFiles](const MetaReply &, StreamStep &Out) {
         if (St->Stage == 0) {
           if (St->Index < NumFiles) {
-            Out.Req = makeUnlink(
-                Own + format("/d0/%llu", (unsigned long long)St->Index));
+            Out.Req = makeUnlink(objectPath(Own, 0, St->Index));
             ++St->Index;
             return true;
           }
@@ -142,9 +156,7 @@ public:
           St->Phase = State::NewDir;
           return true;
         }
-        std::string Path =
-            Own + format("/d%llu/%llu", (unsigned long long)CurDir,
-                         (unsigned long long)InDir);
+        std::string Path = objectPath(Own, CurDir, InDir);
         if (Directories) {
           Out.Req = makeMkdir(Path);
           Out.CompletesOp = true;
@@ -188,9 +200,7 @@ public:
       if (St->Stage == 0) {
         uint64_t Global = St->Dir * PerDir + St->Index;
         if (Global < Total) {
-          std::string Path =
-              Own + format("/d%llu/%llu", (unsigned long long)St->Dir,
-                           (unsigned long long)St->Index);
+          std::string Path = objectPath(Own, St->Dir, St->Index);
           Out.Req = Directories ? makeRmdir(Path) : makeUnlink(Path);
           if (++St->Index == PerDir) {
             St->Index = 0;
@@ -363,7 +373,7 @@ protected:
   virtual bool benchDeletedFiles() const { return false; }
 
   std::string filePath(uint64_t Index) const {
-    return Own + format("/d0/%llu", (unsigned long long)Index);
+    return objectPath(Own, 0, Index);
   }
 
   PluginContext Ctx;
@@ -429,8 +439,7 @@ public:
         [this, PartnerDir, Index](const MetaReply &, StreamStep &Out) {
           if (*Index >= Ctx.ProblemSize)
             return false;
-          Out.Req = makeStat(PartnerDir +
-                             format("/d0/%llu", (unsigned long long)*Index));
+          Out.Req = makeStat(objectPath(PartnerDir, 0, *Index));
           Out.CompletesOp = true;
           ++*Index;
           return true;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace dmb {
 
@@ -45,6 +46,11 @@ std::unique_ptr<OpStream> emptyStream();
 
 /// The per-process working directory: <workdir>/p<ordinal>.
 std::string ownDir(const PluginContext &Ctx);
+
+/// The path <own>/d<dir>/<index> of object \p Index in subdirectory \p Dir
+/// of \p Own, built in one string without printf: request paths are made
+/// once per operation.
+std::string objectPath(std::string_view Own, uint64_t Dir, uint64_t Index);
 
 /// Stream creating <own>, <own>/d0 and \p NumFiles empty files named
 /// 0..N-1 inside d0 (the prepare phase of Listing 3.1).

@@ -229,6 +229,32 @@ TEST_P(DfsSemanticsTest, OwnMutationsInvalidateCachedAttributes) {
   EXPECT_EQ(2u, run(*A, makeStat("/h")).A.Nlink);
 }
 
+TEST_P(DfsSemanticsTest, OwnRenameOverTargetInvalidatesCachedTarget) {
+  ASSERT_EQ(FsError::Ok, touch(*A, "/p"));
+  ASSERT_EQ(FsError::Ok, touch(*A, "/q"));
+  MetaReply Src = run(*A, makeStat("/p"));
+  ASSERT_TRUE(Src.ok());
+  ASSERT_TRUE(run(*A, makeStat("/q")).ok()); // cache the doomed target
+  ASSERT_EQ(FsError::Ok, run(*A, makeRename("/p", "/q")).Err);
+  EXPECT_EQ(FsError::NoEnt, run(*A, makeStat("/p")).Err);
+  MetaReply Dst = run(*A, makeStat("/q"));
+  ASSERT_TRUE(Dst.ok());
+  EXPECT_EQ(Src.A.Ino, Dst.A.Ino);
+}
+
+TEST_P(DfsSemanticsTest, OwnDirectoryRenameInvalidatesCachedChildren) {
+  ASSERT_EQ(FsError::Ok, run(*A, makeMkdir("/d")).Err);
+  ASSERT_EQ(FsError::Ok, touch(*A, "/d/x"));
+  MetaReply Child = run(*A, makeStat("/d/x"));
+  ASSERT_TRUE(Child.ok()); // warm the cache below /d
+  ASSERT_EQ(FsError::Ok, run(*A, makeRename("/d", "/e")).Err);
+  EXPECT_EQ(FsError::NoEnt, run(*A, makeStat("/d/x")).Err);
+  EXPECT_EQ(FsError::NoEnt, run(*A, makeStat("/d")).Err);
+  MetaReply Moved = run(*A, makeStat("/e/x"));
+  ASSERT_TRUE(Moved.ok());
+  EXPECT_EQ(Child.A.Ino, Moved.A.Ino);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, DfsSemanticsTest,
                          ::testing::Values(FsKind::Nfs, FsKind::Lustre,
                                            FsKind::LustreWriteback,

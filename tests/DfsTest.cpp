@@ -514,6 +514,29 @@ TEST(Afs, CallbackBreakInvalidatesOtherClients) {
   EXPECT_EQ(Rpcs2 + 1, Cell.server(0).processedRequests());
 }
 
+TEST(Afs, RenameBreaksOtherClientsCallbacksOnBothNamesAndBelow) {
+  Scheduler S;
+  AfsFs Cell(S);
+  std::unique_ptr<ClientFs> A = Cell.makeClient(0);
+  std::unique_ptr<ClientFs> B = Cell.makeClient(1);
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/p"));
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/q"));
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, makeMkdir("/d")).Err);
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/d/x"));
+  MetaReply P = runSync(S, *B, makeStat("/p"));
+  ASSERT_TRUE(P.ok());
+  ASSERT_TRUE(runSync(S, *B, makeStat("/q")).ok());
+  ASSERT_TRUE(runSync(S, *B, makeStat("/d/x")).ok());
+  // A replaces /q and moves /d: B holds callbacks on the old /q and on an
+  // entry below /d, and both must break.
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, makeRename("/p", "/q")).Err);
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, makeRename("/d", "/e")).Err);
+  MetaReply Q = runSync(S, *B, makeStat("/q"));
+  ASSERT_TRUE(Q.ok());
+  EXPECT_EQ(P.A.Ino, Q.A.Ino);
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *B, makeStat("/d/x")).Err);
+}
+
 TEST(Afs, HandleOpsRouteToOwningVolume) {
   Scheduler S;
   AfsFs Cell(S);

@@ -15,6 +15,7 @@
 #include "fs/LocalFileSystem.h"
 #include "support/Random.h"
 #include <gtest/gtest.h>
+#include <map>
 
 using namespace dmb;
 
@@ -828,6 +829,41 @@ TEST_P(DirIndexParamTest, InsertLookupEraseList) {
   std::vector<DirEntry> All;
   Index->list(All, Cost);
   EXPECT_EQ(499u, All.size());
+}
+
+TEST(FsDirIndex, HashedChurnListsSortedAndComplete) {
+  // Seeded insert/erase churn on a hashed directory: erases move entries
+  // inside its table, and list() must still return exactly the live
+  // names, sorted, with their inode numbers.
+  auto Index = makeDirectoryIndex(DirIndexKind::Hashed);
+  Rng R(42);
+  std::map<std::string, InodeNum> Model;
+  OpCost Cost;
+  for (int Round = 0; Round < 40; ++Round) {
+    for (int Op = 0; Op < 200; ++Op) {
+      std::string Name = "e";
+      Name += std::to_string(R.below(3000));
+      if (R.below(3) != 0) {
+        if (!Index->lookup(Name, Cost)) {
+          InodeNum Ino = 100 + Round * 1000 + Op;
+          Index->insert(DirEntry{Name, Ino, FileType::Regular}, Cost);
+          Model[Name] = Ino;
+        }
+      } else {
+        EXPECT_EQ(Model.erase(Name) == 1, Index->erase(Name, Cost));
+      }
+    }
+    std::vector<DirEntry> Listed;
+    Index->list(Listed, Cost);
+    ASSERT_EQ(Model.size(), Listed.size());
+    ASSERT_EQ(Model.size(), Index->size());
+    auto It = Model.begin();
+    for (const DirEntry &E : Listed) {
+      EXPECT_EQ(It->first, E.Name);
+      EXPECT_EQ(It->second, E.Ino);
+      ++It;
+    }
+  }
 }
 
 TEST_P(DirIndexParamTest, FileSystemBehaviourIdenticalAcrossIndexes) {

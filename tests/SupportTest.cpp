@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Error.h"
+#include "support/FlatTable.h"
 #include "support/Format.h"
 #include "support/Interner.h"
 #include "support/Random.h"
 #include "support/Result.h"
 #include "support/TextTable.h"
 #include <gtest/gtest.h>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 using namespace dmb;
 
@@ -180,9 +183,9 @@ TEST(Interner, FindDoesNotIntern) {
 }
 
 TEST(Interner, NamesStayValidAcrossGrowth) {
-  // The id -> name vector points into the map's nodes; references must
-  // survive arbitrarily many later interns (rehashes move buckets, not
-  // nodes).
+  // The names live in a deque that never moves them; references must
+  // survive arbitrarily many later interns (growth moves the table's
+  // entries, not the names).
   Interner I;
   I.intern("first");
   const std::string *First = &I.name(0);
@@ -192,6 +195,161 @@ TEST(Interner, NamesStayValidAcrossGrowth) {
   EXPECT_EQ("first", I.name(0));
   EXPECT_EQ(1001u, I.size());
   EXPECT_EQ(500u, I.find("vol499"));
+}
+
+//===----------------------------------------------------------------------===//
+// FlatTable
+//===----------------------------------------------------------------------===//
+
+struct Named {
+  std::string Key;
+  uint64_t Value = 0;
+};
+
+/// Sends every key to one of four homes at the end of any table of 8+
+/// slots (by key length), so equal-length keys share a hash, probes
+/// collide and clusters wrap around to slot 0.
+struct CollidingHash {
+  uint64_t operator()(std::string_view S) const { return ~0ull - S.size() % 4; }
+};
+
+using CollidingTable = FlatTable<Named, &Named::Key, CollidingHash>;
+
+/// The table holds exactly what \p Model holds.
+void expectSame(const CollidingTable &T,
+                const std::unordered_map<std::string, uint64_t> &Model) {
+  ASSERT_EQ(Model.size(), T.size());
+  for (const auto &[K, V] : Model) {
+    const Named *E = T.find(K);
+    ASSERT_NE(nullptr, E) << K;
+    EXPECT_EQ(V, E->Value) << K;
+  }
+  size_t Seen = 0;
+  T.forEach([&](const Named &E) {
+    auto It = Model.find(E.Key);
+    ASSERT_NE(Model.end(), It) << E.Key;
+    EXPECT_EQ(It->second, E.Value);
+    ++Seen;
+  });
+  EXPECT_EQ(Model.size(), Seen);
+}
+
+TEST(FlatTable, MatchesUnorderedMapUnderSeededChurnWithCollidingHash) {
+  Rng R(20261017);
+  CollidingTable T;
+  std::unordered_map<std::string, uint64_t> Model;
+  size_t MaxSlots = 0;
+  for (int Step = 0; Step < 20000; ++Step) {
+    // 600 keys of lengths 2..4, so each hash is shared by hundreds.
+    std::string K = "k" + std::to_string(R.below(600));
+    uint64_t Roll = R.below(100);
+    if (Roll < 45) {
+      auto [E, Added] = T.tryEmplace(K);
+      EXPECT_EQ(Added, Model.count(K) == 0);
+      E->Value = Step;
+      Model[K] = Step;
+    } else if (Roll < 70) {
+      EXPECT_EQ(Model.erase(K) == 1, T.erase(K));
+    } else if (Roll < 85) {
+      // Erase through a found entry: no second hash.
+      if (const Named *E = T.find(K))
+        T.erase(E);
+      Model.erase(K);
+    } else if (Roll < 98) {
+      auto [E, Added] = T.insert(Named{K, uint64_t(Step)});
+      EXPECT_EQ(Added, Model.count(K) == 0);
+      Model.emplace(K, Step);
+      EXPECT_EQ(Model[K], E->Value);
+    } else if (Roll < 99) {
+      uint64_t Odd = T.eraseIf([](const Named &E) { return E.Value % 2; });
+      uint64_t ModelOdd = std::erase_if(
+          Model, [](const auto &KV) { return KV.second % 2; });
+      EXPECT_EQ(ModelOdd, Odd);
+    } else if (R.below(20) == 0) {
+      T.clear();
+      Model.clear();
+      EXPECT_EQ(0u, T.slotCount());
+    }
+    MaxSlots = std::max(MaxSlots, T.slotCount());
+    EXPECT_EQ(nullptr, T.find("absent")); // every probe ends at a free slot
+    if (Step % 97 == 0)
+      expectSame(T, Model);
+  }
+  expectSame(T, Model);
+  EXPECT_GE(MaxSlots, 512u); // grew well past the first 8 slots
+}
+
+TEST(FlatTable, BackwardShiftDeletionWrapsAroundTheSlotArray) {
+  CollidingTable T;
+  // Four-character keys share one hash whose home is the last slot: the
+  // cluster runs from slot 7 over 0, 1 and 2.
+  for (const char *K : {"aaa1", "aaa2", "aaa3", "aaa4"})
+    T.tryEmplace(K).first->Value = 1;
+  ASSERT_EQ(8u, T.slotCount());
+  // Erase the cluster's head, then a middle member: what follows shifts
+  // back across the wrap and stays reachable.
+  EXPECT_TRUE(T.erase("aaa1"));
+  EXPECT_TRUE(T.erase("aaa3"));
+  EXPECT_FALSE(T.erase("aaa3"));
+  EXPECT_EQ(nullptr, T.find("aaa1"));
+  EXPECT_EQ(nullptr, T.find("aaa3"));
+  ASSERT_NE(nullptr, T.find("aaa2"));
+  ASSERT_NE(nullptr, T.find("aaa4"));
+  // Refill: the new key lands in the shifted cluster and is found.
+  T.tryEmplace("aaa5").first->Value = 2;
+  EXPECT_EQ(2u, T.find("aaa5")->Value);
+  EXPECT_EQ(3u, T.size());
+}
+
+TEST(FlatTable, StabilityRule) {
+  FlatTable<Named, &Named::Key> T;
+  for (int I = 0; I < 100; ++I)
+    T.tryEmplace("name" + std::to_string(I)).first->Value = I;
+  std::map<std::string, const Named *> Where;
+  T.forEach([&Where](const Named &E) { Where[E.Key] = &E; });
+  // find() moves nothing.
+  for (int Round = 0; Round < 3; ++Round)
+    for (const auto &[K, P] : Where)
+      EXPECT_EQ(P, T.find(K));
+  // erase() moves nothing either.
+  const Named *Victim = T.find("name42");
+  T.erase(Victim);
+  Where.erase("name42");
+  for (const auto &[K, P] : Where)
+    EXPECT_EQ(P, T.find(K)) << K;
+  // The next insertion reuses the erased entry, value-initialized.
+  auto [Fresh, Added] = T.tryEmplace("fresh");
+  ASSERT_TRUE(Added);
+  EXPECT_EQ(Victim, Fresh);
+  EXPECT_EQ(0u, Fresh->Value);
+  EXPECT_EQ("fresh", Fresh->Key);
+  EXPECT_EQ(100u, T.entryCount());
+}
+
+TEST(FlatTable, ChurnAtConstantSizeReusesFreedEntries) {
+  FlatTable<Named, &Named::Key> T;
+  for (int I = 0; I < 1000; ++I)
+    T.tryEmplace("a-name-longer-than-the-small-buffer-" + std::to_string(I));
+  size_t Entries = T.entryCount();
+  size_t Slots = T.slotCount();
+  // Erase one, add one: the freed entry and slot are reused, so neither
+  // array grows.
+  for (int I = 1000; I < 20000; ++I) {
+    std::string Old = "a-name-longer-than-the-small-buffer-";
+    Old += std::to_string(I - 1000);
+    ASSERT_TRUE(T.erase(Old));
+    ASSERT_TRUE(
+        T.insert(Named{"b" + std::to_string(I), uint64_t(I)}).second);
+    ASSERT_TRUE(T.erase("b" + std::to_string(I)));
+    std::string New = "a-name-longer-than-the-small-buffer-";
+    New += std::to_string(I);
+    ASSERT_TRUE(T.tryEmplace(New).second);
+  }
+  EXPECT_EQ(1000u, T.size());
+  EXPECT_EQ(Entries, T.entryCount());
+  EXPECT_EQ(Slots, T.slotCount());
+  EXPECT_NE(nullptr, T.find("a-name-longer-than-the-small-buffer-19999"));
+  EXPECT_EQ(nullptr, T.find("a-name-longer-than-the-small-buffer-18999"));
 }
 
 TEST(TextTable, AlignsColumns) {
