@@ -24,8 +24,9 @@ SubtaskResult runCreateBurst(bool Writeback) {
   Scheduler S;
   Cluster C(S, 1, 8);
   LustreOptions Opts;
-  Opts.WritebackMetadata = Writeback;
-  Opts.MaxDirtyOps = 8192;
+  Opts.Client.WriteBehind.Enabled = Writeback;
+  Opts.Client.WriteBehind.DeferIssue = false;
+  Opts.Client.WriteBehind.MaxQueuedOps = 8192;
   LustreFs Lustre(S, Opts);
   C.mountEverywhere(Lustre);
   BenchParams P;
@@ -76,7 +77,8 @@ int main() {
   // \S 2.6.4).
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Lustre(S, Opts);
   std::unique_ptr<ClientFs> Client = Lustre.makeClient(0);
   int Acked = 0;

@@ -126,11 +126,11 @@ void AfsClient::dropStale(MetaOp Op, std::string_view Path,
     Cache.invalidate(Path); // a creating open
 }
 
-void AfsClient::rpc(unsigned ServerIndex, const std::string &Volume,
+void AfsClient::rpc(unsigned ServerIndex, uint32_t VolId, SimDuration Vldb,
                     const MetaRequest &Req, const MetaRequest &Full,
                     Callback Done) {
   Exchange *X = newExchange(
-      Req, [this, ServerIndex, Volume, Op = Req.Op, Flags = Req.Flags,
+      Req, [this, ServerIndex, VolId, Op = Req.Op, Flags = Req.Flags,
             FullPath = Full.Path, FullPath2 = Full.Path2,
             Done = std::move(Done)](MetaReply Reply) mutable {
         if (Reply.ok()) {
@@ -138,22 +138,17 @@ void AfsClient::rpc(unsigned ServerIndex, const std::string &Volume,
             Cache.insert(FullPath, Reply.A, sched().now());
           if (isMutation(Op) || (Op == MetaOp::Open && (Flags & OpenCreate)))
             Cell.breakCallbacks(Op, FullPath, FullPath2);
-          if (Op == MetaOp::Open) {
-            // Wrap the server handle in a client-local handle so handles
-            // from different volumes cannot collide.
-            FileHandle Local = NextLocalFh++;
-            Handles[Local] = HandleInfo{ServerIndex, Volume, Reply.Fh};
-            Reply.Fh = Local;
-          }
+          if (Op == MetaOp::Open)
+            Reply.Fh = Handles.wrap(ServerIndex, VolId, Reply.Fh);
         }
         slotDone();
         Done(std::move(Reply));
       });
   X->Server = ServerIndex;
-  X->VolId = Cell.server(ServerIndex).volumeId(Volume);
+  X->VolId = VolId;
   // A first access to a volume pays the VLDB lookup on top of the request
   // hop — modelled as SendExtra so retransmits do not pay it again.
-  X->SendExtra = vldbCost(Volume);
+  X->SendExtra = Vldb;
   withSlot([this, X]() { transact(X); });
 }
 
@@ -162,62 +157,27 @@ void AfsClient::dispatch(Exchange *X) {
                                  [this, X]() { serverReply(X); });
 }
 
-void AfsClient::submit(const MetaRequest &Req, Callback Done) {
-  // Handle-based operations route via the handle's volume.
+void AfsClient::submitDirect(const MetaRequest &Req, Callback Done) {
+  // Handle-based operations route via the handle's volume, which the
+  // handle's open already looked up in the VLDB.
   if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
-    auto It = Handles.find(Req.Fh);
-    if (It == Handles.end()) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::BadFd;
-        Done(Reply);
-      });
-      return;
-    }
-    HandleInfo Info = It->second;
-    if (Req.Op == MetaOp::Close)
-      Handles.erase(It);
     MetaRequest Fwd = Req;
-    Fwd.Fh = Info.ServerFh;
-    rpc(Info.ServerIndex, Info.Volume, Fwd, Req, std::move(Done));
+    if (std::optional<ClientHandles::Target> H = Handles.unwrap(Fwd))
+      rpc(H->Server, H->VolId, /*Vldb=*/0, Fwd, Req, std::move(Done));
+    else
+      failLocally(FsError::BadFd, std::move(Done));
     return;
   }
-
-  std::string Rel;
-  const MountEntry *Mount = Cell.vldb().resolve(Req.Path, Rel);
+  MetaRequest Fwd;
+  FsError Err = FsError::Ok;
+  const MountEntry *Mount = Cell.vldb().route(Req, Fwd, Err);
   if (!Mount) {
-    sched().after(0, [Done = std::move(Done)]() {
-      MetaReply Reply;
-      Reply.Err = FsError::NoEnt;
-      Done(Reply);
-    });
+    failLocally(Err, std::move(Done));
     return;
   }
-
-  MetaRequest Fwd = Req;
-  Fwd.Path = Rel;
-  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
-    std::string Rel2;
-    const MountEntry *Mount2 = Cell.vldb().resolve(Req.Path2, Rel2);
-    // Moving between separately managed volumes is impossible (\S 2.6.3:
-    // "atomic rename" — NFS3ERR_XDEV analogue).
-    if (!Mount2 || Mount2->Prefix != Mount->Prefix) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::XDev;
-        Done(Reply);
-      });
-      return;
-    }
-    Fwd.Path2 = Rel2;
-  }
-
-  if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
-    if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      replyFromCache(Cell.options().CacheHitCost, *A, std::move(Done));
-      return;
-    }
-  }
-
-  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req, std::move(Done));
+  if (answerFromCache(Cache, Cell.options().CacheHitCost, Req, Done))
+    return;
+  rpc(Mount->ServerIndex,
+      Cell.server(Mount->ServerIndex).volumeId(Mount->Volume),
+      vldbCost(Mount->Volume), Fwd, Req, std::move(Done));
 }

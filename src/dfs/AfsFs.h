@@ -24,7 +24,6 @@
 #include "dfs/MountTable.h"
 #include "dfs/RpcClientBase.h"
 #include "sim/Scheduler.h"
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -111,7 +110,6 @@ public:
   AfsClient(const ClientBuilder &B, AfsFs &Cell);
   ~AfsClient() override;
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   void dropCaches() override { Cache.clear(); }
   std::string describe() const override;
 
@@ -126,15 +124,12 @@ public:
   void cellDestroyed() { CellAlive = false; }
 
 private:
-  struct HandleInfo {
-    unsigned ServerIndex;
-    std::string Volume;
-    FileHandle ServerFh;
-  };
-
-  /// Sends \p Req, routed to a volume and relative to its root; \p Full is
+  /// Handle, route, cache, then rpc().
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
+  /// Sends \p Req to volume \p VolId of server \p ServerIndex, relative
+  /// to the volume root, after the VLDB lookup cost \p Vldb; \p Full is
   /// the request as submitted, with the full paths the cache is keyed by.
-  void rpc(unsigned ServerIndex, const std::string &Volume,
+  void rpc(unsigned ServerIndex, uint32_t VolId, SimDuration Vldb,
            const MetaRequest &Req, const MetaRequest &Full, Callback Done);
   void dispatch(Exchange *X) override;
   SimDuration vldbCost(const std::string &Volume);
@@ -144,8 +139,7 @@ private:
   unsigned NodeIndex;
   AttrCache Cache; ///< callback-based: no TTL
   std::set<std::string> KnownVolumes;
-  std::map<FileHandle, HandleInfo> Handles;
-  FileHandle NextLocalFh = 1;
+  ClientHandles Handles;
 };
 
 } // namespace dmb

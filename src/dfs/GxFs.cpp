@@ -76,31 +76,25 @@ std::string GxClient::describe() const {
                 Cluster.numFilers());
 }
 
-void GxClient::rpc(unsigned OwnerIndex, const std::string &Volume,
-                   const MetaRequest &Req, const MetaRequest &Full,
-                   Callback Done) {
+void GxClient::rpc(unsigned OwnerIndex, uint32_t VolId, const MetaRequest &Req,
+                   const MetaRequest &Full, Callback Done) {
   // Back on the client: update caches, wrap handles, free the slot.
   Exchange *X = newExchange(
-      Req, [this, OwnerIndex, Volume, Op = Req.Op, FullPath = Full.Path,
+      Req, [this, OwnerIndex, VolId, Op = Req.Op, FullPath = Full.Path,
             FullPath2 = Full.Path2,
             Done = std::move(Done)](MetaReply Reply) mutable {
         if (Reply.ok()) {
           if (Op == MetaOp::Stat || Op == MetaOp::Lstat || Op == MetaOp::Open)
             Cache.insert(FullPath, Reply.A, sched().now());
           Cache.invalidateMutated(Op, FullPath, FullPath2);
-          if (Op == MetaOp::Open) {
-            // Wrap the server handle in a client-local handle so handles
-            // from different volumes cannot collide.
-            FileHandle Local = NextLocalFh++;
-            Handles[Local] = HandleInfo{OwnerIndex, Volume, Reply.Fh};
-            Reply.Fh = Local;
-          }
+          if (Op == MetaOp::Open)
+            Reply.Fh = Handles.wrap(OwnerIndex, VolId, Reply.Fh);
         }
         slotDone();
         Done(std::move(Reply));
       });
   X->Server = OwnerIndex;
-  X->VolId = Cluster.filer(OwnerIndex).volumeId(Volume);
+  X->VolId = VolId;
   withSlot([this, X]() { transact(X); });
 }
 
@@ -133,62 +127,28 @@ void GxClient::dispatch(Exchange *X) {
   });
 }
 
-void GxClient::submit(const MetaRequest &Req, Callback Done) {
+void GxClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // Handle-based operations route via the handle's recorded volume.
   if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
-    auto It = Handles.find(Req.Fh);
-    if (It == Handles.end()) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::BadFd;
-        Done(Reply);
-      });
-      return;
-    }
-    HandleInfo Info = It->second;
-    if (Req.Op == MetaOp::Close)
-      Handles.erase(It);
     MetaRequest Fwd = Req;
-    Fwd.Fh = Info.ServerFh;
-    rpc(Info.FilerIndex, Info.Volume, Fwd, Req, std::move(Done));
+    if (std::optional<ClientHandles::Target> H = Handles.unwrap(Fwd))
+      rpc(H->Server, H->VolId, Fwd, Req, std::move(Done));
+    else
+      failLocally(FsError::BadFd, std::move(Done));
     return;
   }
-
-  std::string Rel;
-  const MountEntry *Mount = Cluster.vldb().resolve(Req.Path, Rel);
+  // In spite of the single namespace, the server rejects moves between
+  // separate volumes (XDev).
+  MetaRequest Fwd;
+  FsError Err = FsError::Ok;
+  const MountEntry *Mount = Cluster.vldb().route(Req, Fwd, Err);
   if (!Mount) {
-    sched().after(0, [Done = std::move(Done)]() {
-      MetaReply Reply;
-      Reply.Err = FsError::NoEnt;
-      Done(Reply);
-    });
+    failLocally(Err, std::move(Done));
     return;
   }
-
-  MetaRequest Fwd = Req;
-  Fwd.Path = Rel;
-  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
-    std::string Rel2;
-    const MountEntry *Mount2 = Cluster.vldb().resolve(Req.Path2, Rel2);
-    // In spite of the single namespace, the server rejects moves between
-    // separate volumes (\S 2.6.3: NFS3ERR_XDEV).
-    if (!Mount2 || Mount2->Prefix != Mount->Prefix) {
-      sched().after(0, [Done = std::move(Done)]() {
-        MetaReply Reply;
-        Reply.Err = FsError::XDev;
-        Done(Reply);
-      });
-      return;
-    }
-    Fwd.Path2 = Rel2;
-  }
-
-  if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
-    if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      replyFromCache(Cluster.options().CacheHitCost, *A, std::move(Done));
-      return;
-    }
-  }
-
-  rpc(Mount->ServerIndex, Mount->Volume, Fwd, Req, std::move(Done));
+  if (answerFromCache(Cache, Cluster.options().CacheHitCost, Req, Done))
+    return;
+  rpc(Mount->ServerIndex,
+      Cluster.filer(Mount->ServerIndex).volumeId(Mount->Volume), Fwd, Req,
+      std::move(Done));
 }

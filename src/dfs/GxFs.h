@@ -24,7 +24,6 @@
 #include "dfs/MountTable.h"
 #include "dfs/RpcClientBase.h"
 #include "sim/Scheduler.h"
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -87,7 +86,6 @@ class GxClient final : public RpcClientBase {
 public:
   GxClient(const ClientBuilder &B, GxFs &Cluster);
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   void dropCaches() override { Cache.clear(); }
   std::string describe() const override;
 
@@ -95,24 +93,20 @@ public:
   unsigned nbladeIndex() const { return Nblade; }
 
 private:
-  struct HandleInfo {
-    unsigned FilerIndex;
-    std::string Volume;
-    FileHandle ServerFh;
-  };
-
-  /// Sends \p Req, routed to a volume and relative to its root; \p Full is
-  /// the request as submitted, with the full paths the cache is keyed by.
-  void rpc(unsigned OwnerIndex, const std::string &Volume,
-           const MetaRequest &Req, const MetaRequest &Full, Callback Done);
+  /// Handle, route, cache, then rpc().
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
+  /// Sends \p Req to volume \p VolId of filer \p OwnerIndex, relative to
+  /// the volume root; \p Full is the request as submitted, with the full
+  /// paths the cache is keyed by.
+  void rpc(unsigned OwnerIndex, uint32_t VolId, const MetaRequest &Req,
+           const MetaRequest &Full, Callback Done);
   void dispatch(Exchange *X) override;
 
   GxFs &Cluster;
   unsigned NodeIndex;
   unsigned Nblade;
   AttrCache Cache;
-  std::map<FileHandle, HandleInfo> Handles;
-  FileHandle NextLocalFh = 1;
+  ClientHandles Handles;
 };
 
 } // namespace dmb

@@ -42,40 +42,15 @@ LustreClient::LustreClient(const ClientBuilder &B, FileServer &Mds,
                            const LustreOptions &Opts)
     : RpcClientBase(B), Mds(Mds), VolId(Mds.volumeId(LustreFs::VolumeName)),
       Options(Opts), NodeIndex(B.nodeIndex()), Cache(Opts.AttrCacheTtl) {
-  // Mount a write-behind queue when either the explicit policy or the
-  // legacy E17 writeback switch asks for one. The legacy switch maps onto
-  // the eager discipline with the historical dirty-op limit and ack cost.
-  WriteBehindPolicy Policy = Options.Client.WriteBehind;
-  if (!Policy.enabled() && Options.WritebackMetadata) {
-    Policy.Enabled = true;
-    Policy.DeferIssue = false;
-    Policy.MaxQueuedOps = Options.MaxDirtyOps;
-    Policy.LocalAckCost = Options.LocalAckCost;
-  }
-  mountWriteBehind(
-      WB, Policy,
-      [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-        rpc(R, std::move(Reply));
-      },
-      &this->Mds, VolId, &Cache);
+  mountWriteBehind(Options.Client.WriteBehind, &this->Mds, VolId, &Cache);
 }
 
 std::string LustreClient::describe() const {
+  // writeback=1 is the eager discipline: the classic write-back cache.
+  const WriteBehindQueue *WB = writeBehind();
   return format("lustre node=%u mds=%s writeback=%d", NodeIndex,
-                Mds.config().Name.c_str(), Options.WritebackMetadata ? 1 : 0);
-}
-
-static bool isCreateLike(const MetaRequest &Req) {
-  return Req.Op == MetaOp::Open && (Req.Flags & OpenCreate);
-}
-
-void LustreClient::rpc(const MetaRequest &Req, Callback Done) {
-  // Creating a file also pre-allocates an object on an OSS; the MDS hides
-  // most of this with pre-created object pools — a small extra cost.
-  Exchange *X = newExchange(Req, std::move(Done));
-  if (isCreateLike(Req))
-    X->SendExtra = Options.OssObjectCreateCost;
-  withSlot([this, X]() { transact(X); });
+                Mds.config().Name.c_str(),
+                WB && !WB->policy().DeferIssue ? 1 : 0);
 }
 
 void LustreClient::dispatch(Exchange *X) {
@@ -94,44 +69,20 @@ void LustreClient::finish(Exchange *X) {
   complete(X);
 }
 
-void LustreClient::submit(const MetaRequest &Req, Callback Done) {
-  if (WB) {
-    if (Req.Op == MetaOp::Fsync) {
-      WB->fsync(Req, std::move(Done));
-      return;
-    }
-    if (WB->shouldQueue(Req)) {
-      WB->enqueue(Req, std::move(Done));
-      return;
-    }
-    if (WB->needsDrain(Req)) {
-      // A read around queued state: settle exactly the dependency closure
-      // this operation can observe, then go to the MDS.
-      WB->drainFor(Req, [this, Req, Done = std::move(Done)]() mutable {
-        submitDirect(WB->translate(Req), std::move(Done));
-      });
-      return;
-    }
-    submitDirect(WB->translate(Req), std::move(Done));
-    return;
-  }
-  if (Req.Op == MetaOp::Fsync) {
-    // Nothing is ever dirty on a synchronous client; fsync is local.
-    sched().after(Options.LocalAckCost, [Done = std::move(Done)]() {
-      MetaReply Reply;
-      Done(Reply);
-    });
-    return;
-  }
-  submitDirect(Req, std::move(Done));
-}
-
 void LustreClient::submitDirect(const MetaRequest &Req, Callback Done) {
-  if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
-    if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      replyFromCache(Options.CacheHitCost, *A, std::move(Done));
-      return;
-    }
+  if (Req.Op == MetaOp::Fsync) {
+    // Only a client without write-behind gets here, and nothing is ever
+    // dirty on it: fsync is local.
+    sched().after(Options.Client.WriteBehind.LocalAckCost,
+                  [Done = std::move(Done)]() { Done(MetaReply()); });
+    return;
   }
-  rpc(Req, std::move(Done));
+  if (answerFromCache(Cache, Options.CacheHitCost, Req, Done))
+    return;
+  // Creating a file also pre-allocates an object on an OSS; the MDS hides
+  // most of this with pre-created object pools — a small extra cost.
+  Exchange *X = newExchange(Req, std::move(Done));
+  if (Req.Op == MetaOp::Open && (Req.Flags & OpenCreate))
+    X->SendExtra = Options.OssObjectCreateCost;
+  withSlot([this, X]() { transact(X); });
 }

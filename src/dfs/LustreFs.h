@@ -12,7 +12,10 @@
 /// object creation cost. Optionally the client acks mutations from its
 /// write-back cache before the MDS commits (\S 2.6.4: "Lustre keeps a copy
 /// of all operations in the client cache until the server has committed
-/// everything to disk") — the subject of \S 4.8.
+/// everything to disk") — the subject of \S 4.8. That cache is the eager
+/// discipline of the shared write-behind queue: set
+/// Client.WriteBehind.Enabled with DeferIssue = false (the lustre-wb
+/// model), or leave DeferIssue on for the deferred pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +27,6 @@
 #include "dfs/DistributedFs.h"
 #include "dfs/FileServer.h"
 #include "dfs/RpcClientBase.h"
-#include "dfs/WriteBehind.h"
 #include "sim/Scheduler.h"
 #include <memory>
 
@@ -37,14 +39,6 @@ struct LustreOptions {
   ClientConfig Client = makeClientConfig(microseconds(75), 8);
   SimDuration AttrCacheTtl = seconds(1.0); ///< ldlm lock validity window
   SimDuration CacheHitCost = microseconds(2);
-
-  /// \name Write-back metadata caching (experiment E17, \S 4.8)
-  /// @{
-  bool WritebackMetadata = false;
-  unsigned MaxDirtyOps = 2048;            ///< client dirty-op limit
-  SimDuration LocalAckCost = microseconds(10); ///< cached completion cost
-  /// @}
-
   ServerConfig Mds;
   unsigned NumOss = 12; ///< as at LRZ; affects object-creation cost only
   SimDuration OssObjectCreateCost = microseconds(15);
@@ -81,7 +75,6 @@ public:
   LustreClient(const ClientBuilder &B, FileServer &Mds,
                const LustreOptions &Options);
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   void dropCaches() override { Cache.clear(); }
   CacheStats cacheStats() const override {
     return {Cache.hits(), Cache.misses()};
@@ -89,17 +82,12 @@ public:
   std::string describe() const override;
 
   /// Mutations acked locally but not yet committed on the MDS.
-  unsigned dirtyOps() const { return WB ? WB->dirtyOps() : 0; }
-
-  /// The write-behind queue, when one is mounted (legacy WritebackMetadata
-  /// or ClientConfig::WriteBehind). nullptr on a synchronous client.
-  const WriteBehindQueue *writeBehind() const {
-    return WB.get();
+  unsigned dirtyOps() const {
+    return writeBehind() ? writeBehind()->dirtyOps() : 0;
   }
 
 private:
-  void rpc(const MetaRequest &Req, Callback Done);
-  void submitDirect(const MetaRequest &Req, Callback Done);
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
   void dispatch(Exchange *X) override;
   void finish(Exchange *X) override;
 
@@ -108,7 +96,6 @@ private:
   LustreOptions Options;
   unsigned NodeIndex;
   AttrCache Cache;
-  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

@@ -54,3 +54,21 @@ const MountEntry *MountTable::resolve(const std::string &Path,
     RelPath = std::string("/"); // GCC 12 -Wrestrict misfires on = "/" here
   return Best;
 }
+
+const MountEntry *MountTable::route(const MetaRequest &Req, MetaRequest &Fwd,
+                                    FsError &Err) const {
+  Fwd = Req;
+  const MountEntry *Mount = resolve(Req.Path, Fwd.Path);
+  if (!Mount) {
+    Err = FsError::NoEnt;
+    return nullptr;
+  }
+  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
+    const MountEntry *Mount2 = resolve(Req.Path2, Fwd.Path2);
+    if (!Mount2 || Mount2->Prefix != Mount->Prefix) {
+      Err = FsError::XDev;
+      return nullptr;
+    }
+  }
+  return Mount;
+}

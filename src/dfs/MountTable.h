@@ -15,6 +15,7 @@
 #ifndef DMETABENCH_DFS_MOUNTTABLE_H
 #define DMETABENCH_DFS_MOUNTTABLE_H
 
+#include "dfs/Message.h"
 #include <string>
 #include <vector>
 
@@ -37,6 +38,15 @@ public:
   /// covers the path.
   const MountEntry *resolve(const std::string &Path,
                             std::string &RelPath) const;
+
+  /// Routes \p Req to the volume holding its path: \p Fwd receives the
+  /// request with Path, and for rename and link Path2, relative to the
+  /// volume root. Returns nullptr with \p Err set when no mount covers
+  /// the path (NoEnt), or when a rename or link would span two volumes
+  /// (XDev: separately managed volumes cannot move entries between them
+  /// atomically, \S 2.6.3's NFS3ERR_XDEV).
+  const MountEntry *route(const MetaRequest &Req, MetaRequest &Fwd,
+                          FsError &Err) const;
 
   /// Re-homes the volume mounted at \p Prefix onto \p NewServer (volume
   /// move, thesis \S 2.5.1). Returns false when the prefix is unknown.

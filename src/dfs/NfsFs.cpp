@@ -52,12 +52,7 @@ NfsClient::NfsClient(const ClientBuilder &B, FileServer &Server,
     : RpcClientBase(B), Server(Server),
       VolId(Server.volumeId(NfsFs::VolumeName)), Options(Opts),
       NodeIndex(B.nodeIndex()), Cache(Opts.AttrCacheTtl) {
-  mountWriteBehind(
-      WB, Options.Client.WriteBehind,
-      [this](const MetaRequest &R, std::function<void(MetaReply)> Reply) {
-        rpc(R, std::move(Reply));
-      },
-      &this->Server, VolId, &Cache);
+  mountWriteBehind(Options.Client.WriteBehind, &this->Server, VolId, &Cache);
 }
 
 std::string NfsClient::describe() const {
@@ -92,11 +87,6 @@ void NfsClient::postProcess(const MetaRequest &Req, const MetaReply &Reply) {
   }
 }
 
-void NfsClient::rpc(const MetaRequest &Req, Callback Done) {
-  Exchange *X = newExchange(Req, std::move(Done));
-  withSlot([this, X]() { transact(X); });
-}
-
 void NfsClient::dispatch(Exchange *X) {
   Server.process(VolId, X->Req, X->Reply, [this, X]() { serverReply(X); });
 }
@@ -107,36 +97,11 @@ void NfsClient::finish(Exchange *X) {
   complete(X);
 }
 
-void NfsClient::submit(const MetaRequest &Req, Callback Done) {
-  if (WB) {
-    if (Req.Op == MetaOp::Fsync) {
-      WB->fsync(Req, std::move(Done));
-      return;
-    }
-    if (WB->shouldQueue(Req)) {
-      WB->enqueue(Req, std::move(Done));
-      return;
-    }
-    if (WB->needsDrain(Req)) {
-      WB->drainFor(Req, [this, Req, Done = std::move(Done)]() mutable {
-        submitDirect(WB->translate(Req), std::move(Done));
-      });
-      return;
-    }
-    submitDirect(WB->translate(Req), std::move(Done));
-    return;
-  }
-  submitDirect(Req, std::move(Done));
-}
-
 void NfsClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // stat()/lstat() can be answered from the attribute cache within its TTL
   // — the reason StatFiles and StatNocacheFiles differ (\S 3.4.3).
-  if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
-    if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      replyFromCache(Options.CacheHitCost, *A, std::move(Done));
-      return;
-    }
-  }
-  rpc(Req, std::move(Done));
+  if (answerFromCache(Cache, Options.CacheHitCost, Req, Done))
+    return;
+  Exchange *X = newExchange(Req, std::move(Done));
+  withSlot([this, X]() { transact(X); });
 }

@@ -22,7 +22,6 @@
 #include "dfs/DistributedFs.h"
 #include "dfs/FileServer.h"
 #include "dfs/RpcClientBase.h"
-#include "dfs/WriteBehind.h"
 #include "sim/Scheduler.h"
 #include <memory>
 
@@ -74,7 +73,6 @@ public:
   NfsClient(const ClientBuilder &B, FileServer &Server,
             const NfsOptions &Options);
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   void dropCaches() override { Cache.clear(); }
   CacheStats cacheStats() const override {
     return {Cache.hits(), Cache.misses()};
@@ -83,14 +81,8 @@ public:
 
   const AttrCache &attrCache() const { return Cache; }
 
-  /// The write-behind queue, when ClientConfig::WriteBehind enabled one.
-  const WriteBehindQueue *writeBehind() const {
-    return WB.get();
-  }
-
 private:
-  void rpc(const MetaRequest &Req, Callback Done);
-  void submitDirect(const MetaRequest &Req, Callback Done);
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
   void dispatch(Exchange *X) override;
   void finish(Exchange *X) override;
   void postProcess(const MetaRequest &Req, const MetaReply &Reply);
@@ -100,7 +92,6 @@ private:
   NfsOptions Options;
   unsigned NodeIndex;
   AttrCache Cache;
-  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

@@ -48,15 +48,10 @@ std::string ReexportClient::describe() const {
                 Gateway.Inner.name().c_str());
 }
 
-void ReexportClient::submit(const MetaRequest &Req, Callback Done) {
+void ReexportClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // Plain NFS semantics toward the client: TTL attribute cache.
-  if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
-    if (std::optional<Attr> A = Cache.lookup(Req.Path, sched().now())) {
-      replyFromCache(Gateway.Options.CacheHitCost, *A, std::move(Done));
-      return;
-    }
-  }
-
+  if (answerFromCache(Cache, Gateway.Options.CacheHitCost, Req, Done))
+    return;
   Exchange *X = newExchange(Req, std::move(Done));
   withSlot([this, X]() { transact(X); });
 }
@@ -70,8 +65,7 @@ void ReexportClient::finish(Exchange *X) {
   if (X->Reply.ok() && (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
                         Req.Op == MetaOp::Open))
     Cache.insert(Req.Path, X->Reply.A, sched().now());
-  if (isMutation(Req.Op))
-    Cache.invalidate(Req.Path);
+  Cache.invalidateMutated(Req);
   slotDone();
   complete(X);
 }

@@ -81,11 +81,11 @@ class ReexportClient final : public RpcClientBase {
 public:
   ReexportClient(const ClientBuilder &B, ReexportFs &Gateway);
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   void dropCaches() override { Cache.clear(); }
   std::string describe() const override;
 
 private:
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
   void dispatch(Exchange *X) override;
   void finish(Exchange *X) override;
 

@@ -9,15 +9,39 @@
 
 using namespace dmb;
 
-void RpcClientBase::mountWriteBehind(
-    std::unique_ptr<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
-    std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
-        Issue,
-    FileServer *Eager, uint32_t VolId, AttrCache *Cache) {
+void RpcClientBase::submit(const MetaRequest &Req, Callback Done) {
+  if (!WB) {
+    submitDirect(Req, std::move(Done));
+    return;
+  }
+  if (Req.Op == MetaOp::Fsync) {
+    WB->fsync(Req, std::move(Done));
+    return;
+  }
+  if (WB->shouldQueue(Req)) {
+    WB->enqueue(Req, std::move(Done));
+    return;
+  }
+  if (WB->needsDrain(Req)) {
+    // A read around queued state: settle exactly the dependency closure
+    // this operation can observe, then issue it.
+    WB->drainFor(Req, [this, Req, Done = std::move(Done)]() mutable {
+      submitDirect(WB->translate(Req), std::move(Done));
+    });
+    return;
+  }
+  submitDirect(WB->translate(Req), std::move(Done));
+}
+
+void RpcClientBase::mountWriteBehind(const WriteBehindPolicy &Policy,
+                                     FileServer *Eager, uint32_t VolId,
+                                     AttrCache *Cache) {
   if (!Policy.enabled())
     return;
   WriteBehindHooks Hooks;
-  Hooks.Issue = std::move(Issue);
+  Hooks.Issue = [this](const MetaRequest &R, Callback Reply) {
+    submitDirect(R, std::move(Reply));
+  };
   Hooks.AllocXid = [this]() { return allocXid(); };
   if (Eager)
     Hooks.ApplyEager = [Eager, VolId](const MetaRequest &R,

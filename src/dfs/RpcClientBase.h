@@ -27,9 +27,14 @@
 /// model supplies the two halves: dispatch() at the server, finish() back
 /// at the client.
 ///
-/// Construction goes through dfs/ClientBuilder.h, and the common
-/// write-behind wiring every model used to copy lives in
-/// mountWriteBehind() — the model constructors shrink to their
+/// Above the exchange sits the client front end every model shares:
+/// submit() is the one front door (it routes through the write-behind
+/// queue mountWriteBehind() mounted, then hands the request to the
+/// model's submitDirect()), answerFromCache() serves a fresh stat from an
+/// attribute cache, failLocally() answers an error without leaving the
+/// client, and ClientHandles is the client-local handle table of models
+/// that talk to several servers. Construction goes through
+/// dfs/ClientBuilder.h, so the model constructors shrink to their
 /// model-specific state.
 ///
 //===----------------------------------------------------------------------===//
@@ -49,6 +54,8 @@
 #include "sim/Trace.h"
 #include <functional>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,8 +63,60 @@ namespace dmb {
 
 class FileServer;
 
+/// The client-local file handles of a client that talks to several
+/// servers (AFS volume servers, GX filers, shards). Each wraps the handle
+/// one server issued, so handles from different servers cannot collide at
+/// the client.
+class ClientHandles {
+public:
+  /// Where a client-local handle leads.
+  struct Target {
+    unsigned Server = 0; ///< server, filer or shard that issued it
+    uint32_t VolId = 0;  ///< its volume id at that server
+    FileHandle ServerFh = InvalidHandle;
+  };
+
+  /// Wraps \p ServerFh, which \p Server issued for volume \p VolId, in a
+  /// new client-local handle.
+  FileHandle wrap(unsigned Server, uint32_t VolId, FileHandle ServerFh) {
+    FileHandle Local = NextLocalFh++;
+    Targets.emplace(Local, Target{Server, VolId, ServerFh});
+    return Local;
+  }
+
+  /// Rewrites the client-local handle of \p Req, a handle-based request,
+  /// to the server's and returns where it leads; a close retires it.
+  /// nullopt when this client never issued the handle or a close already
+  /// retired it.
+  std::optional<Target> unwrap(MetaRequest &Req) {
+    auto It = Targets.find(Req.Fh);
+    if (It == Targets.end())
+      return std::nullopt;
+    Target T = It->second;
+    if (Req.Op == MetaOp::Close)
+      Targets.erase(It);
+    Req.Fh = T.ServerFh;
+    return T;
+  }
+
+private:
+  std::unordered_map<FileHandle, Target> Targets;
+  FileHandle NextLocalFh = 1;
+};
+
 /// Base class managing RPC slots and the network round trip.
 class RpcClientBase : public ClientFs {
+public:
+  /// The front door of every RPC client. With a write-behind queue
+  /// mounted, an fsync is the queue's barrier, a mutation it takes is
+  /// acked from it, and a read around queued state first drains the
+  /// dependency closure it can observe; what passes through reaches
+  /// submitDirect() with queue-local handles translated.
+  void submit(const MetaRequest &Req, Callback Done) final;
+
+  /// The write-behind queue, when mountWriteBehind() mounted one.
+  const WriteBehindQueue *writeBehind() const { return WB.get(); }
+
 protected:
   explicit RpcClientBase(const ClientBuilder &B)
       : Sched(B.sched()), Config(B.config()), ClientIdV(B.clientId()),
@@ -192,24 +251,48 @@ protected:
   /// here or in X->Done. The default completes the operation.
   virtual void finish(Exchange *X) { complete(X); }
 
+  /// The model's path for a request submit() lets through: every request
+  /// on a client without write-behind, and each op the queue issues.
+  virtual void submitDirect(const MetaRequest &Req, Callback Done) = 0;
+
   /// Hands X->Reply to the caller's completion.
   void complete(Exchange *X) {
     Callback Done = std::move(X->Done);
     Done(std::move(X->Reply));
   }
 
-  /// Answers \p Done after \p Cost with attributes \p A from the client's
-  /// cache. The reply waits in a pooled exchange record, so the event
-  /// captures only {this, record} and allocates nothing.
-  void replyFromCache(SimDuration Cost, const Attr &A, Callback Done) {
+  /// Answers a stat or lstat of \p Req from \p Cache after \p Cost when
+  /// the cache holds fresh attributes for its path, taking \p Done;
+  /// returns false, leaving \p Done alone, otherwise. The reply waits in
+  /// a pooled exchange record, so the event captures only {this, record}
+  /// and allocates nothing.
+  [[nodiscard]] bool answerFromCache(AttrCache &Cache, SimDuration Cost,
+                                     const MetaRequest &Req, Callback &Done) {
+    if (Req.Op != MetaOp::Stat && Req.Op != MetaOp::Lstat)
+      return false;
+    std::optional<Attr> A = Cache.lookup(Req.Path, Sched.now());
+    if (!A)
+      return false;
     Exchange *X = acquireExchange();
     X->Reply = MetaReply();
-    X->Reply.A = A;
+    X->Reply.A = *A;
     X->Done = std::move(Done);
     Sched.after(Cost, [this, X]() {
       Callback Done = std::move(X->Done);
       MetaReply Reply = std::move(X->Reply);
       recycle(X);
+      Done(std::move(Reply));
+    });
+    return true;
+  }
+
+  /// Answers \p Done with \p Err without leaving the client: requests
+  /// that cannot be routed, or that name a handle this client never
+  /// issued.
+  void failLocally(FsError Err, Callback Done) {
+    Sched.after(0, [Err, Done = std::move(Done)]() {
+      MetaReply Reply;
+      Reply.Err = Err;
       Done(std::move(Reply));
     });
   }
@@ -232,19 +315,15 @@ protected:
     };
   }
 
-  /// Mounts \p WB behind \p Policy with the hook wiring every model used
-  /// to spell out by hand: Issue routes one op through \p Issue (the
-  /// client's normal RPC path), AllocXid pins (ClientId, Xid) at enqueue
-  /// time, and — when \p Eager is non-null — ApplyEager applies eager-
-  /// discipline ops at \p Eager under \p VolId with \p Cache kept
-  /// coherent. No-op when the policy is disabled, so a client without
-  /// write-behind carries only the null pointer.
-  void mountWriteBehind(
-      std::unique_ptr<WriteBehindQueue> &WB, const WriteBehindPolicy &Policy,
-      std::function<void(const MetaRequest &, std::function<void(MetaReply)>)>
-          Issue,
-      FileServer *Eager = nullptr, uint32_t VolId = 0,
-      AttrCache *Cache = nullptr);
+  /// Mounts the write-behind queue submit() routes through, behind
+  /// \p Policy: Issue sends one op through submitDirect(), AllocXid pins
+  /// (ClientId, Xid) at enqueue time, and — when \p Eager is non-null —
+  /// ApplyEager applies eager-discipline ops at \p Eager under \p VolId
+  /// with \p Cache kept coherent. No-op when the policy is disabled, so a
+  /// client without write-behind carries only the null pointer.
+  void mountWriteBehind(const WriteBehindPolicy &Policy,
+                        FileServer *Eager = nullptr, uint32_t VolId = 0,
+                        AttrCache *Cache = nullptr);
 
   Scheduler &sched() { return Sched; }
   SimDuration oneWayLatency() const { return Config.Net.OneWayLatency; }
@@ -437,6 +516,7 @@ private:
   PendingRing Pending;
   std::vector<std::unique_ptr<Exchange>> Exchanges; ///< the record pool
   Exchange *FreeExchanges = nullptr;
+  std::unique_ptr<WriteBehindQueue> WB;
 };
 
 } // namespace dmb

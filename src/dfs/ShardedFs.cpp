@@ -669,11 +669,7 @@ ShardedClient::ShardedClient(const ClientBuilder &B, ShardedFs &Fs)
   // The sharded service has no single-server eager path; write-behind
   // here is always the deferred pipeline.
   Policy.DeferIssue = true;
-  mountWriteBehind(WB, Policy,
-                   [this](const MetaRequest &R,
-                          std::function<void(MetaReply)> Reply) {
-                     submitDirect(R, std::move(Reply));
-                   });
+  mountWriteBehind(Policy);
 }
 
 std::string ShardedClient::describe() const {
@@ -690,14 +686,6 @@ void ShardedClient::dropCaches() {
 uint64_t ShardedClient::bitmapFor(uint64_t DirToken) const {
   auto It = BitmapCache.find(DirToken);
   return It == BitmapCache.end() ? 1 : It->second;
-}
-
-void ShardedClient::failLocally(FsError Err, Callback Done) {
-  sched().after(0, [Err, Done = std::move(Done)]() {
-    MetaReply R;
-    R.Err = Err;
-    Done(std::move(R));
-  });
 }
 
 ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
@@ -763,28 +751,6 @@ ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
   return R;
 }
 
-void ShardedClient::submit(const MetaRequest &Req, Callback Done) {
-  if (WB) {
-    if (Req.Op == MetaOp::Fsync) {
-      WB->fsync(Req, std::move(Done));
-      return;
-    }
-    if (WB->shouldQueue(Req)) {
-      WB->enqueue(Req, std::move(Done));
-      return;
-    }
-    if (WB->needsDrain(Req)) {
-      WB->drainFor(Req, [this, Req, Done = std::move(Done)]() mutable {
-        submitDirect(WB->translate(Req), std::move(Done));
-      });
-      return;
-    }
-    submitDirect(WB->translate(Req), std::move(Done));
-    return;
-  }
-  submitDirect(Req, std::move(Done));
-}
-
 /// Operations that act on an open handle and carry no path to route by.
 static bool needsHandle(MetaOp Op) {
   switch (Op) {
@@ -811,22 +777,18 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
   }
   // Handle-based operations go to the shard that issued the handle.
   if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
-    auto It = Handles.find(Req.Fh);
-    if (It == Handles.end()) {
+    MetaRequest Fwd = Req;
+    std::optional<ClientHandles::Target> H = Handles.unwrap(Fwd);
+    if (!H) {
       failLocally(FsError::BadFd, std::move(Done));
       return;
     }
-    HandleInfo Info = It->second;
-    if (Req.Op == MetaOp::Close)
-      Handles.erase(It);
-    MetaRequest Fwd = Req;
-    Fwd.Fh = Info.ServerFh;
     Exchange *X = newExchange(
         Fwd, [this, Done = std::move(Done)](MetaReply Reply) mutable {
           slotDone();
           Done(std::move(Reply));
         });
-    X->Server = Info.Shard;
+    X->Server = H->Server;
     withSlot([this, X]() { transact(X); });
     return;
   }
@@ -889,13 +851,8 @@ void ShardedClient::attempt(const MetaRequest &Req, uint64_t Xid,
               });
           return;
         }
-        if (Reply.ok() && Req.Op == MetaOp::Open) {
-          // Wrap the server handle so handles from different shards cannot
-          // collide at the client.
-          FileHandle Local = NextLocalFh++;
-          Handles[Local] = HandleInfo{Shard, Reply.Fh};
-          Reply.Fh = Local;
-        }
+        if (Reply.ok() && Req.Op == MetaOp::Open)
+          Reply.Fh = Handles.wrap(Shard, /*VolId=*/0, Reply.Fh);
         Done(std::move(Reply));
       });
   X->Server = Shard;

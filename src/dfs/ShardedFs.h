@@ -34,7 +34,6 @@
 #include "dfs/FileServer.h"
 #include "dfs/PartitionMap.h"
 #include "dfs/RpcClientBase.h"
-#include "dfs/WriteBehind.h"
 #include "sim/Scheduler.h"
 #include <deque>
 #include <memory>
@@ -239,7 +238,6 @@ class ShardedClient final : public RpcClientBase {
 public:
   ShardedClient(const ClientBuilder &B, ShardedFs &Fs);
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   /// Drops the cached partition bitmaps — subsequent operations on split
   /// directories pay a redirect, like any cold client.
   void dropCaches() override;
@@ -250,16 +248,7 @@ public:
   /// Directory bitmaps currently cached.
   size_t cachedDirCount() const { return BitmapCache.size(); }
 
-  /// The write-behind queue, when ClientConfig::WriteBehind enabled one.
-  const WriteBehindQueue *writeBehind() const {
-    return WB.get();
-  }
-
 private:
-  struct HandleInfo {
-    unsigned Shard = 0;
-    FileHandle ServerFh = InvalidHandle;
-  };
   /// One routing decision: where the translated request goes, or the
   /// error to answer client-side.
   struct Route {
@@ -275,22 +264,19 @@ private:
   /// The routed issue path behind submit(): handle-op forwarding and
   /// redirect-following path ops. Honors a pre-pinned Req.Xid (the
   /// write-behind queue pins one per op at enqueue).
-  void submitDirect(const MetaRequest &Req, Callback Done);
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
   /// Issues one routed attempt; follows StaleMap redirects re-using
   /// \p Xid until RedirectsLeft runs out. Runs under one RPC slot.
   void attempt(const MetaRequest &Req, uint64_t Xid, unsigned RedirectsLeft,
                Callback Done);
   void dispatch(Exchange *X) override;
-  void failLocally(FsError Err, Callback Done);
 
   ShardedFs &Fs;
   unsigned NodeIndex;
   std::unordered_map<uint64_t, uint64_t> BitmapCache;
   uint64_t CachedEpoch = 0;
   uint64_t StaleRetries = 0;
-  std::unordered_map<FileHandle, HandleInfo> Handles;
-  FileHandle NextLocalFh = 1;
-  std::unique_ptr<WriteBehindQueue> WB;
+  ClientHandles Handles;
 };
 
 } // namespace dmb

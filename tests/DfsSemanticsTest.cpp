@@ -52,7 +52,8 @@ protected:
       break;
     case FsKind::LustreWriteback: {
       LustreOptions Opts;
-      Opts.WritebackMetadata = true;
+      Opts.Client.WriteBehind.Enabled = true;
+      Opts.Client.WriteBehind.DeferIssue = false;
       Fs = std::make_unique<LustreFs>(S, Opts);
       break;
     }

@@ -339,7 +339,8 @@ TEST(Lustre, BasicOperations) {
 TEST(Lustre, WritebackAcksBeforeCommit) {
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Fs(S, Opts);
   auto Client = std::unique_ptr<ClientFs>(Fs.makeClient(0));
   auto *C = static_cast<LustreClient *>(Client.get());
@@ -363,7 +364,8 @@ TEST(Lustre, WritebackAcksBeforeCommit) {
 TEST(Lustre, WritebackPreservesSemantics) {
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Fs(S, Opts);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   ASSERT_EQ(FsError::Ok, runSync(S, *C, makeMkdir("/d")).Err);
@@ -374,7 +376,8 @@ TEST(Lustre, WritebackPreservesSemantics) {
 TEST(Lustre, FsyncWaitsForDirtyOps) {
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Fs(S, Opts);
   auto Client = std::unique_ptr<ClientFs>(Fs.makeClient(0));
   auto *C = static_cast<LustreClient *>(Client.get());
@@ -393,8 +396,9 @@ TEST(Lustre, FsyncWaitsForDirtyOps) {
 TEST(Lustre, DirtyLimitThrottles) {
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
-  Opts.MaxDirtyOps = 8;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
+  Opts.Client.WriteBehind.MaxQueuedOps = 8;
   LustreFs Fs(S, Opts);
   auto Client = std::unique_ptr<ClientFs>(Fs.makeClient(0));
   auto *C = static_cast<LustreClient *>(Client.get());
@@ -420,7 +424,8 @@ TEST(Lustre, QueuedChmodShadowsCachedAttrs) {
   // commit was served the pre-chmod mode from the cache.
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Fs(S, Opts);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/f"));
@@ -446,7 +451,8 @@ TEST(Lustre, QueuedUnlinkShadowsParentDirAttrs) {
   // evict the parent's cache entry too.
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Fs(S, Opts);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   ASSERT_EQ(FsError::Ok, runSync(S, *C, makeMkdir("/d")).Err);
@@ -729,6 +735,28 @@ TEST(Mounts, MountRootResolvesToVolumeRoot) {
   ASSERT_NE(nullptr, M);
   EXPECT_EQ("/", Rel);
   EXPECT_EQ(nullptr, T.resolve("/other", Rel));
+}
+
+TEST(Mounts, RouteRewritesBothPathsOrRefuses) {
+  MountTable T;
+  T.add("/vol1", 1, "vol1");
+  T.add("/vol2", 2, "vol2");
+  MetaRequest Fwd;
+  FsError Err = FsError::Ok;
+  // A link within one volume: both names relative to its root.
+  const MountEntry *M = T.route(makeLink("/vol1/a", "/vol1/d/b"), Fwd, Err);
+  ASSERT_NE(nullptr, M);
+  EXPECT_EQ(1u, M->ServerIndex);
+  EXPECT_EQ(MetaOp::Link, Fwd.Op);
+  EXPECT_EQ("/a", Fwd.Path);
+  EXPECT_EQ("/d/b", Fwd.Path2);
+  // A rename across two volumes cannot be one server-side operation.
+  EXPECT_EQ(nullptr, T.route(makeRename("/vol1/a", "/vol2/a"), Fwd, Err));
+  EXPECT_EQ(FsError::XDev, Err);
+  // No mount covers the path.
+  Err = FsError::Ok;
+  EXPECT_EQ(nullptr, T.route(makeStat("/other/x"), Fwd, Err));
+  EXPECT_EQ(FsError::NoEnt, Err);
 }
 
 } // namespace

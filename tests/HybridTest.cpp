@@ -99,6 +99,32 @@ TEST(Reexport, AttrCacheServesRepeatedStats) {
   EXPECT_EQ(Before + 1, Gateway.forwardedRequests());
 }
 
+// The gateway's NFS client drops what its own renames make stale, like
+// the other caching clients (the Own* cases of AllModels/DfsSemanticsTest).
+TEST(Reexport, OwnRenameInvalidatesCachedTargetAndChildren) {
+  Scheduler S;
+  CxfsFs San(S);
+  ReexportFs Gateway(S, San);
+  std::unique_ptr<ClientFs> C = Gateway.makeClient(0);
+  ASSERT_EQ(FsError::Ok, touch(S, *C, "/p"));
+  ASSERT_EQ(FsError::Ok, touch(S, *C, "/q"));
+  MetaReply Src = runSync(S, *C, makeStat("/p"));
+  ASSERT_TRUE(Src.ok());
+  ASSERT_TRUE(runSync(S, *C, makeStat("/q")).ok()); // cache the doomed target
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeRename("/p", "/q")).Err);
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *C, makeStat("/p")).Err);
+  MetaReply Dst = runSync(S, *C, makeStat("/q"));
+  ASSERT_TRUE(Dst.ok());
+  EXPECT_EQ(Src.A.Ino, Dst.A.Ino);
+
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeMkdir("/d")).Err);
+  ASSERT_EQ(FsError::Ok, touch(S, *C, "/d/x"));
+  ASSERT_TRUE(runSync(S, *C, makeStat("/d/x")).ok()); // cache below /d
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeRename("/d", "/e")).Err);
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *C, makeStat("/d/x")).Err);
+  EXPECT_TRUE(runSync(S, *C, makeStat("/e/x")).ok());
+}
+
 TEST(Reexport, WorksAsBenchmarkTarget) {
   Scheduler S;
   Cluster C(S, 2, 4);

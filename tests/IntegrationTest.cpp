@@ -145,7 +145,8 @@ TEST(Integration, WritebackRenameChainStaysOrdered) {
   // a rename chain A->B->C leaves exactly C.
   Scheduler S;
   LustreOptions Opts;
-  Opts.WritebackMetadata = true;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
   LustreFs Fs(S, Opts);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   int Acks = 0;

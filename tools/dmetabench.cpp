@@ -194,7 +194,12 @@ std::unique_ptr<DistributedFs> makeFs(Scheduler &S, const CliOptions &Opt) {
   }
   if (Opt.Fs == "lustre" || Opt.Fs == "lustre-wb") {
     LustreOptions O;
-    O.WritebackMetadata = Opt.Fs == "lustre-wb";
+    if (Opt.Fs == "lustre-wb") {
+      // The classic write-back cache: the write-behind queue's eager
+      // discipline.
+      O.Client.WriteBehind.Enabled = true;
+      O.Client.WriteBehind.DeferIssue = false;
+    }
     if (Opt.LatencyUs > 0)
       O.Client.Net.OneWayLatency = static_cast<SimDuration>(Opt.LatencyUs * 1000);
     return std::make_unique<LustreFs>(S, O);
