@@ -9,13 +9,13 @@
 #include "sim/Trace.h"
 #include "support/Assert.h"
 #include <algorithm>
-#include <iterator>
 
 using namespace dmb;
 
 FileServer::FileServer(Scheduler &Sched, ServerConfig C)
     : Sched(Sched), Config(std::move(C)),
-      Cpu(Sched, Config.Name + ".cpu", Config.CpuThreads) {}
+      Cpu(Sched, Config.Name + ".cpu", Config.CpuThreads),
+      Drc(Config.DuplicateRequestCacheSize) {}
 
 LocalFileSystem &FileServer::addVolume(const std::string &Name) {
   return addVolume(Name, Config.VolumeDefaults);
@@ -295,14 +295,13 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
   // resilient client reuses its (ClientId, Xid) on every retransmit, so a
   // request found here already executed — answer with the original reply
   // instead of double-applying. Only xid-stamped requests can match; the
-  // fire-and-forget path never reaches this map.
+  // fire-and-forget path never reaches the cache.
   if (Req.Xid != 0 && Req.ClientId != 0 && Config.DuplicateRequestCacheSize) {
-    auto It = Drc.find(drcKey(Req));
-    if (It != Drc.end()) {
+    if (const DuplicateRequestCache::Entry *E = Drc.find(drcKey(Req))) {
       ++DrcHits;
       ++Processed;
       DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
-      Cpu.request(Config.DrcHitCost, Finish(MetaReply(It->second.Reply)));
+      Cpu.request(Config.DrcHitCost, Finish(E->Reply.reply()));
       return;
     }
   }
@@ -345,8 +344,9 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
   // error, not the outcome of a second execution.
   if (Req.Xid != 0 && Req.ClientId != 0 && Config.DuplicateRequestCacheSize &&
       drcCacheable(Req.Op))
-    drcInsert(drcKey(Req),
-              DrcEntry{Req.Op, Reply, Req.Path, VolId, JournalSeqPlus1});
+    Drc.insert(drcKey(Req), Req.Op,
+               DuplicateRequestCache::CachedReply::of(Reply), Req.Path, VolId,
+               JournalSeqPlus1);
 
   std::function<void()> Committed = Finish(std::move(Reply));
   if (JournalSeqPlus1) {
@@ -445,76 +445,32 @@ uint64_t FileServer::crashAndRecover(const std::string &Volume) {
   // still the truth), everything else for this volume dies with it. A
   // retransmit of a discarded op then misses here and re-executes against
   // the recovered store — applied exactly once overall.
-  for (auto It = Drc.begin(); It != Drc.end();) {
-    const DrcEntry &E = It->second;
-    bool Survives = E.VolId != VolId ||
-                    (E.SeqPlus1 != 0 && Journal->isCommitted(E.SeqPlus1 - 1));
-    It = Survives ? std::next(It) : Drc.erase(It);
-  }
-  // Compact the pruned keys out of the eviction queue. Left behind they
-  // would accumulate across crash/recover cycles without bound, and the
-  // oldest-first eviction would burn its budget erasing dead keys.
-  std::erase_if(DrcEvictOrder,
-                [this](uint64_t Key) { return !Drc.contains(Key); });
-  DMB_ASSERT(DrcEvictOrder.size() == Drc.size(),
-             "DRC eviction queue out of sync after crash pruning");
+  Drc.removeIf([this, VolId](const DuplicateRequestCache::Entry &E) {
+    return E.VolId == VolId &&
+           (E.SeqPlus1 == 0 || !Journal->isCommitted(E.SeqPlus1 - 1));
+  });
   return Lost;
-}
-
-void FileServer::drcInsert(uint64_t Key, DrcEntry E) {
-  auto [It, Inserted] = Drc.try_emplace(Key, std::move(E));
-  if (Inserted) {
-    DrcEvictOrder.push_back(Key);
-    ++DrcInsertions;
-  } else {
-    // A re-execution of a key that is still cached (a retransmit racing a
-    // crash-pruned sibling, or a migrated entry landing again) refreshes
-    // the entry in place. Re-pushing the key would leave a duplicate in
-    // the eviction queue, and the oldest-first eviction would later erase
-    // the live entry when it reaches the stale first push.
-    It->second = std::move(E);
-  }
-  while (Drc.size() > Config.DuplicateRequestCacheSize &&
-         !DrcEvictOrder.empty()) {
-    Drc.erase(DrcEvictOrder.front());
-    DrcEvictOrder.pop_front();
-  }
-  DMB_ASSERT(DrcEvictOrder.size() == Drc.size(),
-             "DRC eviction queue out of sync after insert");
 }
 
 std::vector<FileServer::DrcExport> FileServer::extractDrcEntries(
     uint32_t VolId, const std::function<bool(const std::string &)> &Match) {
   std::vector<DrcExport> Out;
-  for (auto It = Drc.begin(); It != Drc.end();) {
-    DrcEntry &E = It->second;
-    if (E.VolId == VolId && Match(E.Path)) {
-      Out.push_back({It->first, E.Op, std::move(E.Reply), std::move(E.Path)});
-      It = Drc.erase(It);
-    } else {
-      ++It;
-    }
-  }
-  if (!Out.empty()) {
-    std::erase_if(DrcEvictOrder,
-                  [this](uint64_t Key) { return !Drc.contains(Key); });
-    // Map iteration order is not deterministic state; hand the caller a
-    // key-sorted view.
-    std::sort(Out.begin(), Out.end(),
-              [](const DrcExport &A, const DrcExport &B) {
-                return A.Key < B.Key;
-              });
-  }
+  Drc.removeIf([&](DuplicateRequestCache::Entry &E) {
+    if (E.VolId != VolId || !Match(E.Path))
+      return false;
+    Out.push_back({E.Key, E.Op, E.Reply, std::move(E.Path)});
+    return true;
+  });
+  std::sort(Out.begin(), Out.end(),
+            [](const DrcExport &A, const DrcExport &B) { return A.Key < B.Key; });
   return Out;
 }
 
 void FileServer::adoptDrcEntry(uint32_t VolId, uint64_t Key, MetaOp Op,
-                               MetaReply Reply, std::string Path,
-                               uint64_t SeqPlus1) {
-  if (!Config.DuplicateRequestCacheSize)
-    return;
-  drcInsert(Key,
-            DrcEntry{Op, std::move(Reply), std::move(Path), VolId, SeqPlus1});
+                               const DuplicateRequestCache::CachedReply &Reply,
+                               std::string_view Path, uint64_t SeqPlus1) {
+  if (Config.DuplicateRequestCacheSize)
+    Drc.insert(Key, Op, Reply, Path, VolId, SeqPlus1);
 }
 
 bool FileServer::drcCacheable(MetaOp Op) {

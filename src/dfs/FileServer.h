@@ -15,6 +15,7 @@
 #ifndef DMETABENCH_DFS_FILESERVER_H
 #define DMETABENCH_DFS_FILESERVER_H
 
+#include "dfs/DuplicateRequestCache.h"
 #include "dfs/FsAdmin.h"
 #include "dfs/Journal.h"
 #include "dfs/Message.h"
@@ -24,13 +25,12 @@
 #include "sim/Scheduler.h"
 #include "support/Interner.h"
 #include "support/Random.h"
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace dmb {
 
@@ -189,21 +189,21 @@ public:
   struct DrcExport {
     uint64_t Key = 0;
     MetaOp Op = MetaOp::Stat;
-    MetaReply Reply;
+    DuplicateRequestCache::CachedReply Reply;
     std::string Path;
   };
   /// Removes and returns the entries of \p VolId whose request path
-  /// satisfies \p Match, sorted by key so unordered-map iteration order
-  /// never leaks into caller-visible state. The extracted keys leave the
-  /// eviction queue as well.
+  /// satisfies \p Match, sorted by key. The entries left keep their
+  /// eviction order.
   std::vector<DrcExport>
   extractDrcEntries(uint32_t VolId,
                     const std::function<bool(const std::string &)> &Match);
   /// Inserts a migrated entry under this server's \p VolId. \p SeqPlus1
   /// anchors it to a committed record of this server's journal (0 = no
   /// anchor: the entry is pruned by the next crash of the volume).
-  void adoptDrcEntry(uint32_t VolId, uint64_t Key, MetaOp Op, MetaReply Reply,
-                     std::string Path, uint64_t SeqPlus1);
+  void adoptDrcEntry(uint32_t VolId, uint64_t Key, MetaOp Op,
+                     const DuplicateRequestCache::CachedReply &Reply,
+                     std::string_view Path, uint64_t SeqPlus1);
   /// @}
 
   /// Read-only duplicate-request probe (no hit accounting, no CPU charge):
@@ -213,7 +213,8 @@ public:
   /// this cache even if its entries have since migrated away.
   bool drcHolds(const MetaRequest &Req) const {
     return Req.Xid != 0 && Req.ClientId != 0 &&
-           Config.DuplicateRequestCacheSize && Drc.contains(drcKey(Req));
+           Config.DuplicateRequestCacheSize &&
+           Drc.find(drcKey(Req)) != nullptr;
   }
 
   /// \name Observability
@@ -225,9 +226,9 @@ public:
   bool consistencyPointActive() const { return CpActive; }
   uint64_t dirtyLogBytes() const { return DirtyBytes; }
   uint64_t drcHits() const { return DrcHits; }
-  uint64_t drcInsertions() const { return DrcInsertions; }
+  uint64_t drcInsertions() const { return Drc.insertions(); }
   size_t drcSize() const { return Drc.size(); }
-  size_t drcEvictQueueSize() const { return DrcEvictOrder.size(); }
+  size_t drcEvictQueueSize() const { return Drc.ringLength(); }
   /// @}
 
   /// Executes \p Req directly against \p Vol (no queueing). Exposed for the
@@ -302,24 +303,9 @@ private:
   std::vector<std::function<void(const std::string &, const MetaRequest &)>>
       Watchers;
 
-  // Duplicate-request cache. FIFO-bounded: EvictOrder holds each cached
-  // key exactly once — inserts refresh in place instead of re-pushing, and
-  // crash pruning / migration extraction compact their keys out — so the
-  // queue is bounded by the cache capacity.
-  struct DrcEntry {
-    MetaOp Op = MetaOp::Stat; ///< decides migration eligibility
-    MetaReply Reply;
-    std::string Path;      ///< request path, keys migration extraction
-    uint32_t VolId = 0;
-    uint64_t SeqPlus1 = 0; ///< journal seq + 1; 0 = not journaled
-  };
-  /// Caches \p E under \p Key (refreshing in place when present) and
-  /// evicts oldest-first down to the configured capacity.
-  void drcInsert(uint64_t Key, DrcEntry E);
-  std::unordered_map<uint64_t, DrcEntry> Drc;
-  std::deque<uint64_t> DrcEvictOrder;
+  /// Duplicate-request cache, FIFO-bounded by the configured size.
+  DuplicateRequestCache Drc;
   uint64_t DrcHits = 0;
-  uint64_t DrcInsertions = 0;
 };
 
 } // namespace dmb

@@ -32,18 +32,20 @@ bool MetadataJournal::isJournalable(const MetaRequest &Req) {
   }
 }
 
-std::optional<uint64_t> MetadataJournal::append(const std::string &Volume,
+std::optional<uint64_t> MetadataJournal::append(std::string_view Volume,
                                                 const MetaRequest &Req,
                                                 SimTime Now) {
   if (!isJournalable(Req))
     return std::nullopt;
-  Record R;
+  uint32_t VolId = VolumeIds.intern(Volume);
+  if (VolId >= Frontier.size())
+    Frontier.resize(VolId + 1, 0);
+  Record &R = Records.emplace_back();
   R.Seq = NextSeq++;
-  R.Volume = Volume;
   R.Req = Req;
   R.At = Now;
-  Records.push_back(std::move(R));
-  return Records.back().Seq;
+  R.VolId = VolId;
+  return R.Seq;
 }
 
 void MetadataJournal::commit(uint64_t Seq) {
@@ -54,16 +56,16 @@ void MetadataJournal::commit(uint64_t Seq) {
   if (R.Discarded || R.Persisted)
     return;
   R.Persisted = true;
-  advanceFrontier(R.Volume);
+  advanceFrontier(R.VolId);
 }
 
-void MetadataJournal::advanceFrontier(const std::string &Volume) {
-  size_t &I = Frontier[Volume];
+void MetadataJournal::advanceFrontier(uint32_t VolId) {
+  size_t I = Frontier[VolId];
   while (I < Records.size()) {
-    // Re-index each iteration: the hook may append records (growing the
-    // vector) before control returns here.
+    // Re-index each iteration: the hook may append records before control
+    // returns here.
     Record &R = Records[I];
-    if (R.Volume != Volume || R.Discarded || R.Committed) {
+    if (R.VolId != VolId || R.Discarded || R.Committed) {
       ++I;
       continue;
     }
@@ -71,16 +73,22 @@ void MetadataJournal::advanceFrontier(const std::string &Volume) {
       break; // hole: later persisted records stay held
     R.Committed = true;
     uint64_t Seq = R.Seq;
-    ++I;
-    if (CommitHook)
+    Frontier[VolId] = ++I;
+    if (CommitHook) {
       CommitHook(Seq);
+      // The hook may have committed further records of this volume (and
+      // moved its frontier), or interned a volume and so moved Frontier.
+      I = Frontier[VolId];
+    }
   }
+  Frontier[VolId] = I;
 }
 
-size_t MetadataJournal::discardUncommitted(const std::string &Volume) {
+size_t MetadataJournal::discardUncommitted(std::string_view Volume) {
+  uint32_t VolId = VolumeIds.find(Volume);
   size_t N = 0;
   for (Record &R : Records)
-    if (!R.Committed && !R.Discarded && R.Volume == Volume) {
+    if (!R.Committed && !R.Discarded && R.VolId == VolId) {
       R.Discarded = true;
       ++N;
     }
@@ -103,18 +111,20 @@ size_t MetadataJournal::committedCount() const {
   return N;
 }
 
-size_t MetadataJournal::uncommittedCount(const std::string &Volume) const {
+size_t MetadataJournal::uncommittedCount(std::string_view Volume) const {
+  uint32_t VolId = VolumeIds.find(Volume);
   size_t N = 0;
   for (const Record &R : Records)
-    if (!R.Committed && !R.Discarded && R.Volume == Volume)
+    if (!R.Committed && !R.Discarded && R.VolId == VolId)
       ++N;
   return N;
 }
 
-void MetadataJournal::replay(const std::string &Volume,
+void MetadataJournal::replay(std::string_view Volume,
                              LocalFileSystem &Fs) const {
+  uint32_t VolId = VolumeIds.find(Volume);
   for (const Record &R : Records) {
-    if (!R.Committed || R.Volume != Volume)
+    if (!R.Committed || R.VolId != VolId)
       continue;
     OpCost Cost;
     MetaReply Reply = FileServer::execute(Fs, R.Req, R.At, Cost);

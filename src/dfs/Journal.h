@@ -15,6 +15,9 @@
 /// the existence/size recorded by creates is not (data durability needs
 /// fsync, \S 2.6.4).
 ///
+/// Records live in chunked storage, so an append never copies the log,
+/// and name their volume by an id the journal interns.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMETABENCH_DFS_JOURNAL_H
@@ -22,11 +25,12 @@
 
 #include "dfs/Message.h"
 #include "fs/LocalFileSystem.h"
+#include "support/Interner.h"
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace dmb {
@@ -38,9 +42,9 @@ public:
   /// One logged mutation.
   struct Record {
     uint64_t Seq = 0;
-    std::string Volume;
     MetaRequest Req;
     SimTime At = 0;
+    uint32_t VolId = 0; ///< the record's volume, as this journal interned it
     bool Persisted = false; ///< stable write finished (may still be held)
     bool Committed = false;
     bool Discarded = false; ///< lost in a crash; can no longer commit
@@ -52,7 +56,7 @@ public:
 
   /// Appends a record; returns its sequence number, or nullopt when the
   /// operation is not journalable.
-  std::optional<uint64_t> append(const std::string &Volume,
+  std::optional<uint64_t> append(std::string_view Volume,
                                  const MetaRequest &Req, SimTime Now);
 
   /// Marks \p Seq's stable write as finished. A record only *commits*
@@ -90,11 +94,11 @@ public:
   /// Re-executes the committed records for \p Volume into \p Fs in log
   /// order. Replay is idempotent per record; errors are ignored (redo
   /// into a fresh store cannot conflict).
-  void replay(const std::string &Volume, LocalFileSystem &Fs) const;
+  void replay(std::string_view Volume, LocalFileSystem &Fs) const;
 
   /// Invalidates the uncommitted records of \p Volume (what a crash
   /// destroys); returns how many were lost.
-  size_t discardUncommitted(const std::string &Volume);
+  size_t discardUncommitted(std::string_view Volume);
 
   size_t size() const { return Records.size(); }
   size_t committedCount() const;
@@ -102,18 +106,20 @@ public:
   /// crash loses under asynchronous logging. Persisted records held
   /// behind an unpersisted predecessor count too: on disk the log has a
   /// hole before them, so a crash cannot use them.
-  size_t uncommittedCount(const std::string &Volume) const;
+  size_t uncommittedCount(std::string_view Volume) const;
 
 private:
-  /// Commits the longest committable prefix of \p Volume starting at the
-  /// volume's frontier, firing CommitHook per newly committed record.
-  void advanceFrontier(const std::string &Volume);
+  /// Commits the longest committable prefix of volume \p VolId starting at
+  /// its frontier, firing CommitHook per newly committed record.
+  void advanceFrontier(uint32_t VolId);
 
-  std::vector<Record> Records;
+  /// In log order; a deque never moves or copies its records.
+  std::deque<Record> Records;
   uint64_t NextSeq = 1;
-  /// Per-volume scan position: index into Records below which every
-  /// record of that volume is committed or discarded.
-  std::unordered_map<std::string, size_t> Frontier;
+  Interner VolumeIds;
+  /// Per volume id: the index into Records below which every record of
+  /// that volume is committed or discarded.
+  std::vector<size_t> Frontier;
   std::function<void(uint64_t)> CommitHook;
 };
 

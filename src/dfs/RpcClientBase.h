@@ -52,6 +52,7 @@
 #include "sim/Network.h"
 #include "sim/Scheduler.h"
 #include "sim/Trace.h"
+#include "support/RingQueue.h"
 #include <functional>
 #include <memory>
 #include <optional>
@@ -359,45 +360,6 @@ private:
     uint64_t Trace = 0; ///< trace id of the queued operation
   };
 
-  /// FIFO of requests waiting for a slot: a power-of-two ring over a
-  /// vector, starting at zero capacity. The previous std::deque allocated
-  /// its first ~0.5 KB chunk on construction — per client, which at 10^5+
-  /// mounted nodes is tens of megabytes for queues that are empty almost
-  /// always and almost everywhere.
-  class PendingRing {
-  public:
-    bool empty() const { return Count == 0; }
-    size_t size() const { return Count; }
-
-    void push(PendingRpc Rpc) {
-      if (Count == Ring.size())
-        grow();
-      Ring[(Head + Count) & (Ring.size() - 1)] = std::move(Rpc);
-      ++Count;
-    }
-
-    PendingRpc pop() {
-      PendingRpc Rpc = std::move(Ring[Head]);
-      Head = (Head + 1) & (Ring.size() - 1);
-      --Count;
-      return Rpc;
-    }
-
-  private:
-    void grow() {
-      size_t NewCap = Ring.empty() ? 4 : Ring.size() * 2;
-      std::vector<PendingRpc> Bigger(NewCap);
-      for (size_t I = 0; I < Count; ++I)
-        Bigger[I] = std::move(Ring[(Head + I) & (Ring.size() - 1)]);
-      Ring = std::move(Bigger);
-      Head = 0;
-    }
-
-    std::vector<PendingRpc> Ring;
-    size_t Head = 0;
-    size_t Count = 0;
-  };
-
   SimDuration timeoutFor(unsigned Attempt) const {
     // The backoff train is computed step-by-step in integer sim-time: a
     // real client arms each timer from the previous timer's (tick-rounded)
@@ -513,7 +475,7 @@ private:
   uint64_t LastXid = 0;
   uint64_t Retransmits = 0;
   uint64_t TimedOutOps = 0;
-  PendingRing Pending;
+  RingQueue<PendingRpc> Pending; ///< requests waiting for a slot
   std::vector<std::unique_ptr<Exchange>> Exchanges; ///< the record pool
   Exchange *FreeExchanges = nullptr;
   std::unique_ptr<WriteBehindQueue> WB;

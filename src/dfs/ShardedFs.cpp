@@ -577,9 +577,8 @@ void ShardedFs::splitPartition(GigaDir &D, unsigned Partition,
       // re-executes benignly after a redirect; not carried across.
       continue;
     }
-    Shards[DstShard]->adoptDrcEntry(VolIds[DstShard], Ex.Key, Ex.Op,
-                                    std::move(Ex.Reply), std::move(NewPath),
-                                    Anchor);
+    Shards[DstShard]->adoptDrcEntry(VolIds[DstShard], Ex.Key, Ex.Op, Ex.Reply,
+                                    NewPath, Anchor);
   }
 
   D.Count[Partition] =

@@ -42,7 +42,7 @@ void Resource::request(SimDuration Service, Completion Done) {
     startService(std::move(P));
     return;
   }
-  Waiting.push_back(std::move(P));
+  Waiting.push(std::move(P));
   sampleState();
 }
 
@@ -75,8 +75,7 @@ void Resource::finishOne(uint64_t FinishedTrace) {
   --Busy;
   ++Completed;
   if (!Waiting.empty()) {
-    Pending Next = std::move(Waiting.front());
-    Waiting.pop_front();
+    Pending Next = Waiting.pop();
     // The server freed by FinishedTrace now serves Next: a real
     // synchronization edge between the two operations.
     if (HBTracker *T = Sched.happensBefore())

@@ -16,8 +16,8 @@
 
 #include "sim/Scheduler.h"
 #include "sim/Time.h"
+#include "support/RingQueue.h"
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -93,7 +93,7 @@ private:
   double Slowdown = 1.0;
   uint64_t Completed = 0;
   SimDuration BusyTime = 0;
-  std::deque<Pending> Waiting;
+  RingQueue<Pending> Waiting;
   bool Metrics = false;
   std::vector<MetricsSample> Samples;
 };

@@ -9,7 +9,6 @@
 #include "support/Assert.h"
 #include "support/Format.h"
 #include <cmath>
-#include <vector>
 
 using namespace dmb;
 
@@ -70,23 +69,28 @@ void SharedProcessor::onTimer(uint64_t Gen) {
   if (Gen != Generation)
     return;
   advance();
-  // Collect finished tasks first: their completions may resubmit.
-  std::vector<std::pair<Completion, uint64_t>> Finished;
-  for (auto It = Tasks.begin(); It != Tasks.end();) {
-    if (It->RemainingCoreSec <= WorkEpsilon) {
-      TotalWeight -= It->Weight;
-      Finished.emplace_back(std::move(It->Done), It->Trace);
-      It = Tasks.erase(It);
+  // Collect finished tasks first: their completions may resubmit. The
+  // survivors close ranks in place, in submission order.
+  size_t Kept = 0;
+  for (Task &T : Tasks) {
+    if (T.RemainingCoreSec <= WorkEpsilon) {
+      TotalWeight -= T.Weight;
+      Finished.emplace_back(std::move(T.Done), T.Trace);
       ++Completed;
     } else {
-      ++It;
+      if (&T != &Tasks[Kept])
+        Tasks[Kept] = std::move(T);
+      ++Kept;
     }
   }
+  Tasks.resize(Kept);
   if (Tasks.empty())
     TotalWeight = 0;
   scheduleNext();
   // One timer event may complete several tasks belonging to different
-  // operations: run each completion in its own trace context.
+  // operations: run each completion in its own trace context. A
+  // completion only submits (timers fire from the event loop, never from
+  // inside another timer), so nothing appends to Finished meanwhile.
   for (auto &[Done, Trace] : Finished) {
     if (LockOrderGraph *G = Sched.lockOrder())
       G->onReleased(this, Trace);
@@ -94,6 +98,7 @@ void SharedProcessor::onTimer(uint64_t Gen) {
     Done();
     Sched.swapActiveTrace(Prev);
   }
+  Finished.clear();
 }
 
 void SharedProcessor::submit(SimDuration Work, double Weight,

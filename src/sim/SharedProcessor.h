@@ -20,7 +20,8 @@
 #include "sim/Time.h"
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <utility>
+#include <vector>
 
 namespace dmb {
 
@@ -76,7 +77,11 @@ private:
   Scheduler &Sched;
   uint64_t CheckId = 0;
   unsigned NumCores;
-  std::list<Task> Tasks;
+  /// Active tasks in submission order. Finished ones are compacted out in
+  /// place, keeping that order, so the storage is reused.
+  std::vector<Task> Tasks;
+  /// The completions one timer collected, in submission order; reused.
+  std::vector<std::pair<Completion, uint64_t>> Finished;
   double TotalWeight = 0;
   SimTime LastAdvance = 0;
   uint64_t Generation = 0;

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tree's one string-keyed hash table. Hashed directories, client
-/// attribute caches, the write-behind path indexes and the interner all
-/// keep their entries in it.
+/// The tree's one open-addressing hash table. Hashed directories, client
+/// attribute caches, the write-behind path indexes and the interner key
+/// it by strings; the server's duplicate-request cache keys it by the
+/// 64-bit (ClientId, Xid) word.
 ///
 /// Entries live in a dense array. A power-of-two slot array holds (hash,
 /// index) pairs and is searched by linear probing, and an erase closes its
@@ -43,20 +44,30 @@
 
 namespace dmb {
 
-/// The default key hash: std::hash over the key's characters.
-struct StringKeyHash {
+/// The default key hash: std::hash over a string key's characters, and
+/// the splitmix64 finalizer over an integer key, so that the low bits the
+/// table keeps depend on every bit of the key.
+struct FlatKeyHash {
   uint64_t operator()(std::string_view S) const {
     return std::hash<std::string_view>{}(S);
   }
+  uint64_t operator()(uint64_t K) const {
+    K = (K ^ (K >> 30)) * 0xbf58476d1ce4e5b9ull;
+    K = (K ^ (K >> 27)) * 0x94d049bb133111ebull;
+    return K ^ (K >> 31);
+  }
 };
 
-/// A hash table of \p T entries, keyed by their string member \p Key: a
-/// std::string, or a std::string_view into storage the owner keeps alive.
-/// \p T must be default-constructible and movable; \p HashFn maps a key
-/// to 64 bits, of which the table keeps the low 31.
-template <typename T, auto Key, typename HashFn = StringKeyHash>
+/// A hash table of \p T entries, keyed by their member \p Key: an
+/// integer, a std::string, or a std::string_view into storage the owner
+/// keeps alive. \p T must be default-constructible and movable; \p HashFn
+/// maps a key to 64 bits, of which the table keeps the low 31.
+template <typename T, auto Key, typename HashFn = FlatKeyHash>
 class FlatTable {
   using KeyType = std::remove_cvref_t<decltype(std::declval<T &>().*Key)>;
+  /// How a key is passed in: an integer by value, a string as a view.
+  using KeyArg = std::conditional_t<std::is_integral_v<KeyType>, KeyType,
+                                    std::string_view>;
 
 public:
   /// Number of (live) entries.
@@ -74,10 +85,10 @@ public:
   }
 
   /// The entry keyed \p K, or nullptr.
-  T *find(std::string_view K) {
+  T *find(KeyArg K) {
     return const_cast<T *>(std::as_const(*this).find(K));
   }
-  const T *find(std::string_view K) const {
+  const T *find(KeyArg K) const {
     size_t S = 0;
     uint32_t I = indexOf(K, hashOf(K), S);
     return I == Free ? nullptr : &Entries[I];
@@ -85,7 +96,7 @@ public:
 
   /// The entry keyed \p K, adding a value-initialized one with that key
   /// when there is none; the flag says whether it was added.
-  std::pair<T *, bool> tryEmplace(std::string_view K) {
+  std::pair<T *, bool> tryEmplace(KeyArg K) {
     uint32_t H = hashOf(K);
     size_t S = 0;
     if (uint32_t Found = indexOf(K, H, S); Found != Free)
@@ -115,7 +126,7 @@ public:
   }
 
   /// Erases the entry keyed \p K; false when there is none.
-  bool erase(std::string_view K) {
+  bool erase(KeyArg K) {
     size_t S = 0;
     if (indexOf(K, hashOf(K), S) == Free)
       return false;
@@ -166,7 +177,7 @@ private:
   static constexpr uint32_t NoFree = LiveBit - 1; ///< end of the free list
   static constexpr size_t MinSlots = 4;
 
-  static uint32_t hashOf(std::string_view K) {
+  static uint32_t hashOf(KeyArg K) {
     return static_cast<uint32_t>(HashFn{}(K)) | LiveBit;
   }
 
@@ -176,7 +187,7 @@ private:
   /// is set to its slot, or to the free slot ending its probe sequence
   /// (the slot array is never full, so the probe ends; 0 while it is
   /// empty).
-  uint32_t indexOf(std::string_view K, uint32_t H, size_t &S) const {
+  uint32_t indexOf(KeyArg K, uint32_t H, size_t &S) const {
     if (Slots.empty()) {
       S = 0;
       return Free;
@@ -184,7 +195,7 @@ private:
     for (S = H & mask();; S = (S + 1) & mask()) {
       const Slot &Sl = Slots[S];
       if (Sl.Index == Free ||
-          (Sl.Hash == H && std::string_view(Entries[Sl.Index].*Key) == K))
+          (Sl.Hash == H && KeyArg(Entries[Sl.Index].*Key) == K))
         return Sl.Index;
     }
   }

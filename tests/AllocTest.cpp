@@ -110,15 +110,17 @@ double allocationsPerCycle(Scheduler &S, DistributedFs &Fs) {
 }
 
 // Each budget is this tree's count (gcc 12, libstdc++) plus about 25%:
-// 10 allocations per cycle on NFS, and 14.05 on Lustre with retransmit
-// timers.
+// 2 allocations per cycle on NFS, 3 on Lustre with retransmit timers, and
+// 33.7 on the lustre_wb_lossy client path. What is left on the first two
+// is simulated state: the inode and the open-file record of the create,
+// and on Lustre the htree entry.
 
 TEST(AllocBudget, NfsCreateCloseStatUnlink) {
   Scheduler S;
   NfsFs Fs(S);
   double PerCycle = allocationsPerCycle(S, Fs);
   RecordProperty("allocations_per_cycle", std::to_string(PerCycle));
-  EXPECT_LE(PerCycle, 13.0);
+  EXPECT_LE(PerCycle, 2.5);
 }
 
 TEST(AllocBudget, LustreWithRetransmitTimer) {
@@ -128,7 +130,24 @@ TEST(AllocBudget, LustreWithRetransmitTimer) {
   LustreFs Fs(S, Opts);
   double PerCycle = allocationsPerCycle(S, Fs);
   RecordProperty("allocations_per_cycle", std::to_string(PerCycle));
-  EXPECT_LE(PerCycle, 18.0);
+  EXPECT_LE(PerCycle, 3.75);
+}
+
+// The client path of perfbench's lustre_wb_lossy workload without its loss
+// window: deferred write-behind, a journaling MDS with a 64k-entry
+// duplicate-request cache, and a 25 ms retransmit timer.
+TEST(AllocBudget, LustreWriteBehindJournalRetransmitTimer) {
+  Scheduler S;
+  LustreOptions Opts;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.Retry.Timeout = milliseconds(25);
+  Opts.Client.Retry.MaxRetransmits = 30;
+  Opts.Mds.DuplicateRequestCacheSize = 1 << 16;
+  LustreFs Fs(S, Opts);
+  Fs.mds().enableJournal();
+  double PerCycle = allocationsPerCycle(S, Fs);
+  RecordProperty("allocations_per_cycle", std::to_string(PerCycle));
+  EXPECT_LE(PerCycle, 42.0);
 }
 
 // Live heap bytes per empty file in one hashed directory: its inode, its
@@ -153,6 +172,53 @@ TEST(HeapBudget, BytesPerFileInOneHashedDirectory) {
   double PerFile = static_cast<double>(LiveBytes - Before) / N;
   RecordProperty("live_bytes_per_file", std::to_string(PerFile));
   EXPECT_LE(PerFile, 310.0);
+}
+
+// Live heap bytes per cached reply in a server's duplicate-request cache:
+// its ring slot, its key's share of the index, and a request path too long
+// for the string's inline buffer. Budget: this tree's 252 bytes (gcc 12,
+// glibc usable block sizes) plus about 25%; a node per entry holding a
+// whole MetaReply, with a FIFO of keys beside it, took 338.
+TEST(HeapBudget, BytesPerCachedDrcReply) {
+  constexpr int N = 4096;
+  Scheduler S;
+  ServerConfig Config;
+  Config.DuplicateRequestCacheSize = N;
+  FileServer Srv(S, Config);
+  LocalFileSystem &Vol = Srv.addVolume("v");
+  const std::string Path = "/drc/" + std::string(29, 'f');
+  ASSERT_EQ(34u, Path.size());
+  OpCtx Ctx;
+  ASSERT_EQ(FsError::Ok, Vol.mkdir(Ctx, "/drc", 0755));
+  Result<FileHandle> Fh = Vol.open(Ctx, Path, OpenWrite | OpenCreate);
+  ASSERT_TRUE(Fh.ok());
+  ASSERT_EQ(FsError::Ok, Vol.close(Ctx, *Fh));
+  MetaRequest Chmod;
+  Chmod.Op = MetaOp::Chmod;
+  Chmod.Path = Path;
+  Chmod.Mode = 0600;
+  Chmod.ClientId = 1;
+  // One request in flight at a time, so the CPU queue stays empty; the
+  // first, without an Xid, warms up the event queue and skips the cache.
+  uint64_t Replied = 0;
+  auto Serve = [&]() {
+    Srv.process(0, Chmod, [&Replied](MetaReply R) {
+      EXPECT_EQ(FsError::Ok, R.Err);
+      ++Replied;
+    });
+    S.run();
+  };
+  Serve();
+  int64_t Before = LiveBytes;
+  for (int I = 1; I <= N; ++I) {
+    Chmod.Xid = I;
+    Serve();
+  }
+  EXPECT_EQ(uint64_t(N) + 1, Replied);
+  EXPECT_EQ(size_t(N), Srv.drcSize());
+  double PerReply = static_cast<double>(LiveBytes - Before) / N;
+  RecordProperty("live_bytes_per_cached_reply", std::to_string(PerReply));
+  EXPECT_LE(PerReply, 316.0);
 }
 
 } // namespace

@@ -306,6 +306,41 @@ TEST(Journal, CommitHoldsOutOfOrderPersists) {
   EXPECT_EQ((std::vector<uint64_t>{B1, A1, A2}), HookOrder);
 }
 
+TEST(Journal, HookAppendingForANewVolumeKeepsLogOrder) {
+  // The hook runs while the frontier of volume a advances. It appends and
+  // commits a record of a volume the journal has not seen, which interns
+  // the volume and grows the per-volume frontiers; a's frontier must
+  // still pick up where it left off, so A2 commits after A1.
+  MetadataJournal J;
+  uint64_t A1 = *J.append("a", makeMkdir("/x"), 0);
+  uint64_t A2 = *J.append("a", makeMkdir("/x/y"), 0);
+  uint64_t B1 = 0;
+  std::vector<uint64_t> HookOrder;
+  J.onCommit([&](uint64_t Seq) {
+    HookOrder.push_back(Seq);
+    if (Seq == A1) {
+      B1 = *J.append("b", makeMkdir("/z"), 0);
+      J.commit(B1);
+    }
+  });
+  J.commit(A2); // held behind A1
+  EXPECT_TRUE(HookOrder.empty());
+  J.commit(A1);
+  EXPECT_EQ((std::vector<uint64_t>{A1, B1, A2}), HookOrder);
+  EXPECT_TRUE(J.isCommitted(A1));
+  EXPECT_TRUE(J.isCommitted(A2));
+  EXPECT_TRUE(J.isCommitted(B1));
+  // Both frontiers stand past their volume's last record.
+  uint64_t A3 = *J.append("a", makeMkdir("/x/y/w"), 0);
+  uint64_t B2 = *J.append("b", makeMkdir("/z/v"), 0);
+  J.commit(B2);
+  J.commit(A3);
+  EXPECT_EQ((std::vector<uint64_t>{A1, B1, A2, B2, A3}), HookOrder);
+  EXPECT_EQ(0u, J.uncommittedCount("a"));
+  EXPECT_EQ(0u, J.uncommittedCount("b"));
+  EXPECT_EQ(5u, J.committedCount());
+}
+
 TEST(Journal, CommitAllDoesNotResurrectDiscarded) {
   MetadataJournal J;
   uint64_t S1 = *J.append("v", makeMkdir("/a"), 0);

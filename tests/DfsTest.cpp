@@ -20,7 +20,12 @@
 #include "dfs/LustreFs.h"
 #include "dfs/NfsFs.h"
 #include "sim/Trace.h"
+#include "support/Random.h"
+#include <algorithm>
+#include <deque>
 #include <gtest/gtest.h>
+#include <map>
+#include <vector>
 
 using namespace dmb;
 
@@ -288,6 +293,173 @@ TEST(Server, VolumeIdsSurviveRemoveAndAdopt) {
   Srv.adoptVolume("vol", std::move(Moved));
   EXPECT_NE(nullptr, Srv.volume(Vol)); // Same id, volume is back.
   EXPECT_EQ(Vol, Srv.volumeId("vol"));
+}
+
+//===----------------------------------------------------------------------===//
+// Duplicate-request cache: the ring against a map and a FIFO of keys
+//===----------------------------------------------------------------------===//
+
+using DrcEntry = DuplicateRequestCache::Entry;
+
+/// The reference semantics: a map from key to entry and a FIFO of the keys
+/// in order of first insertion, trimmed oldest first to the capacity. An
+/// insert of a cached key refreshes its entry and keeps its FIFO place.
+struct DrcModel {
+  size_t Capacity = 0;
+  std::map<uint64_t, DrcEntry> Entries;
+  std::deque<uint64_t> Fifo;
+
+  void insert(const DrcEntry &E) {
+    if (Entries.insert_or_assign(E.Key, E).second)
+      Fifo.push_back(E.Key);
+    while (Entries.size() > Capacity) {
+      Entries.erase(Fifo.front());
+      Fifo.pop_front();
+    }
+  }
+
+  /// Removes the entries \p Drop accepts; returns them sorted by key.
+  template <typename Pred> std::vector<DrcEntry> removeIf(Pred Drop) {
+    std::vector<DrcEntry> Out;
+    for (auto It = Entries.begin(); It != Entries.end();) {
+      if (Drop(It->second)) {
+        Out.push_back(std::move(It->second));
+        It = Entries.erase(It);
+      } else {
+        ++It;
+      }
+    }
+    std::erase_if(Fifo, [this](uint64_t K) { return !Entries.count(K); });
+    return Out;
+  }
+};
+
+void expectSameEntry(const DrcEntry &Want, const DrcEntry &Got) {
+  EXPECT_EQ(Want.Key, Got.Key);
+  EXPECT_EQ(Want.Op, Got.Op);
+  EXPECT_EQ(Want.VolId, Got.VolId);
+  EXPECT_EQ(Want.SeqPlus1, Got.SeqPlus1);
+  EXPECT_EQ(Want.Path, Got.Path);
+  EXPECT_EQ(Want.Reply.Err, Got.Reply.Err);
+  EXPECT_EQ(Want.Reply.A.Ino, Got.Reply.A.Ino);
+  EXPECT_EQ(Want.Reply.Fh, Got.Reply.Fh);
+  EXPECT_EQ(Want.Reply.Bytes, Got.Reply.Bytes);
+  EXPECT_EQ(Want.Reply.MapEpoch, Got.Reply.MapEpoch);
+}
+
+/// Lookups of every key in \p Keys, the size and the eviction order agree.
+void expectSameDrc(const DrcModel &M, const DuplicateRequestCache &C,
+                   const std::vector<uint64_t> &Keys) {
+  ASSERT_EQ(M.Entries.size(), C.size());
+  ASSERT_EQ(M.Fifo.size(), C.ringLength());
+  std::vector<uint64_t> Order;
+  C.forEach([&Order](const DrcEntry &E) { Order.push_back(E.Key); });
+  ASSERT_EQ(std::vector<uint64_t>(M.Fifo.begin(), M.Fifo.end()), Order);
+  for (uint64_t K : Keys) {
+    auto It = M.Entries.find(K);
+    const DrcEntry *E = C.find(K);
+    ASSERT_EQ(It != M.Entries.end(), E != nullptr) << "key " << K;
+    if (E)
+      expectSameEntry(It->second, *E);
+  }
+}
+
+TEST(DuplicateRequestCache, MatchesMapAndFifoUnderSeededChurn) {
+  for (size_t Capacity : {1, 2, 7, 64}) {
+    SCOPED_TRACE("capacity " + std::to_string(Capacity));
+    Rng R(Capacity * 7919 + 1);
+    DuplicateRequestCache C(Capacity);
+    DrcModel M;
+    M.Capacity = Capacity;
+    // Three clients with about twice the capacity in Xids each: most
+    // inserts are new keys and evict, many hit a key still cached.
+    std::vector<uint64_t> Keys;
+    for (uint64_t Client = 1; Client <= 3; ++Client)
+      for (uint64_t Xid = 1; Xid <= 2 * Capacity + 2; ++Xid)
+        Keys.push_back((Client << 40) ^ Xid);
+    const MetaOp Ops[] = {MetaOp::Mkdir, MetaOp::Unlink, MetaOp::Rename,
+                          MetaOp::Open, MetaOp::Chmod};
+    const FsError Errs[] = {FsError::Ok, FsError::Exists, FsError::NoEnt};
+    uint64_t NewKeys = 0;
+    for (int Step = 0; Step < 3000; ++Step) {
+      uint64_t Roll = R.below(100);
+      if (Roll < 84) {
+        // Short paths fit the string's inline buffer, long ones do not:
+        // a reused slot must take either over the other.
+        DrcEntry E;
+        E.Key = Keys[R.below(Keys.size())];
+        E.Op = Ops[R.below(5)];
+        E.VolId = static_cast<uint32_t>(R.below(2));
+        E.SeqPlus1 = R.below(4);
+        E.Path = (R.below(2) ? "/d/" : "/a/directory/path/beyond/sso/") +
+                 std::to_string(Step);
+        E.Reply.Err = Errs[R.below(3)];
+        E.Reply.A.Ino = Step;
+        E.Reply.Fh = Step + 1;
+        E.Reply.Bytes = Step + 2;
+        E.Reply.MapEpoch = Step % 3;
+        bool New = M.Entries.count(E.Key) == 0;
+        NewKeys += New;
+        EXPECT_EQ(New, C.insert(E.Key, E.Op, E.Reply, E.Path, E.VolId,
+                                E.SeqPlus1));
+        EXPECT_EQ(NewKeys, C.insertions());
+        M.insert(E);
+      } else if (Roll < 92) {
+        // Crash pruning: one volume's unanchored or uncommitted entries.
+        uint32_t Vol = static_cast<uint32_t>(R.below(2));
+        uint64_t Committed = R.below(4);
+        auto Dies = [Vol, Committed](const DrcEntry &E) {
+          return E.VolId == Vol && (E.SeqPlus1 == 0 || E.SeqPlus1 > Committed);
+        };
+        size_t Want = M.removeIf(Dies).size();
+        EXPECT_EQ(Want, C.removeIf(Dies));
+      } else {
+        // Migration extraction: one volume's short-path entries, moved out.
+        uint32_t Vol = static_cast<uint32_t>(R.below(2));
+        auto Moves = [Vol](const DrcEntry &E) {
+          return E.VolId == Vol && E.Path.starts_with("/d/");
+        };
+        std::vector<DrcEntry> Want = M.removeIf(Moves);
+        std::vector<DrcEntry> Got;
+        C.removeIf([&](DrcEntry &E) {
+          if (!Moves(E))
+            return false;
+          Got.push_back(std::move(E));
+          return true;
+        });
+        std::sort(Got.begin(), Got.end(),
+                  [](const DrcEntry &A, const DrcEntry &B) {
+                    return A.Key < B.Key;
+                  });
+        ASSERT_EQ(Want.size(), Got.size());
+        for (size_t I = 0; I < Want.size(); ++I)
+          expectSameEntry(Want[I], Got[I]);
+      }
+      expectSameDrc(M, C, Keys);
+      if (HasFatalFailure())
+        return;
+    }
+  }
+}
+
+TEST(DuplicateRequestCache, ReplyRoundTripsWithoutPayload) {
+  MetaReply R;
+  R.Err = FsError::Exists;
+  R.A.Ino = 42;
+  R.A.Mode = 0700;
+  R.Fh = 7;
+  R.Bytes = 4096;
+  R.MapEpoch = 3;
+  MetaReply Back = DuplicateRequestCache::CachedReply::of(R).reply();
+  EXPECT_EQ(R.Err, Back.Err);
+  EXPECT_EQ(R.A.Ino, Back.A.Ino);
+  EXPECT_EQ(R.A.Mode, Back.A.Mode);
+  EXPECT_EQ(R.Fh, Back.Fh);
+  EXPECT_EQ(R.Bytes, Back.Bytes);
+  EXPECT_EQ(R.MapEpoch, Back.MapEpoch);
+  EXPECT_TRUE(Back.Text.empty());
+  EXPECT_TRUE(Back.Entries.empty());
+  EXPECT_TRUE(Back.EntryAttrs.empty());
 }
 
 //===----------------------------------------------------------------------===//

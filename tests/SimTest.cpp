@@ -15,6 +15,7 @@
 #include <functional>
 #include <gtest/gtest.h>
 #include <memory>
+#include <utility>
 #include <vector>
 
 using namespace dmb;
@@ -134,6 +135,31 @@ TEST(Resource, BusyTimeAccounting) {
   EXPECT_EQ(milliseconds(15), R.totalBusyTime());
 }
 
+TEST(Resource, StartOrderMatchesRequestOrderAcrossRingGrowthAndWrap) {
+  // One server, so completions come in start order. Waves of requests
+  // between partial runs make the waiting ring wrap around its end and
+  // grow while it holds a wrapped sequence.
+  Scheduler S;
+  Resource R(S, "disk", 1);
+  std::vector<int> Started;
+  int Next = 0;
+  size_t MaxQueued = 0;
+  for (int Wave = 0; Wave < 40; ++Wave) {
+    for (int I = 0; I < Wave % 7 + 1; ++I) {
+      int Id = Next++;
+      R.request(milliseconds(10), [&Started, Id] { Started.push_back(Id); });
+    }
+    MaxQueued = std::max(MaxQueued, R.queueLength());
+    S.runUntil(S.now() + milliseconds(10) * (Wave % 4));
+  }
+  S.run();
+  ASSERT_EQ(size_t(Next), Started.size());
+  for (int I = 0; I < Next; ++I)
+    EXPECT_EQ(I, Started[I]);
+  EXPECT_GT(MaxQueued, 8u); // grew past its first two sizes
+  EXPECT_EQ(milliseconds(10) * Next, S.now());
+}
+
 TEST(SharedProcessor, SingleTaskRunsAtFullCoreSpeed) {
   Scheduler S;
   SharedProcessor Cpu(S, 4);
@@ -202,6 +228,34 @@ TEST(SharedProcessor, ZeroWorkCompletesImmediately) {
   S.run();
   EXPECT_TRUE(Fired);
   EXPECT_EQ(0, S.now());
+}
+
+TEST(SharedProcessor, OneTimerCompletesInSubmissionOrderAndResubmitsWait) {
+  // Eight cores, so every task runs at full core speed. B and D finish on
+  // the 1 ms timer, A, C and E on the 2 ms one; B's completion submits G,
+  // which is not batched with B and D but finishes at 2 ms, after the
+  // tasks submitted before it.
+  Scheduler S;
+  SharedProcessor Cpu(S, 8);
+  std::vector<std::pair<char, SimTime>> Order;
+  auto Record = [&Order, &S](char Name) {
+    return [&Order, &S, Name] { Order.push_back({Name, S.now()}); };
+  };
+  Cpu.submit(milliseconds(2), Record('A'));
+  Cpu.submit(milliseconds(1), [&] {
+    Order.push_back({'B', S.now()});
+    Cpu.submit(milliseconds(1), Record('G'));
+  });
+  Cpu.submit(milliseconds(2), Record('C'));
+  Cpu.submit(milliseconds(1), Record('D'));
+  Cpu.submit(milliseconds(2), Record('E'));
+  S.run();
+  std::vector<std::pair<char, SimTime>> Expected = {
+      {'B', milliseconds(1)}, {'D', milliseconds(1)}, {'A', milliseconds(2)},
+      {'C', milliseconds(2)}, {'E', milliseconds(2)}, {'G', milliseconds(2)}};
+  EXPECT_EQ(Expected, Order);
+  EXPECT_EQ(6u, Cpu.completedTasks());
+  EXPECT_EQ(0u, Cpu.activeTasks());
 }
 
 TEST(SharedProcessor, ManyTasksAllComplete) {

@@ -206,42 +206,51 @@ struct Named {
   uint64_t Value = 0;
 };
 
+struct Numbered {
+  uint64_t Key = 0;
+  uint64_t Value = 0;
+};
+
 /// Sends every key to one of four homes at the end of any table of 8+
-/// slots (by key length), so equal-length keys share a hash, probes
-/// collide and clusters wrap around to slot 0.
+/// slots (a string by its length, an integer by its residue mod 4), so
+/// keys share a hash, probes collide and clusters wrap around to slot 0.
 struct CollidingHash {
   uint64_t operator()(std::string_view S) const { return ~0ull - S.size() % 4; }
+  uint64_t operator()(uint64_t K) const { return ~0ull - K % 4; }
 };
 
 using CollidingTable = FlatTable<Named, &Named::Key, CollidingHash>;
 
-/// The table holds exactly what \p Model holds.
-void expectSame(const CollidingTable &T,
-                const std::unordered_map<std::string, uint64_t> &Model) {
-  ASSERT_EQ(Model.size(), T.size());
-  for (const auto &[K, V] : Model) {
-    const Named *E = T.find(K);
+/// The table holds exactly what \p M holds.
+template <typename Table, typename Model>
+void expectSame(const Table &T, const Model &M) {
+  ASSERT_EQ(M.size(), T.size());
+  for (const auto &[K, V] : M) {
+    const auto *E = T.find(K);
     ASSERT_NE(nullptr, E) << K;
     EXPECT_EQ(V, E->Value) << K;
   }
   size_t Seen = 0;
-  T.forEach([&](const Named &E) {
-    auto It = Model.find(E.Key);
-    ASSERT_NE(Model.end(), It) << E.Key;
+  T.forEach([&](const auto &E) {
+    auto It = M.find(E.Key);
+    ASSERT_NE(M.end(), It) << E.Key;
     EXPECT_EQ(It->second, E.Value);
     ++Seen;
   });
-  EXPECT_EQ(Model.size(), Seen);
+  EXPECT_EQ(M.size(), Seen);
 }
 
-TEST(FlatTable, MatchesUnorderedMapUnderSeededChurnWithCollidingHash) {
+/// Seeded churn of a colliding-hash table of \p Entry against
+/// std::unordered_map, over the 600 keys KeyOf(0..599).
+template <typename Entry, typename KeyFn> void churnAgainstModel(KeyFn KeyOf) {
+  using Key = decltype(Entry::Key);
   Rng R(20261017);
-  CollidingTable T;
-  std::unordered_map<std::string, uint64_t> Model;
+  FlatTable<Entry, &Entry::Key, CollidingHash> T;
+  std::unordered_map<Key, uint64_t> Model;
+  const Key Absent = KeyOf(600); // never inserted, shares a hash
   size_t MaxSlots = 0;
   for (int Step = 0; Step < 20000; ++Step) {
-    // 600 keys of lengths 2..4, so each hash is shared by hundreds.
-    std::string K = "k" + std::to_string(R.below(600));
+    Key K = KeyOf(R.below(600));
     uint64_t Roll = R.below(100);
     if (Roll < 45) {
       auto [E, Added] = T.tryEmplace(K);
@@ -252,16 +261,16 @@ TEST(FlatTable, MatchesUnorderedMapUnderSeededChurnWithCollidingHash) {
       EXPECT_EQ(Model.erase(K) == 1, T.erase(K));
     } else if (Roll < 85) {
       // Erase through a found entry: no second hash.
-      if (const Named *E = T.find(K))
+      if (const Entry *E = T.find(K))
         T.erase(E);
       Model.erase(K);
     } else if (Roll < 98) {
-      auto [E, Added] = T.insert(Named{K, uint64_t(Step)});
+      auto [E, Added] = T.insert(Entry{K, uint64_t(Step)});
       EXPECT_EQ(Added, Model.count(K) == 0);
       Model.emplace(K, Step);
       EXPECT_EQ(Model[K], E->Value);
     } else if (Roll < 99) {
-      uint64_t Odd = T.eraseIf([](const Named &E) { return E.Value % 2; });
+      uint64_t Odd = T.eraseIf([](const Entry &E) { return E.Value % 2; });
       uint64_t ModelOdd = std::erase_if(
           Model, [](const auto &KV) { return KV.second % 2; });
       EXPECT_EQ(ModelOdd, Odd);
@@ -271,12 +280,19 @@ TEST(FlatTable, MatchesUnorderedMapUnderSeededChurnWithCollidingHash) {
       EXPECT_EQ(0u, T.slotCount());
     }
     MaxSlots = std::max(MaxSlots, T.slotCount());
-    EXPECT_EQ(nullptr, T.find("absent")); // every probe ends at a free slot
+    EXPECT_EQ(nullptr, T.find(Absent)); // every probe ends at a free slot
     if (Step % 97 == 0)
       expectSame(T, Model);
   }
   expectSame(T, Model);
   EXPECT_GE(MaxSlots, 512u); // grew well past the first 8 slots
+}
+
+TEST(FlatTable, MatchesUnorderedMapUnderSeededChurnWithCollidingHash) {
+  // String keys of lengths 2..4, so each hash is shared by hundreds.
+  churnAgainstModel<Named>([](uint64_t I) { return "k" + std::to_string(I); });
+  // Integer keys that differ in their high bits too; 150 share each hash.
+  churnAgainstModel<Numbered>([](uint64_t I) { return I << 33 | I; });
 }
 
 TEST(FlatTable, BackwardShiftDeletionWrapsAroundTheSlotArray) {

@@ -20,17 +20,22 @@
 #      crash-consistency) self-checking benches, whose JSON must
 #      reproduce the committed BENCH_E30.json / BENCH_E31.json,
 #   7. the trace, fault, write-behind, fs, dfs, sharded, hybrid
-#      (re-export, volume move) and flat-table tests rebuilt under
-#      ASan+UBSan (always — the trace layer threads ids through every
-#      queue, the retry path keeps exchange records alive until each
-#      attempt's retransmit timer fires, even after the reply came back,
-#      and recycles them afterwards, the write-behind queue keeps ops,
-#      handles and stalled enqueues alive across flushes, the clients'
-#      shared front end hands requests, completions and client-local
-#      handles between the queue, the handle table and the model, a
-#      path walk returns its leaf as a view into the request path or a
-#      symlink target, and the flat string table moves entries on erase
-#      and growth under the pointers its users hold; all must stay
+#      (re-export, volume move), flat-table, CPU-queue (Resource,
+#      SharedProcessor), journal and duplicate-request-cache tests
+#      rebuilt under ASan+UBSan (always — the trace layer threads ids
+#      through every queue, the retry path keeps exchange records alive
+#      until each attempt's retransmit timer fires, even after the reply
+#      came back, and recycles them afterwards, the write-behind queue
+#      keeps ops, handles and stalled enqueues alive across flushes, the
+#      clients' shared front end hands requests, completions and
+#      client-local handles between the queue, the handle table and the
+#      model, a path walk returns its leaf as a view into the request
+#      path or a symlink target, the flat table moves entries on erase
+#      and growth under the pointers its users hold, the CPU queues
+#      compact and wrap their reused storage under running completions,
+#      the journal's commit hook may append records and intern volumes
+#      while the commit frontier advances, and the duplicate-request
+#      cache recycles ring slots under its index; all must stay
 #      memory-clean),
 #   8. (optionally) the full suite rebuilt under sanitizers.
 #
@@ -132,32 +137,40 @@ if [ -n "$SANITIZE" ]; then
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS"
 else
   # Even without --sanitize, the trace, fault, write-behind, fs, dfs,
-  # sharded, hybrid and flat-table tests always run under ASan+UBSan: the
-  # trace layer threads ids through every internal queue, the retry path
-  # keeps pooled exchange records alive across retransmits, orphaned
-  # replies and a mid-run server crash and recycles them afterwards, the
-  # write-behind queue hands ops, queue-local handles and stalled
-  # enqueues between flushes, closures and completions, the clients'
-  # shared front end (RpcClientBase::submit, ClientHandles) routes every
-  # model's requests and client-local handles, the sharded client among
-  # them, the path walk hands out its leaf as a view into the request
-  # path or a symlink target, and the flat table behind directories,
-  # attribute caches and write-behind indexes moves entries on every
-  # growth and erase — exactly the kind of plumbing where lifetime bugs
-  # hide.
-  step "trace, fault, write-behind, fs, dfs, sharded, hybrid and flat-table tests under ASan+UBSan (build-sanitize/)"
+  # sharded, hybrid, flat-table, CPU-queue, journal and duplicate-request-
+  # cache tests always run under ASan+UBSan: the trace layer threads ids
+  # through every internal queue, the retry path keeps pooled exchange
+  # records alive across retransmits, orphaned replies and a mid-run
+  # server crash and recycles them afterwards, the write-behind queue
+  # hands ops, queue-local handles and stalled enqueues between flushes,
+  # closures and completions, the clients' shared front end
+  # (RpcClientBase::submit, ClientHandles) routes every model's requests
+  # and client-local handles, the sharded client among them, the path
+  # walk hands out its leaf as a view into the request path or a symlink
+  # target, the flat table behind directories, attribute caches,
+  # write-behind indexes and the duplicate-request cache moves entries on
+  # every growth and erase, the CPU queues (Resource's waiting ring,
+  # SharedProcessor's compacted task vector) reuse their storage under
+  # running completions, the journal's commit hook may append records and
+  # intern a volume while the commit frontier advances, and the
+  # duplicate-request cache overwrites and compacts ring slots under its
+  # index — exactly the kind of plumbing where lifetime bugs hide.
+  step "trace, fault, write-behind, fs, dfs, sharded, hybrid, flat-table, CPU-queue, journal and DRC tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
         --target trace_test fault_test writebehind_test fs_test dfs_test \
-        dfs_semantics_test sharded_test hybrid_test support_test
-  # The test suites of those eight binaries, and the table's and the
-  # interner's suites in support_test.
+        dfs_semantics_test sharded_test hybrid_test support_test sim_test \
+        consistency_test
+  # The test suites of the first eight binaries, the table's and the
+  # interner's suites in support_test, the CPU queues' suites in sim_test
+  # and the journal's in consistency_test.
   SUITES='^Trace|^Fault|^Network|^WriteBehind'
   SUITES+='|^Fs|^AllKinds/DirIndexParamTest'
   SUITES+='|^Afs|^AttrCacheUnit|^Cxfs|^Gx|^LocalModel|^Lustre|^Mounts|^Nfs'
   SUITES+='|^Server|^AllModels/DfsSemanticsTest|^FlatTable|^Interner'
   SUITES+='|^Sharded|^Reexport|^VolumeMove'
+  SUITES+='|^SharedProcessor|^Resource|^Journal|^DuplicateRequestCache'
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
         -R "$SUITES"
 fi
