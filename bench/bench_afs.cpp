@@ -22,8 +22,8 @@ namespace {
 double afsRate(bool SpreadVolumes, unsigned Nodes) {
   Scheduler S;
   Cluster C(S, 8, 8);
-  AfsFs Cell(S);
-  Cell.setupUniform(/*NumServers=*/4, /*VolumesPerServer=*/2);
+  VolumeFs Cell(S, afsOptions());
+  Cell.setupUniform(/*NewServers=*/4, /*NumVolumes=*/8);
   C.mountEverywhere(Cell);
   BenchParams P;
   P.Operations = {"MakeFiles"};
@@ -56,7 +56,7 @@ int main() {
 
   // Callback caching: repeat stats are free until another client mutates.
   Scheduler S;
-  AfsFs Cell(S);
+  VolumeFs Cell(S, afsOptions());
   std::unique_ptr<ClientFs> A = Cell.makeClient(0);
   std::unique_ptr<ClientFs> B = Cell.makeClient(1);
   // The RPC counts below mean something only if every op succeeded.

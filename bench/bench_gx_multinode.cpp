@@ -23,8 +23,8 @@ namespace {
 double gxMultiRate(bool SpreadVolumes, unsigned Nodes) {
   Scheduler S;
   Cluster C(S, 16, 8);
-  GxFs Gx(S);
-  Gx.setupUniformVolumes(16);
+  VolumeFs Gx(S, gxOptions());
+  Gx.setupUniform(0, 16);
   C.mountEverywhere(Gx);
   BenchParams P;
   P.Operations = {"MakeFiles"};

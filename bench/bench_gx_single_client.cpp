@@ -23,8 +23,8 @@ namespace {
 double gxRate(const std::string &Volume, unsigned Ppn) {
   Scheduler S;
   Cluster C(S, 1, 16);
-  GxFs Gx(S);
-  Gx.setupUniformVolumes(8); // /vol0 on filer 0 (= node 0's N-blade), ...
+  VolumeFs Gx(S, gxOptions());
+  Gx.setupUniform(0, 8); // /vol0 on filer 0 (= node 0's N-blade), ...
   C.mountEverywhere(Gx);
   BenchParams P;
   P.Operations = {"MakeFiles"};

@@ -73,8 +73,8 @@ int main() {
   NfsFs Nfs(S);
   LustreFs Lustre(S);
   CxfsFs Cxfs(S);
-  AfsFs Afs(S);
-  GxFs Gx(S);
+  VolumeFs Afs(S, afsOptions());
+  VolumeFs Gx(S, gxOptions());
   LocalFsModel Local(S);
   struct Entry {
     const char *Name;

@@ -41,8 +41,8 @@ int main() {
       NfsFs Nfs(S);
       LustreFs Lustre(S);
       CxfsFs Cxfs(S);
-      GxFs Gx(S);
-      AfsFs Afs(S);
+      VolumeFs Gx(S, gxOptions());
+      VolumeFs Afs(S, afsOptions());
       LocalFsModel Local(S);
       C.mountEverywhere(Nfs);
       C.mountEverywhere(Lustre);

@@ -25,7 +25,7 @@ int main() {
   NfsFs Nfs(S);
   LustreFs Lustre(S);
   CxfsFs Cxfs(S);
-  AfsFs Afs(S);
+  VolumeFs Afs(S, afsOptions());
   LocalFsModel Local(S);
   C.mountEverywhere(Nfs);
   C.mountEverywhere(Lustre);

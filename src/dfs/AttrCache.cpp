@@ -8,10 +8,11 @@
 
 using namespace dmb;
 
-void AttrCache::insert(std::string_view Path, const Attr &A, SimTime Now) {
-  Entry *E = Entries.tryEmplace(Path).first;
+bool AttrCache::insert(std::string_view Path, const Attr &A, SimTime Now) {
+  auto [E, Added] = Entries.tryEmplace(Path);
   E->A = A;
   E->InsertedAt = Now;
+  return Added;
 }
 
 std::optional<Attr> AttrCache::lookup(std::string_view Path, SimTime Now) {
@@ -37,12 +38,8 @@ void AttrCache::invalidate(std::string_view Path) { Entries.erase(Path); }
 void AttrCache::invalidateSubtree(std::string_view Path) {
   if (Path.empty())
     return;
-  Entries.eraseIf([Path](const Entry &E) {
-    std::string_view P = E.Path;
-    return P.starts_with(Path) &&
-           (P.size() == Path.size() || P[Path.size()] == '/' ||
-            Path.back() == '/');
-  });
+  Entries.eraseIf(
+      [Path](const Entry &E) { return isAtOrBelow(E.Path, Path); });
 }
 
 void AttrCache::invalidateMutated(MetaOp Op, std::string_view Path,

@@ -34,6 +34,14 @@ inline std::string_view parentPath(std::string_view Path) {
   return Slash == 0 ? std::string_view("/") : Path.substr(0, Slash);
 }
 
+/// True when \p Path is \p Dir or lies below it: what a rename of \p Dir
+/// takes along. No path lies below the empty name.
+inline bool isAtOrBelow(std::string_view Path, std::string_view Dir) {
+  return !Dir.empty() && Path.starts_with(Dir) &&
+         (Path.size() == Dir.size() || Path[Dir.size()] == '/' ||
+          Dir.back() == '/');
+}
+
 /// Path -> Attr cache with per-entry expiry.
 class AttrCache {
 public:
@@ -41,8 +49,8 @@ public:
   explicit AttrCache(SimDuration Ttl) : Ttl(Ttl) {}
 
   /// Stores attributes observed at \p Now, overwriting an existing entry
-  /// for \p Path in place.
-  void insert(std::string_view Path, const Attr &A, SimTime Now);
+  /// for \p Path in place; true when there was none.
+  bool insert(std::string_view Path, const Attr &A, SimTime Now);
 
   /// Returns fresh attributes or nullopt on miss/expiry.
   std::optional<Attr> lookup(std::string_view Path, SimTime Now);
@@ -87,7 +95,7 @@ private:
     SimTime InsertedAt = 0;
   };
 
-  /// Drops \p Path and every entry below it. A scan of the dense entry
+  /// Drops every entry isAtOrBelow() \p Path. A scan of the dense entry
   /// array: only renames call it, and none runs at scale.
   void invalidateSubtree(std::string_view Path);
 

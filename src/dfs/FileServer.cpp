@@ -531,10 +531,9 @@ void FileServer::process(uint32_t VolId, const MetaRequest &Req,
 }
 
 void FileServer::injectWork(SimDuration Service, std::function<void()> Done) {
-  Cpu.request(Service, [Done = std::move(Done)]() {
-    if (Done)
-      Done();
-  });
+  if (!Done)
+    Done = []() {};
+  Cpu.request(Service, std::move(Done));
 }
 
 void FileServer::setServiceJitter(SimDuration Mean, uint64_t Seed) {

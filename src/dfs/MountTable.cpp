@@ -23,8 +23,7 @@ bool MountTable::setServer(const std::string &Prefix, unsigned NewServer) {
   return false;
 }
 
-const MountEntry *MountTable::resolve(const std::string &Path,
-                                      std::string &RelPath) const {
+const MountEntry *MountTable::resolve(std::string_view Path) const {
   const MountEntry *Best = nullptr;
   for (const MountEntry &M : Mounts) {
     if (M.Prefix == "/") {
@@ -33,42 +32,37 @@ const MountEntry *MountTable::resolve(const std::string &Path,
       continue;
     }
     // Prefix must match at a component boundary.
-    if (Path.size() < M.Prefix.size())
-      continue;
-    if (Path.compare(0, M.Prefix.size(), M.Prefix) != 0)
+    if (!Path.starts_with(M.Prefix))
       continue;
     if (Path.size() > M.Prefix.size() && Path[M.Prefix.size()] != '/')
       continue;
     if (!Best || M.Prefix.size() > Best->Prefix.size())
       Best = &M;
   }
-  if (!Best)
-    return nullptr;
-  if (Best->Prefix == "/")
-    RelPath = Path;
-  else
-    RelPath = Path.size() > Best->Prefix.size()
-                  ? Path.substr(Best->Prefix.size())
-                  : std::string("/");
-  if (RelPath.empty())
-    RelPath = std::string("/"); // GCC 12 -Wrestrict misfires on = "/" here
   return Best;
 }
 
-const MountEntry *MountTable::route(const MetaRequest &Req, MetaRequest &Fwd,
+const MountEntry *MountTable::route(const MetaRequest &Req,
                                     FsError &Err) const {
-  Fwd = Req;
-  const MountEntry *Mount = resolve(Req.Path, Fwd.Path);
+  const MountEntry *Mount = resolve(Req.Path);
   if (!Mount) {
     Err = FsError::NoEnt;
     return nullptr;
   }
   if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
-    const MountEntry *Mount2 = resolve(Req.Path2, Fwd.Path2);
+    const MountEntry *Mount2 = resolve(Req.Path2);
     if (!Mount2 || Mount2->Prefix != Mount->Prefix) {
       Err = FsError::XDev;
       return nullptr;
     }
   }
   return Mount;
+}
+
+void MountTable::toVolume(const MetaRequest &Req, size_t PrefixLen,
+                          MetaRequest &Fwd) {
+  Fwd = Req;
+  Fwd.Path = relative(Req.Path, PrefixLen);
+  if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link)
+    Fwd.Path2 = relative(Req.Path2, PrefixLen);
 }

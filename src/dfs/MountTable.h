@@ -17,6 +17,7 @@
 
 #include "dfs/Message.h"
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmb {
@@ -26,6 +27,10 @@ struct MountEntry {
   std::string Prefix;   ///< mount point, e.g. "/vol3" ("/" allowed)
   unsigned ServerIndex; ///< which server owns the volume
   std::string Volume;   ///< volume name on that server
+
+  /// The leading bytes of a covered path that name the mount point: none
+  /// for the root mount.
+  size_t prefixLength() const { return Prefix == "/" ? 0 : Prefix.size(); }
 };
 
 /// Longest-prefix-match mount table.
@@ -33,20 +38,31 @@ class MountTable {
 public:
   void add(std::string Prefix, unsigned ServerIndex, std::string Volume);
 
-  /// Resolves \p Path to its mount. \p RelPath receives the path within the
-  /// volume (always starting with '/'). Returns nullptr when no mount
-  /// covers the path.
-  const MountEntry *resolve(const std::string &Path,
-                            std::string &RelPath) const;
+  /// The mount covering \p Path: the longest prefix that matches at a
+  /// component boundary, "/" covering every path. nullptr when no mount
+  /// covers it.
+  const MountEntry *resolve(std::string_view Path) const;
 
-  /// Routes \p Req to the volume holding its path: \p Fwd receives the
-  /// request with Path, and for rename and link Path2, relative to the
-  /// volume root. Returns nullptr with \p Err set when no mount covers
-  /// the path (NoEnt), or when a rename or link would span two volumes
-  /// (XDev: separately managed volumes cannot move entries between them
-  /// atomically, \S 2.6.3's NFS3ERR_XDEV).
-  const MountEntry *route(const MetaRequest &Req, MetaRequest &Fwd,
-                          FsError &Err) const;
+  /// The volume holding \p Req's path. Returns nullptr with \p Err set
+  /// when no mount covers the path (NoEnt), or when a rename or link would
+  /// span two volumes (XDev: separately managed volumes cannot move
+  /// entries between them atomically, \S 2.6.3's NFS3ERR_XDEV).
+  const MountEntry *route(const MetaRequest &Req, FsError &Err) const;
+
+  /// \p Path relative to the root of the volume mounted at a prefix of
+  /// \p PrefixLen bytes (MountEntry::prefixLength()); always starts with
+  /// '/'.
+  static std::string_view relative(std::string_view Path, size_t PrefixLen) {
+    return Path.size() > PrefixLen ? Path.substr(PrefixLen)
+                                   : std::string_view("/");
+  }
+
+  /// Copies \p Req, a request route() sent to a volume mounted at a prefix
+  /// of \p PrefixLen bytes, into \p Fwd with Path, and for rename and link
+  /// Path2, relative() to the volume root. A symlink target and an xattr
+  /// key are not paths and stay as they are.
+  static void toVolume(const MetaRequest &Req, size_t PrefixLen,
+                       MetaRequest &Fwd);
 
   /// Re-homes the volume mounted at \p Prefix onto \p NewServer (volume
   /// move, thesis \S 2.5.1). Returns false when the prefix is unknown.

@@ -82,6 +82,9 @@ public:
   ReexportClient(const ClientBuilder &B, ReexportFs &Gateway);
 
   void dropCaches() override { Cache.clear(); }
+  CacheStats cacheStats() const override {
+    return {Cache.hits(), Cache.misses()};
+  }
   std::string describe() const override;
 
 private:

@@ -77,6 +77,12 @@ public:
     FileHandle ServerFh = InvalidHandle;
   };
 
+  /// True when \p Req goes where its handle leads: it names a handle and
+  /// is not an open (which names a path).
+  static bool routesByHandle(const MetaRequest &Req) {
+    return Req.Fh != InvalidHandle && Req.Op != MetaOp::Open;
+  }
+
   /// Wraps \p ServerFh, which \p Server issued for volume \p VolId, in a
   /// new client-local handle.
   FileHandle wrap(unsigned Server, uint32_t VolId, FileHandle ServerFh) {
@@ -85,18 +91,17 @@ public:
     return Local;
   }
 
-  /// Rewrites the client-local handle of \p Req, a handle-based request,
-  /// to the server's and returns where it leads; a close retires it.
-  /// nullopt when this client never issued the handle or a close already
-  /// retired it.
-  std::optional<Target> unwrap(MetaRequest &Req) {
+  /// Where the client-local handle of \p Req, a handle-based request,
+  /// leads (the caller sends the request with Target::ServerFh); a close
+  /// retires it. nullopt when this client never issued the handle or a
+  /// close already retired it.
+  std::optional<Target> unwrap(const MetaRequest &Req) {
     auto It = Targets.find(Req.Fh);
     if (It == Targets.end())
       return std::nullopt;
     Target T = It->second;
     if (Req.Op == MetaOp::Close)
       Targets.erase(It);
-    Req.Fh = T.ServerFh;
     return T;
   }
 
@@ -180,19 +185,24 @@ protected:
     Callback Done;   ///< the caller's completion
     SimDuration SendExtra = 0;
     /// Where the model routes the request: server, filer or shard index,
-    /// and the volume id at that server. Single-server models leave them.
+    /// the volume id at that server, and the length of the mount prefix
+    /// the volume models strip from Req's paths before the server sees
+    /// them. Single-server models leave them.
     unsigned Server = 0;
     uint32_t VolId = 0;
+    uint32_t MountPrefixLen = 0;
 
     /// \name Bookkeeping of RpcClientBase
     /// @{
+    /// Next to MountPrefixLen, so the two share one word: the record does
+    /// not grow for the volume models.
+    bool Completed = false;
     /// The record holding the operation's state: the record itself, or,
     /// for a retransmit, the first attempt's record. A retransmit gets a
     /// record of its own so that every attempt's reply travels on its own.
     Exchange *Op = nullptr;
     unsigned Attempt = 0; ///< retransmits so far (operation record)
     unsigned Refs = 0;    ///< scheduled events and continuations naming it
-    bool Completed = false;
     Exchange *NextFree = nullptr;
     /// @}
   };
@@ -206,6 +216,7 @@ protected:
     X->SendExtra = 0;
     X->Server = 0;
     X->VolId = 0;
+    X->MountPrefixLen = 0;
     X->Op = X;
     return X;
   }
@@ -428,6 +439,7 @@ private:
       A->SendExtra = Op->SendExtra;
       A->Server = Op->Server;
       A->VolId = Op->VolId;
+      A->MountPrefixLen = Op->MountPrefixLen;
       A->Op = Op;
       ++Op->Refs;
     }

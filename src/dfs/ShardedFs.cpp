@@ -775,18 +775,18 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
     return;
   }
   // Handle-based operations go to the shard that issued the handle.
-  if (Req.Fh != InvalidHandle && Req.Op != MetaOp::Open) {
-    MetaRequest Fwd = Req;
-    std::optional<ClientHandles::Target> H = Handles.unwrap(Fwd);
+  if (ClientHandles::routesByHandle(Req)) {
+    std::optional<ClientHandles::Target> H = Handles.unwrap(Req);
     if (!H) {
       failLocally(FsError::BadFd, std::move(Done));
       return;
     }
     Exchange *X = newExchange(
-        Fwd, [this, Done = std::move(Done)](MetaReply Reply) mutable {
+        Req, [this, Done = std::move(Done)](MetaReply Reply) mutable {
           slotDone();
           Done(std::move(Reply));
         });
+    X->Req.Fh = H->ServerFh;
     X->Server = H->Server;
     withSlot([this, X]() { transact(X); });
     return;

@@ -27,14 +27,13 @@
 #include "cluster/Placement.h"
 
 // File system models (thesis Ch. 4 systems).
-#include "dfs/AfsFs.h"
 #include "dfs/CxfsFs.h"
-#include "dfs/GxFs.h"
 #include "dfs/LocalFsModel.h"
 #include "dfs/LustreFs.h"
 #include "dfs/NfsFs.h"
 #include "dfs/ReexportFs.h"
 #include "dfs/ShardedFs.h"
+#include "dfs/VolumeFs.h"
 
 // Analysis and charts (thesis \S 3.3.9 / \S 3.3.10).
 #include "analysis/Preprocess.h"

@@ -110,10 +110,11 @@ double allocationsPerCycle(Scheduler &S, DistributedFs &Fs) {
 }
 
 // Each budget is this tree's count (gcc 12, libstdc++) plus about 25%:
-// 2 allocations per cycle on NFS, 3 on Lustre with retransmit timers, and
-// 33.7 on the lustre_wb_lossy client path. What is left on the first two
-// is simulated state: the inode and the open-file record of the create,
-// and on Lustre the htree entry.
+// 2 allocations per cycle on NFS, 3 on Lustre with retransmit timers, 3 on
+// AFS and on GX, and 33.7 on the lustre_wb_lossy client path. What is left
+// on the first four is simulated state: the inode and the open-file record
+// of the create, on Lustre the htree entry, and on AFS and GX the node of
+// the client's handle table.
 
 TEST(AllocBudget, NfsCreateCloseStatUnlink) {
   Scheduler S;
@@ -128,6 +129,25 @@ TEST(AllocBudget, LustreWithRetransmitTimer) {
   LustreOptions Opts;
   Opts.Client.Retry.Timeout = milliseconds(25);
   LustreFs Fs(S, Opts);
+  double PerCycle = allocationsPerCycle(S, Fs);
+  RecordProperty("allocations_per_cycle", std::to_string(PerCycle));
+  EXPECT_LE(PerCycle, 3.75);
+}
+
+// The two volume-location configurations: AFS sends straight to the
+// owning fileserver and keeps callback promises; GX goes through an
+// N-blade.
+TEST(AllocBudget, AfsCreateCloseStatUnlink) {
+  Scheduler S;
+  VolumeFs Fs(S, afsOptions());
+  double PerCycle = allocationsPerCycle(S, Fs);
+  RecordProperty("allocations_per_cycle", std::to_string(PerCycle));
+  EXPECT_LE(PerCycle, 3.75);
+}
+
+TEST(AllocBudget, GxCreateCloseStatUnlink) {
+  Scheduler S;
+  VolumeFs Fs(S, gxOptions());
   double PerCycle = allocationsPerCycle(S, Fs);
   RecordProperty("allocations_per_cycle", std::to_string(PerCycle));
   EXPECT_LE(PerCycle, 3.75);

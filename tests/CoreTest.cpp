@@ -182,8 +182,8 @@ TEST(Core, FullPlanRunsEveryCombination) {
 TEST(Core, PathListDirectsProcessesToDifferentVolumes) {
   Scheduler S;
   Cluster C(S, 2, 4);
-  GxFs Gx(S);
-  Gx.setupUniformVolumes(4);
+  VolumeFs Gx(S, gxOptions());
+  Gx.setupUniform(0, 4);
   C.mountEverywhere(Gx);
   BenchParams P;
   P.Operations = {"StatFiles"};
@@ -199,8 +199,8 @@ TEST(Core, PathListDirectsProcessesToDifferentVolumes) {
   }
   // Files landed on multiple filers' volumes.
   unsigned FilersWithWork = 0;
-  for (unsigned I = 0; I < Gx.numFilers(); ++I)
-    if (Gx.filer(I).processedRequests() > 0)
+  for (unsigned I = 0; I < Gx.numServers(); ++I)
+    if (Gx.server(I).processedRequests() > 0)
       ++FilersWithWork;
   EXPECT_GE(FilersWithWork, 2u);
 }
@@ -229,7 +229,7 @@ TEST(Core, WorkerCountsAllPluginsOnAllFileSystems) {
   NfsFs Nfs(S);
   LustreFs Lustre(S);
   CxfsFs Cxfs(S);
-  AfsFs Afs(S);
+  VolumeFs Afs(S, afsOptions());
   LocalFsModel Local(S);
   C.mountEverywhere(Nfs);
   C.mountEverywhere(Lustre);

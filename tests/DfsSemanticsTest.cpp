@@ -61,10 +61,10 @@ protected:
       Fs = std::make_unique<CxfsFs>(S);
       break;
     case FsKind::Afs:
-      Fs = std::make_unique<AfsFs>(S);
+      Fs = std::make_unique<VolumeFs>(S, afsOptions());
       break;
     case FsKind::Gx:
-      Fs = std::make_unique<GxFs>(S);
+      Fs = std::make_unique<VolumeFs>(S, gxOptions());
       break;
     }
     A = Fs->makeClient(0);

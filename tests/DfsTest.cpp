@@ -11,14 +11,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "dfs/AfsFs.h"
 #include "dfs/AttrCache.h"
 #include "dfs/CxfsFs.h"
 #include "dfs/FileServer.h"
-#include "dfs/GxFs.h"
 #include "dfs/LocalFsModel.h"
 #include "dfs/LustreFs.h"
 #include "dfs/NfsFs.h"
+#include "dfs/ReexportFs.h"
+#include "dfs/VolumeFs.h"
 #include "sim/Trace.h"
 #include "support/Random.h"
 #include <algorithm>
@@ -646,8 +646,8 @@ TEST(Lustre, QueuedUnlinkShadowsParentDirAttrs) {
 
 TEST(Afs, VolumesOnDifferentServers) {
   Scheduler S;
-  AfsFs Cell(S);
-  Cell.setupUniform(/*NumServers=*/2, /*VolumesPerServer=*/1);
+  VolumeFs Cell(S, afsOptions());
+  Cell.setupUniform(/*NewServers=*/2, /*NumVolumes=*/2);
   std::unique_ptr<ClientFs> C = Cell.makeClient(0);
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol0/f"));
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol1/f"));
@@ -659,8 +659,8 @@ TEST(Afs, VolumesOnDifferentServers) {
 
 TEST(Afs, CrossVolumeRenameYieldsXdev) {
   Scheduler S;
-  AfsFs Cell(S);
-  Cell.setupUniform(2, 1);
+  VolumeFs Cell(S, afsOptions());
+  Cell.setupUniform(2, 2);
   std::unique_ptr<ClientFs> C = Cell.makeClient(0);
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol0/f"));
   EXPECT_EQ(FsError::XDev,
@@ -672,7 +672,7 @@ TEST(Afs, CrossVolumeRenameYieldsXdev) {
 
 TEST(Afs, CallbackBreakInvalidatesOtherClients) {
   Scheduler S;
-  AfsFs Cell(S);
+  VolumeFs Cell(S, afsOptions());
   std::unique_ptr<ClientFs> A = Cell.makeClient(0);
   std::unique_ptr<ClientFs> B = Cell.makeClient(1);
   ASSERT_EQ(FsError::Ok, touch(S, *A, "/f"));
@@ -694,7 +694,7 @@ TEST(Afs, CallbackBreakInvalidatesOtherClients) {
 
 TEST(Afs, RenameBreaksOtherClientsCallbacksOnBothNamesAndBelow) {
   Scheduler S;
-  AfsFs Cell(S);
+  VolumeFs Cell(S, afsOptions());
   std::unique_ptr<ClientFs> A = Cell.makeClient(0);
   std::unique_ptr<ClientFs> B = Cell.makeClient(1);
   ASSERT_EQ(FsError::Ok, touch(S, *A, "/p"));
@@ -717,8 +717,8 @@ TEST(Afs, RenameBreaksOtherClientsCallbacksOnBothNamesAndBelow) {
 
 TEST(Afs, HandleOpsRouteToOwningVolume) {
   Scheduler S;
-  AfsFs Cell(S);
-  Cell.setupUniform(2, 1);
+  VolumeFs Cell(S, afsOptions());
+  Cell.setupUniform(2, 2);
   std::unique_ptr<ClientFs> C = Cell.makeClient(0);
   MetaReply O1 = runSync(S, *C, makeOpen("/vol0/a", OpenWrite | OpenCreate));
   MetaReply O2 = runSync(S, *C, makeOpen("/vol1/b", OpenWrite | OpenCreate));
@@ -734,16 +734,91 @@ TEST(Afs, HandleOpsRouteToOwningVolume) {
   EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeClose(O1.Fh)).Err);
 }
 
+TEST(Afs, CallbackBreakVisitsOnlyTheHolders) {
+  Scheduler S;
+  VolumeFs Cell(S, afsOptions());
+  std::unique_ptr<ClientFs> A = Cell.makeClient(0);
+  std::vector<std::unique_ptr<ClientFs>> Others;
+  for (unsigned I = 1; I <= 8; ++I)
+    Others.push_back(Cell.makeClient(I));
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/f"));
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/g"));
+  // Only the first of the other clients holds a promise on /f; the rest
+  // hold one on /g.
+  ASSERT_TRUE(runSync(S, *Others[0], makeStat("/f")).ok());
+  for (size_t I = 1; I < Others.size(); ++I)
+    ASSERT_TRUE(runSync(S, *Others[I], makeStat("/g")).ok());
+  uint64_t Before = Cell.callbacksBroken();
+  MetaRequest Chmod;
+  Chmod.Op = MetaOp::Chmod;
+  Chmod.Path = "/f";
+  Chmod.Mode = 0600;
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, Chmod).Err);
+  EXPECT_EQ(Before + 1, Cell.callbacksBroken()) << "only /f's holder";
+  // The break reached the holder: its next stat goes to the server and
+  // sees the new mode; the other clients still answer /g from cache.
+  uint64_t Rpcs = Cell.server(0).processedRequests();
+  MetaReply St = runSync(S, *Others[0], makeStat("/f"));
+  ASSERT_TRUE(St.ok());
+  EXPECT_EQ(0600u, St.A.Mode & 0777);
+  EXPECT_EQ(Rpcs + 1, Cell.server(0).processedRequests());
+  for (size_t I = 1; I < Others.size(); ++I)
+    ASSERT_TRUE(runSync(S, *Others[I], makeStat("/g")).ok());
+  EXPECT_EQ(Rpcs + 1, Cell.server(0).processedRequests()) << "cache hits";
+}
+
+TEST(Afs, DestroyedHolderIsNeverVisited) {
+  Scheduler S;
+  VolumeFs Cell(S, afsOptions());
+  std::unique_ptr<ClientFs> A = Cell.makeClient(0);
+  std::unique_ptr<ClientFs> B = Cell.makeClient(1);
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/f"));
+  ASSERT_TRUE(runSync(S, *B, makeStat("/f")).ok());
+  B.reset(); // dies holding a promise on /f
+  // A client made afterwards does not inherit the dead one's promise.
+  std::unique_ptr<ClientFs> C = Cell.makeClient(2);
+  uint64_t Before = Cell.callbacksBroken();
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, makeUnlink("/f")).Err);
+  EXPECT_EQ(Before, Cell.callbacksBroken());
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *C, makeStat("/f")).Err);
+}
+
+TEST(Afs, DropCachesAndRestatKeepPromiseStorageFlat) {
+  Scheduler S;
+  VolumeFs Cell(S, afsOptions());
+  std::unique_ptr<ClientFs> A = Cell.makeClient(0);
+  std::unique_ptr<ClientFs> B = Cell.makeClient(1);
+  ASSERT_EQ(FsError::Ok, touch(S, *A, "/f"));
+  auto Cycle = [&](ClientFs &C) {
+    C.dropCaches();
+    ASSERT_TRUE(runSync(S, C, makeStat("/f")).ok());
+  };
+  for (int I = 0; I < 10; ++I) {
+    Cycle(*A);
+    Cycle(*B);
+  }
+  size_t Records = Cell.promiseRecords();
+  for (int I = 0; I < 1000; ++I) {
+    Cycle(*A);
+    Cycle(*B);
+  }
+  EXPECT_EQ(Records, Cell.promiseRecords());
+  // Both clients still hold a live promise: a break reaches each once.
+  uint64_t Before = Cell.callbacksBroken();
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, makeUnlink("/f")).Err);
+  EXPECT_EQ(Before + 2, Cell.callbacksBroken());
+}
+
 //===----------------------------------------------------------------------===//
 // Ontap GX
 //===----------------------------------------------------------------------===//
 
 TEST(Gx, LocalAndForwardedVolumes) {
   Scheduler S;
-  GxOptions Opts;
-  Opts.NumFilers = 4;
-  GxFs Fs(S, Opts);
-  Fs.setupUniformVolumes(4);
+  VolumeOptions Opts = gxOptions();
+  Opts.NumServers = 4;
+  VolumeFs Fs(S, Opts);
+  Fs.setupUniform(0, 4);
   // Client on node 0 mounts via filer 0: /vol0 is local, /vol1 remote.
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   SimTime T0 = S.now();
@@ -755,14 +830,14 @@ TEST(Gx, LocalAndForwardedVolumes) {
   // Forwarding costs cluster hops + extra N-blade work (Fig. 4.3).
   EXPECT_GT(RemoteTime, LocalTime);
   // Both filers did real work.
-  EXPECT_GT(Fs.filer(0).processedRequests(), 0u);
-  EXPECT_GT(Fs.filer(1).processedRequests(), 0u);
+  EXPECT_GT(Fs.server(0).processedRequests(), 0u);
+  EXPECT_GT(Fs.server(1).processedRequests(), 0u);
 }
 
 TEST(Gx, SingleNamespaceAcrossFilers) {
   Scheduler S;
-  GxFs Fs(S);
-  Fs.setupUniformVolumes(8);
+  VolumeFs Fs(S, gxOptions());
+  Fs.setupUniform(0, 8);
   std::unique_ptr<ClientFs> A = Fs.makeClient(0); // N-blade 0
   std::unique_ptr<ClientFs> B = Fs.makeClient(3); // N-blade 3
   ASSERT_EQ(FsError::Ok, touch(S, *A, "/vol5/f"));
@@ -772,23 +847,65 @@ TEST(Gx, SingleNamespaceAcrossFilers) {
 
 TEST(Gx, CrossVolumeRenameYieldsXdev) {
   Scheduler S;
-  GxFs Fs(S);
-  Fs.setupUniformVolumes(2);
+  VolumeFs Fs(S, gxOptions());
+  Fs.setupUniform(0, 2);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol0/f"));
   EXPECT_EQ(FsError::XDev,
             runSync(S, *C, makeRename("/vol0/f", "/vol1/f")).Err);
 }
 
+TEST(Gx, ClientsMayOutliveTheCluster) {
+  // One lifetime rule for both configurations: the cluster may go first
+  // (a Cluster holding the clients destroyed after it), even while a
+  // client holds a callback promise.
+  for (const VolumeOptions &Opts : {gxOptions(), afsOptions()}) {
+    Scheduler S;
+    auto Fs = std::make_unique<VolumeFs>(S, Opts);
+    std::unique_ptr<ClientFs> C = Fs->makeClient(0);
+    ASSERT_EQ(FsError::Ok, touch(S, *C, "/f"));
+    ASSERT_TRUE(runSync(S, *C, makeStat("/f")).ok());
+    Fs.reset();
+    C->dropCaches();
+    C.reset();
+  }
+}
+
 TEST(Gx, NbladeAssignmentRoundRobin) {
   Scheduler S;
-  GxOptions Opts;
-  Opts.NumFilers = 4;
-  GxFs Fs(S, Opts);
+  VolumeOptions Opts = gxOptions();
+  Opts.NumServers = 4;
+  VolumeFs Fs(S, Opts);
   auto C0 = Fs.makeClient(0);
   auto C5 = Fs.makeClient(5);
-  EXPECT_EQ(0u, static_cast<GxClient *>(C0.get())->nbladeIndex());
-  EXPECT_EQ(1u, static_cast<GxClient *>(C5.get())->nbladeIndex());
+  EXPECT_EQ(0u, static_cast<VolumeClient *>(C0.get())->nbladeIndex());
+  EXPECT_EQ(1u, static_cast<VolumeClient *>(C5.get())->nbladeIndex());
+}
+
+//===----------------------------------------------------------------------===//
+// Cache statistics of the caching clients
+//===----------------------------------------------------------------------===//
+
+TEST(ClientCache, StatsCountHitsOnAfsGxAndReexport) {
+  for (const char *Model : {"afs", "gx", "reexport"}) {
+    SCOPED_TRACE(Model);
+    Scheduler S;
+    NfsFs Inner(S);
+    std::unique_ptr<DistributedFs> Fs;
+    if (std::string(Model) == "afs")
+      Fs = std::make_unique<VolumeFs>(S, afsOptions());
+    else if (std::string(Model) == "gx")
+      Fs = std::make_unique<VolumeFs>(S, gxOptions());
+    else
+      Fs = std::make_unique<ReexportFs>(S, Inner);
+    std::unique_ptr<ClientFs> C = Fs->makeClient(0);
+    ASSERT_EQ(FsError::Ok, touch(S, *C, "/f"));
+    for (int I = 0; I < 5; ++I)
+      ASSERT_TRUE(runSync(S, *C, makeStat("/f")).ok());
+    FsAdmin::CacheStats Stats = C->cacheStats();
+    EXPECT_GT(Stats.Hits, 0u);
+    EXPECT_EQ(5u, Stats.Hits + Stats.Misses);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -878,35 +995,38 @@ TEST(LocalModel, MuchFasterThanNfs) {
 // Mount table
 //===----------------------------------------------------------------------===//
 
+/// \p Path relative to the root of the volume \p M it resolved to.
+std::string_view relativeTo(const MountEntry *M, std::string_view Path) {
+  return MountTable::relative(Path, M->prefixLength());
+}
+
 TEST(Mounts, LongestPrefixWins) {
   MountTable T;
   T.add("/", 0, "root");
   T.add("/vol1", 1, "vol1");
   T.add("/vol1/deep", 2, "deep");
-  std::string Rel;
-  const MountEntry *M = T.resolve("/vol1/deep/x/y", Rel);
+  const MountEntry *M = T.resolve("/vol1/deep/x/y");
   ASSERT_NE(nullptr, M);
   EXPECT_EQ(2u, M->ServerIndex);
-  EXPECT_EQ("/x/y", Rel);
-  M = T.resolve("/vol1/file", Rel);
+  EXPECT_EQ("/x/y", relativeTo(M, "/vol1/deep/x/y"));
+  M = T.resolve("/vol1/file");
   EXPECT_EQ(1u, M->ServerIndex);
-  EXPECT_EQ("/file", Rel);
-  M = T.resolve("/elsewhere", Rel);
+  EXPECT_EQ("/file", relativeTo(M, "/vol1/file"));
+  M = T.resolve("/elsewhere");
   EXPECT_EQ(0u, M->ServerIndex);
-  EXPECT_EQ("/elsewhere", Rel);
+  EXPECT_EQ("/elsewhere", relativeTo(M, "/elsewhere"));
   // Prefix match only at component boundaries.
-  M = T.resolve("/vol12/x", Rel);
+  M = T.resolve("/vol12/x");
   EXPECT_EQ(0u, M->ServerIndex);
 }
 
 TEST(Mounts, MountRootResolvesToVolumeRoot) {
   MountTable T;
   T.add("/vol1", 1, "vol1");
-  std::string Rel;
-  const MountEntry *M = T.resolve("/vol1", Rel);
+  const MountEntry *M = T.resolve("/vol1");
   ASSERT_NE(nullptr, M);
-  EXPECT_EQ("/", Rel);
-  EXPECT_EQ(nullptr, T.resolve("/other", Rel));
+  EXPECT_EQ("/", relativeTo(M, "/vol1"));
+  EXPECT_EQ(nullptr, T.resolve("/other"));
 }
 
 TEST(Mounts, RouteRewritesBothPathsOrRefuses) {
@@ -916,18 +1036,20 @@ TEST(Mounts, RouteRewritesBothPathsOrRefuses) {
   MetaRequest Fwd;
   FsError Err = FsError::Ok;
   // A link within one volume: both names relative to its root.
-  const MountEntry *M = T.route(makeLink("/vol1/a", "/vol1/d/b"), Fwd, Err);
+  MetaRequest Link = makeLink("/vol1/a", "/vol1/d/b");
+  const MountEntry *M = T.route(Link, Err);
   ASSERT_NE(nullptr, M);
   EXPECT_EQ(1u, M->ServerIndex);
+  MountTable::toVolume(Link, M->prefixLength(), Fwd);
   EXPECT_EQ(MetaOp::Link, Fwd.Op);
   EXPECT_EQ("/a", Fwd.Path);
   EXPECT_EQ("/d/b", Fwd.Path2);
   // A rename across two volumes cannot be one server-side operation.
-  EXPECT_EQ(nullptr, T.route(makeRename("/vol1/a", "/vol2/a"), Fwd, Err));
+  EXPECT_EQ(nullptr, T.route(makeRename("/vol1/a", "/vol2/a"), Err));
   EXPECT_EQ(FsError::XDev, Err);
   // No mount covers the path.
   Err = FsError::Ok;
-  EXPECT_EQ(nullptr, T.route(makeStat("/other/x"), Fwd, Err));
+  EXPECT_EQ(nullptr, T.route(makeStat("/other/x"), Err));
   EXPECT_EQ(FsError::NoEnt, Err);
 }
 

@@ -128,7 +128,7 @@ TEST(Reexport, OwnRenameInvalidatesCachedTargetAndChildren) {
 TEST(Reexport, WorksAsBenchmarkTarget) {
   Scheduler S;
   Cluster C(S, 2, 4);
-  GxFs Inner(S);
+  VolumeFs Inner(S, gxOptions());
   ReexportFs Gateway(S, Inner);
   C.mountEverywhere(Gateway);
   BenchParams P;
@@ -149,27 +149,27 @@ TEST(Reexport, WorksAsBenchmarkTarget) {
 
 TEST(VolumeMove, GxPathOperationsSurviveTheMove) {
   Scheduler S;
-  GxOptions Opts;
-  Opts.NumFilers = 2;
-  GxFs Fs(S, Opts);
-  Fs.setupUniformVolumes(2);
+  VolumeOptions Opts = gxOptions();
+  Opts.NumServers = 2;
+  VolumeFs Fs(S, Opts);
+  Fs.setupUniform(0, 2);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol1/f"));
-  uint64_t Filer1Before = Fs.filer(1).processedRequests();
+  uint64_t Filer1Before = Fs.server(1).processedRequests();
 
   ASSERT_TRUE(Fs.moveVolume("/vol1", 0));
   // Data and namespace are intact; requests now land on filer 0.
   EXPECT_TRUE(runSync(S, *C, makeStat("/vol1/f")).ok());
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol1/g"));
-  EXPECT_EQ(Filer1Before, Fs.filer(1).processedRequests());
+  EXPECT_EQ(Filer1Before, Fs.server(1).processedRequests());
 }
 
 TEST(VolumeMove, OpenHandlesBreak) {
   Scheduler S;
-  GxOptions Opts;
-  Opts.NumFilers = 2;
-  GxFs Fs(S, Opts);
-  Fs.setupUniformVolumes(2);
+  VolumeOptions Opts = gxOptions();
+  Opts.NumServers = 2;
+  VolumeFs Fs(S, Opts);
+  Fs.setupUniform(0, 2);
   std::unique_ptr<ClientFs> C = Fs.makeClient(0);
   MetaReply O = runSync(S, *C, makeOpen("/vol1/f", OpenWrite | OpenCreate));
   ASSERT_TRUE(O.ok());
@@ -180,8 +180,8 @@ TEST(VolumeMove, OpenHandlesBreak) {
 
 TEST(VolumeMove, AfsMoveRebalancesServers) {
   Scheduler S;
-  AfsFs Cell(S);
-  Cell.setupUniform(2, 1);
+  VolumeFs Cell(S, afsOptions());
+  Cell.setupUniform(2, 2);
   std::unique_ptr<ClientFs> C = Cell.makeClient(0);
   ASSERT_EQ(FsError::Ok, touch(S, *C, "/vol0/f"));
   unsigned OldServer = 1; // setupUniform adds servers 1 and 2; vol0 on 1
@@ -193,8 +193,8 @@ TEST(VolumeMove, AfsMoveRebalancesServers) {
 
 TEST(VolumeMove, InvalidTargetsRejected) {
   Scheduler S;
-  GxFs Fs(S);
-  Fs.setupUniformVolumes(2);
+  VolumeFs Fs(S, gxOptions());
+  Fs.setupUniform(0, 2);
   EXPECT_FALSE(Fs.moveVolume("/vol0", 99));
   EXPECT_FALSE(Fs.moveVolume("/nope", 1));
   EXPECT_TRUE(Fs.moveVolume("/vol0", 0)); // no-op move succeeds

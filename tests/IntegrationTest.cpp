@@ -30,10 +30,10 @@ MetaReply runSync(Scheduler &S, ClientFs &C, MetaRequest Req) {
 
 TEST(Integration, GxForwardingLoadsBothFilers) {
   Scheduler S;
-  GxOptions Opts;
-  Opts.NumFilers = 2;
-  GxFs Fs(S, Opts);
-  Fs.setupUniformVolumes(2); // vol0 on filer0, vol1 on filer1
+  VolumeOptions Opts = gxOptions();
+  Opts.NumServers = 2;
+  VolumeFs Fs(S, Opts);
+  Fs.setupUniform(0, 2); // vol0 on filer0, vol1 on filer1
   std::unique_ptr<ClientFs> C = Fs.makeClient(0); // N-blade = filer0
 
   // Work exclusively on the REMOTE volume: the D-blade work lands on
@@ -45,10 +45,10 @@ TEST(Integration, GxForwardingLoadsBothFilers) {
     ASSERT_TRUE(O.ok());
     ASSERT_TRUE(runSync(S, *C, makeClose(O.Fh)).ok());
   }
-  EXPECT_EQ(40u, Fs.filer(1).processedRequests());
-  EXPECT_EQ(0u, Fs.filer(0).processedRequests());
+  EXPECT_EQ(40u, Fs.server(1).processedRequests());
+  EXPECT_EQ(0u, Fs.server(0).processedRequests());
   // The N-blade CPU was busy translating/forwarding nonetheless.
-  EXPECT_GT(Fs.filer(0).cpu().completedRequests(), 40u);
+  EXPECT_GT(Fs.server(0).cpu().completedRequests(), 40u);
 }
 
 TEST(Integration, NfsReadAfterCloseAcrossNodes) {

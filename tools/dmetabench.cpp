@@ -207,13 +207,15 @@ std::unique_ptr<DistributedFs> makeFs(Scheduler &S, const CliOptions &Opt) {
   if (Opt.Fs == "cxfs")
     return std::make_unique<CxfsFs>(S);
   if (Opt.Fs == "afs") {
-    auto Cell = std::make_unique<AfsFs>(S);
-    Cell->setupUniform(std::max(1u, Opt.Volumes / 2), 2);
+    // Two volumes per fileserver, beside the root-volume server.
+    unsigned Servers = std::max(1u, Opt.Volumes / 2);
+    auto Cell = std::make_unique<VolumeFs>(S, afsOptions());
+    Cell->setupUniform(Servers, 2 * Servers);
     return Cell;
   }
   if (Opt.Fs == "gx") {
-    auto Gx = std::make_unique<GxFs>(S);
-    Gx->setupUniformVolumes(Opt.Volumes);
+    auto Gx = std::make_unique<VolumeFs>(S, gxOptions());
+    Gx->setupUniform(0, Opt.Volumes);
     return Gx;
   }
   if (Opt.Fs == "sharded") {

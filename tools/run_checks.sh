@@ -14,11 +14,15 @@
 #      six tier-1 models (nfs, lustre, afs, gx, cxfs, localfs),
 #   5. an engine-throughput bench smoke at reduced sizes (writes
 #      build/BENCH_engine.json; scale curve capped at 4096 clients),
-#   6. the fault-injection smoke: bench_fault_degradation (E29) exits
-#      nonzero when the op ledger, the post-run fsck or the determinism
-#      check fails — and the E30 (sharded) and E31 (write-behind
-#      crash-consistency) self-checking benches, whose JSON must
-#      reproduce the committed BENCH_E30.json / BENCH_E31.json,
+#   6. the golden corpus (tools/golden.py): the stdout of every
+#      deterministic experiment and the result files of every CLI model
+#      must match the digests in bench/golden/; the self-checking
+#      experiments fail it by their exit status — bench_fault_degradation
+#      (E29) when the op ledger, the post-run fsck or the determinism
+#      check fails, the E30 (sharded) and E31 (write-behind
+#      crash-consistency) benches on their own checks — and the JSON E30
+#      and E31 write must reproduce the committed BENCH_E30.json /
+#      BENCH_E31.json,
 #   7. the trace, fault, write-behind, fs, dfs, sharded, hybrid
 #      (re-export, volume move), flat-table, CPU-queue (Resource,
 #      SharedProcessor), journal and duplicate-request-cache tests
@@ -103,29 +107,13 @@ step "engine throughput smoke (reduced sizes)"
     --problemsize 2000 --timelimit 2 --label smoke --curve-max 4096 \
     --out "$ROOT/build/BENCH_engine.json"
 
-step "fault-injection smoke (E29: loss window + MDS crash)"
-# Self-checking: the binary exits nonzero when any op is lost or double
-# applied, the post-run fsck is dirty, or the faulted run is not
-# schedule-invariant.
-"$ROOT/build/bench/bench_fault_degradation"
-
-step "sharded-metadata smoke (E30: scale-out, rebalance, kill-one-shard)"
-# Self-checking: saturation scaling, the threshold curve, the E29-style
-# exactly-once ledger with shard 0 crashed mid-run, bit-identical replay
-# and verify-schedules invariance all gate the exit code. The run is a
-# deterministic simulation, so the JSON it writes must reproduce the
-# committed BENCH_E30.json.
-"$ROOT/build/bench/bench_sharded_saturation" --out "$ROOT/build/BENCH_E30.json"
-cmp "$ROOT/build/BENCH_E30.json" "$ROOT/BENCH_E30.json"
-
-step "write-behind audit smoke (E31: mid-batch crash, exactly-once ledger)"
-# Self-checking: the binary exits nonzero when a barrier-confirmed op is
-# lost, double-applied or reordered across the mid-batch MDS crash, when
-# the deferred and synchronous trees diverge, or when the run is not
-# bit-for-bit replayable / schedule-invariant. Deterministic simulation:
-# the JSON must reproduce the committed BENCH_E31.json.
-"$ROOT/build/bench/bench_writebehind_audit" --out "$ROOT/build/BENCH_E31.json"
-cmp "$ROOT/build/BENCH_E31.json" "$ROOT/BENCH_E31.json"
+step "golden corpus (experiment stdout, CLI model result files)"
+# Every experiment but the two host-timed ones, and every CLI model's
+# --outdir files, digested and compared with bench/golden/; a mismatch
+# names the entry and its first differing line or file. It also runs the
+# self-checking E29-E31 and compares E30's and E31's JSON with the
+# committed BENCH_E30.json / BENCH_E31.json.
+python3 "$ROOT/tools/golden.py" --build "$ROOT/build" -j "$JOBS"
 
 if [ -n "$SANITIZE" ]; then
   step "sanitizer build (build-sanitize/, DMB_SANITIZE=$SANITIZE)"
@@ -145,11 +133,13 @@ else
   # hands ops, queue-local handles and stalled enqueues between flushes,
   # closures and completions, the clients' shared front end
   # (RpcClientBase::submit, ClientHandles) routes every model's requests
-  # and client-local handles, the sharded client among them, the path
-  # walk hands out its leaf as a view into the request path or a symlink
-  # target, the flat table behind directories, attribute caches,
-  # write-behind indexes and the duplicate-request cache moves entries on
-  # every growth and erase, the CPU queues (Resource's waiting ring,
+  # and client-local handles, the sharded client among them, the volume
+  # model's callback promises name clients that may be destroyed before
+  # the cluster breaks them (the Afs suite), the path walk hands out its
+  # leaf as a view into the request path or a symlink target, the flat
+  # table behind directories, attribute caches, write-behind indexes and
+  # the duplicate-request cache moves entries on every growth and erase,
+  # the CPU queues (Resource's waiting ring,
   # SharedProcessor's compacted task vector) reuse their storage under
   # running completions, the journal's commit hook may append records and
   # intern a volume while the commit frontier advances, and the
