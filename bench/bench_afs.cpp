@@ -71,9 +71,12 @@ int main() {
   Sync(*A, makeClose(Fh));
   Sync(*B, makeStat("/f")); // B acquires the callback.
   uint64_t Before = Cell.server(0).processedRequests();
+  SimTime CachedStart = S.now();
   for (int I = 0; I < 100; ++I)
     Sync(*B, makeStat("/f"));
   uint64_t CachedRpcs = Cell.server(0).processedRequests() - Before;
+  // Each cached stat costs the client's cache-hit time, and nothing else.
+  SimDuration CachedTime = S.now() - CachedStart;
   MetaRequest Chmod;
   Chmod.Op = MetaOp::Chmod;
   Chmod.Path = "/f";
@@ -84,9 +87,10 @@ int main() {
   uint64_t AfterBreak = Cell.server(0).processedRequests() - Before;
 
   std::printf("Callback caching: 100 repeated stat()s on client B cost "
-              "%llu server RPCs;\nafter client A's chmod breaks the "
-              "callback, the next stat costs %llu RPC.\n\n",
-              (unsigned long long)CachedRpcs,
+              "%llu server RPCs\nand %lld ns of simulated time;\nafter "
+              "client A's chmod breaks the callback, the next stat costs "
+              "%llu RPC.\n\n",
+              (unsigned long long)CachedRpcs, (long long)CachedTime,
               (unsigned long long)AfterBreak);
 
   std::printf("Expected shape: one volume saturates its single-threaded "

@@ -7,6 +7,7 @@
 #include "analysis/Preprocess.h"
 #include "support/Format.h"
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 using namespace dmb;
@@ -157,9 +158,11 @@ std::string dmb::canonicalResultText(const ResultSet &R) {
                  (unsigned long long)P.FailedRequests,
                  toSeconds(P.FinishOffset));
       uint64_t Cum = 0;
+      char Buf[24];
       for (uint64_t N : P.OpsPerInterval) {
         Cum += N;
-        Line += format("%llu,", (unsigned long long)Cum);
+        Line.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Cum).ptr);
+        Line += ',';
       }
       ProcLines.push_back(std::move(Line));
     }

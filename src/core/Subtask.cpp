@@ -167,6 +167,7 @@ void SubtaskRunner::finish() {
   Result.PerNode = Spec.PerNode;
   Result.BenchStart = BenchStart;
   Result.Interval = Spec.Params.LogInterval;
+  Result.Processes.reserve(Workers.size());
   for (unsigned I = 0, E = Workers.size(); I != E; ++I) {
     WorkerProcess &W = Workers[I];
     ProcessTrace Trace;
@@ -174,7 +175,7 @@ void SubtaskRunner::finish() {
     Trace.Ordinal = I;
     Trace.Hostname =
         Spec.Workers[I].Hostname ? *Spec.Workers[I].Hostname : std::string();
-    Trace.OpsPerInterval = W.log().opsPerInterval();
+    Trace.OpsPerInterval = W.log().takeOpsPerInterval();
     Trace.TotalOps = W.log().totalOps();
     Trace.FinishOffset = W.log().finishOffset();
     Trace.FailedRequests = BenchFailures[I];

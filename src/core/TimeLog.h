@@ -18,6 +18,7 @@
 #include "sim/Time.h"
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace dmb {
@@ -36,6 +37,8 @@ public:
 
   /// Operations completed in each interval since the phase start.
   const std::vector<uint64_t> &opsPerInterval() const { return Buckets; }
+  /// Moves the per-interval counts out, leaving the log without them.
+  std::vector<uint64_t> takeOpsPerInterval() { return std::move(Buckets); }
 
   /// Cumulative operations completed at interval boundary \p Index+1.
   uint64_t cumulativeAt(size_t Index) const;

@@ -13,11 +13,17 @@
 /// The entries sit in a FIFO ring of the configured capacity, in order of
 /// first insertion, and a FlatTable maps each key to its slot. The ring
 /// is reserved at the first insertion, so a server that never sees an Xid
-/// pays nothing. Once the ring is full, a new key overwrites the oldest
-/// slot in place, so the slot's path buffer is reused and a cache that
+/// pays nothing. Once the ring is full, a new key first evicts the oldest
+/// entry and then takes its slot, so the slot's path buffer is reused,
+/// the index never holds more keys than the capacity, and a cache that
 /// churns at capacity allocates only for paths longer than the last
-/// occupant's. An entry keeps the fixed-size part of a reply: the ops a
-/// server caches never fill Text, Entries or EntryAttrs.
+/// occupant's.
+///
+/// An entry keeps the fixed-size part of a reply: the ops a server caches
+/// never fill Text, Entries or EntryAttrs. Only open replies carry
+/// attributes, so an entry holds an index into a pool of attributes,
+/// used only when they differ from Attr{}, instead of an Attr of its own;
+/// a freed pool slot goes on a free list for the next one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,12 +74,23 @@ public:
   /// One cached reply.
   struct Entry {
     uint64_t Key = 0;
+    uint64_t SeqPlus1 = 0; ///< journal seq + 1; 0 = not journaled
+    /// \name The reply's fixed fields, all but its attributes
+    /// @{
+    FileHandle Fh = InvalidHandle;
+    uint64_t Bytes = 0;
+    uint64_t MapEpoch = 0;
+    /// @}
+    std::string Path; ///< request path, keys migration extraction
     MetaOp Op = MetaOp::Stat; ///< decides migration eligibility
     uint32_t VolId = 0;
-    uint64_t SeqPlus1 = 0; ///< journal seq + 1; 0 = not journaled
-    CachedReply Reply;
-    std::string Path; ///< request path, keys migration extraction
+    FsError Err = FsError::Ok;
+    /// The reply's attributes in the pool, or NoAttr for Attr{}.
+    uint32_t AttrSlot = NoAttr;
   };
+  static constexpr uint32_t NoAttr = ~0u;
+  static_assert(sizeof(Entry) == 88,
+                "a cached reply keeps its attributes in the pool");
 
   /// A cache of at most \p Capacity entries; 0 makes it unusable.
   explicit DuplicateRequestCache(size_t Capacity) : Capacity(Capacity) {}
@@ -84,46 +101,61 @@ public:
     return S ? &Ring[S->Pos] : nullptr;
   }
 
+  /// The reply cached in \p E, an entry of this cache.
+  CachedReply reply(const Entry &E) const {
+    return CachedReply{E.Err,
+                       E.AttrSlot == NoAttr ? Attr() : Attrs[E.AttrSlot],
+                       E.Fh, E.Bytes, E.MapEpoch};
+  }
+
   /// Caches \p Reply to the request \p Key of \p Op on \p Path in volume
   /// \p VolId, anchored to journal record \p SeqPlus1 - 1 (0 = none). A
   /// key already cached is refreshed in place and keeps its place in the
   /// eviction order. A new key takes the slot after the newest entry; in
-  /// a full ring that is the oldest entry's slot, which it evicts. Returns
-  /// true when the key was new.
+  /// a full ring that is the oldest entry's slot, which it evicts first.
+  /// Returns true when the key was new.
   bool insert(uint64_t Key, MetaOp Op, const CachedReply &Reply,
               std::string_view Path, uint32_t VolId, uint64_t SeqPlus1) {
     DMB_ASSERT(Capacity != 0, "DRC: insert into a zero-capacity cache");
-    auto [S, Added] = Index.tryEmplace(Key);
+    Slot *S = Index.find(Key);
+    bool Added = S == nullptr;
     if (Added) {
+      size_t Pos;
       if (Count == Capacity) {
-        // Full: the oldest entry gives up its slot. Erasing another key
-        // moves no index entry, so S stays valid.
-        S->Pos = Head;
+        // Full: the oldest entry gives up its slot before the new key
+        // enters the index.
+        Pos = Head;
         Index.erase(Ring[Head].Key);
         Head = wrap(Head + 1);
       } else {
         if (Ring.empty())
           Ring.reserve(Capacity);
-        S->Pos = wrap(Head + Count);
-        if (S->Pos == Ring.size())
+        Pos = wrap(Head + Count);
+        if (Pos == Ring.size())
           Ring.emplace_back();
         ++Count;
       }
+      S = Index.tryEmplace(Key).first;
+      S->Pos = Pos;
       ++Insertions;
     }
     Entry &E = Ring[S->Pos];
     E.Key = Key;
+    E.SeqPlus1 = SeqPlus1;
+    E.Fh = Reply.Fh;
+    E.Bytes = Reply.Bytes;
+    E.MapEpoch = Reply.MapEpoch;
+    E.Path.assign(Path);
     E.Op = Op;
     E.VolId = VolId;
-    E.SeqPlus1 = SeqPlus1;
-    E.Reply = Reply;
-    E.Path.assign(Path);
+    E.Err = Reply.Err;
+    setAttr(E, Reply.A);
     return Added;
   }
 
   /// Removes every entry \p Drop accepts; the others keep their order.
-  /// \p Drop may move from an entry it accepts. Returns how many it
-  /// removed.
+  /// \p Drop may read the entry's reply() and move from an entry it
+  /// accepts. Returns how many it removed.
   template <typename Pred> size_t removeIf(Pred &&Drop) {
     size_t Kept = 0;
     for (size_t I = 0; I != Count; ++I) {
@@ -131,6 +163,7 @@ public:
       uint64_t Key = Ring[From].Key;
       if (Drop(Ring[From])) {
         Index.erase(Key);
+        releaseAttr(Ring[From]);
         continue;
       }
       // Close ranks: a swap leaves the removed entry's buffers in the
@@ -160,6 +193,8 @@ public:
   size_t ringLength() const { return Count; }
   /// Keys inserted new, over the cache's lifetime.
   uint64_t insertions() const { return Insertions; }
+  /// Pool slots holding an entry's attributes.
+  size_t pooledAttrs() const { return Attrs.size() - FreeAttrs.size(); }
 
 private:
   /// Where a key's entry sits in the ring.
@@ -167,6 +202,34 @@ private:
     uint64_t Key = 0;
     size_t Pos = 0;
   };
+
+  /// Stores \p A as \p E's attributes: in its pool slot, taking one when
+  /// it has none, unless \p A is Attr{} (compared field by field: the
+  /// padding of an Attr is not part of its value).
+  void setAttr(Entry &E, const Attr &A) {
+    if (A == Attr()) {
+      releaseAttr(E);
+      return;
+    }
+    if (E.AttrSlot == NoAttr) {
+      if (FreeAttrs.empty()) {
+        E.AttrSlot = static_cast<uint32_t>(Attrs.size());
+        Attrs.emplace_back();
+      } else {
+        E.AttrSlot = FreeAttrs.back();
+        FreeAttrs.pop_back();
+      }
+    }
+    Attrs[E.AttrSlot] = A;
+  }
+
+  /// Returns \p E's pool slot, if any, to the free list.
+  void releaseAttr(Entry &E) {
+    if (E.AttrSlot == NoAttr)
+      return;
+    FreeAttrs.push_back(E.AttrSlot);
+    E.AttrSlot = NoAttr;
+  }
 
   /// \p P reduced into the ring, for \p P < 2 * Capacity.
   size_t wrap(size_t P) const { return P >= Capacity ? P - Capacity : P; }
@@ -181,6 +244,8 @@ private:
   size_t Count = 0;
   uint64_t Insertions = 0;
   FlatTable<Slot, &Slot::Key> Index;
+  std::vector<Attr> Attrs; ///< the attribute pool
+  std::vector<uint32_t> FreeAttrs; ///< pool slots no entry holds
 };
 
 } // namespace dmb

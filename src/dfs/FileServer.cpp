@@ -301,7 +301,7 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
       ++DrcHits;
       ++Processed;
       DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
-      Cpu.request(Config.DrcHitCost, Finish(E->Reply.reply()));
+      Cpu.request(Config.DrcHitCost, Finish(Drc.reply(*E).reply()));
       return;
     }
   }
@@ -355,21 +355,11 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
     // reaches this record (log-prefix rule): a 4-thread CPU finishes
     // service out of append order, and acking a dependent op whose
     // predecessor's record is still in flight lets a crash commit the
-    // dependent without the predecessor. Park the ack; the onCommit hook
-    // (or the crash sweep, for discarded records) releases it.
-    Committed = [this, Seq = JournalSeqPlus1 - 1,
-                 Inner = std::move(Committed)]() mutable {
-      if (Journal->isDiscarded(Seq)) {
-        // Crashed before the stable write finished: the record is gone,
-        // but the reply still travels (it models a message the server
-        // sent before it lost the op's durability, the E29 acked-but-lost
-        // window).
-        Inner();
-        return;
-      }
-      HeldCommitAcks.emplace(Seq, std::move(Inner));
-      Journal->commit(Seq);
-    };
+    // dependent without the predecessor. The ack waits parked under its
+    // record's seq; the CPU completion names only the seq.
+    uint64_t Seq = JournalSeqPlus1 - 1;
+    parkAck(Seq, std::move(Committed));
+    Committed = [this, Seq]() { persisted(Seq); };
   }
   if (JitterMean > 0) {
     // Mostly small per-request extras with an occasional heavy hit.
@@ -402,13 +392,53 @@ void FileServer::enableJournal() {
     return;
   Journal = std::make_unique<MetadataJournal>();
   Journal->onCommit([this](uint64_t Seq) {
-    auto It = HeldCommitAcks.find(Seq);
-    if (It == HeldCommitAcks.end())
-      return; // committed directly (server-internal execDirect records)
-    std::function<void()> Ack = std::move(It->second);
-    HeldCommitAcks.erase(It);
-    Ack();
+    // Nothing parked: a record committed directly (server-internal
+    // execDirect records).
+    if (std::function<void()> Ack = takeAck(Seq))
+      Ack();
   });
+}
+
+void FileServer::persisted(uint64_t Seq) {
+  if (Journal->isDiscarded(Seq)) {
+    // Crashed before the stable write finished: the record is gone, but
+    // the reply still travels (it models a message the server sent before
+    // it lost the op's durability, the E29 acked-but-lost window).
+    takeAck(Seq)();
+    return;
+  }
+  // Held until the record commits; the onCommit hook releases the ack.
+  Journal->commit(Seq);
+}
+
+void FileServer::parkAck(uint64_t Seq, std::function<void()> Ack) {
+  if (ParkedAcks.empty()) {
+    ParkedAcks.resize(16);
+    ParkedLo = Seq;
+  }
+  // Seqs grow, so every ack parked so far is below Seq; skip the released
+  // slots at the low end of the window.
+  while (ParkedLo < Seq && !parkedSlot(ParkedLo))
+    ++ParkedLo;
+  if (Seq - ParkedLo >= ParkedAcks.size()) {
+    // Grow to hold the window [ParkedLo, Seq], each ack under its seq.
+    size_t Cap = ParkedAcks.size();
+    while (Seq - ParkedLo >= Cap)
+      Cap *= 2;
+    std::vector<std::function<void()>> Bigger(Cap);
+    for (uint64_t S = ParkedLo; S != Seq; ++S)
+      Bigger[S & (Cap - 1)] = std::move(parkedSlot(S));
+    ParkedAcks = std::move(Bigger);
+  }
+  parkedSlot(Seq) = std::move(Ack);
+}
+
+std::function<void()> FileServer::takeAck(uint64_t Seq) {
+  if (Seq < ParkedLo || Seq - ParkedLo >= ParkedAcks.size())
+    return nullptr;
+  std::function<void()> Ack = std::move(parkedSlot(Seq));
+  parkedSlot(Seq) = nullptr;
+  return Ack;
 }
 
 uint64_t FileServer::crashAndRecover(const std::string &Volume) {
@@ -423,18 +453,15 @@ uint64_t FileServer::crashAndRecover(const std::string &Volume) {
   // write finished but that was held behind an in-flight predecessor sits
   // after a hole in the on-disk log, so the crash discards it too.
   uint64_t Lost = Journal->discardUncommitted(Volume);
-  // Release the parked acks of discarded records (in seq order): their
+  // Release the held acks of discarded records (in seq order): their
   // replies race the crash exactly as an in-service op's reply does, and
-  // resilient clients re-execute via retransmission either way.
-  for (auto It = HeldCommitAcks.begin(); It != HeldCommitAcks.end();) {
-    if (!Journal->isDiscarded(It->first)) {
-      ++It;
-      continue;
-    }
-    std::function<void()> Ack = std::move(It->second);
-    It = HeldCommitAcks.erase(It);
-    Ack();
-  }
+  // resilient clients re-execute via retransmission either way. Acks of
+  // records still in service stay parked until their CPU completion.
+  for (uint64_t Seq = ParkedLo, End = ParkedLo + ParkedAcks.size();
+       Seq != End; ++Seq)
+    if (Journal->isDiscarded(Seq) && Journal->isPersisted(Seq))
+      if (std::function<void()> Ack = takeAck(Seq))
+        Ack();
   FsConfig VolConfig = Vol->config();
   auto Fresh = std::make_unique<LocalFileSystem>(VolConfig);
   Journal->replay(Volume, *Fresh);
@@ -458,7 +485,7 @@ std::vector<FileServer::DrcExport> FileServer::extractDrcEntries(
   Drc.removeIf([&](DuplicateRequestCache::Entry &E) {
     if (E.VolId != VolId || !Match(E.Path))
       return false;
-    Out.push_back({E.Key, E.Op, E.Reply, std::move(E.Path)});
+    Out.push_back({E.Key, E.Op, Drc.reply(E), std::move(E.Path)});
     return true;
   });
   std::sort(Out.begin(), Out.end(),

@@ -26,7 +26,6 @@
 #include "support/Interner.h"
 #include "support/Random.h"
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -294,12 +293,23 @@ private:
 
   // Journaling (\S 2.7) and change notification (\S 2.8.3).
   std::unique_ptr<MetadataJournal> Journal;
-  /// Completions whose journal record has finished its stable write but is
-  /// held behind an earlier in-flight record (per-volume log-prefix rule).
-  /// Keyed by journal seq; released in commit order by the journal's
-  /// onCommit hook, or swept at crashAndRecover() for discarded records.
-  /// Ordered map: the crash sweep must release in deterministic order.
-  std::map<uint64_t, std::function<void()>> HeldCommitAcks;
+  /// The completions of journaled requests, parked from execution until
+  /// their record commits (per-volume log-prefix rule): released in commit
+  /// order by the journal's onCommit hook, at the CPU completion for a
+  /// record a crash discarded in service, or in seq order by the crash
+  /// sweep for one it discarded while held. A ring indexed by seq over the
+  /// window [ParkedLo, ParkedLo + size): parked seqs only grow, and an
+  /// empty slot is a released ack or a record that never had one.
+  std::vector<std::function<void()>> ParkedAcks;
+  uint64_t ParkedLo = 0; ///< no ack is parked below this seq
+  std::function<void()> &parkedSlot(uint64_t Seq) {
+    return ParkedAcks[Seq & (ParkedAcks.size() - 1)];
+  }
+  void parkAck(uint64_t Seq, std::function<void()> Ack);
+  /// Removes and returns the ack parked under \p Seq (empty for none).
+  std::function<void()> takeAck(uint64_t Seq);
+  /// The CPU finished journaled request \p Seq: its stable write is done.
+  void persisted(uint64_t Seq);
   std::vector<std::function<void(const std::string &, const MetaRequest &)>>
       Watchers;
 

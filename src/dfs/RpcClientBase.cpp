@@ -24,13 +24,26 @@ void RpcClientBase::submit(const MetaRequest &Req, Callback Done) {
   }
   if (WB->needsDrain(Req)) {
     // A read around queued state: settle exactly the dependency closure
-    // this operation can observe, then issue it.
-    WB->drainFor(Req, [this, Req, Done = std::move(Done)]() mutable {
-      submitDirect(WB->translate(Req), std::move(Done));
+    // this operation can observe, then issue it. The request waits in a
+    // pooled exchange record, so the continuation captures only {this,
+    // record}.
+    Exchange *X = acquireExchange();
+    X->Req = Req;
+    X->Done = std::move(Done);
+    WB->drainFor(Req, [this, X]() {
+      X->Req.Fh = WB->serverHandle(X->Req.Fh);
+      submitDirect(X->Req, std::move(X->Done));
+      recycle(X);
     });
     return;
   }
-  submitDirect(WB->translate(Req), std::move(Done));
+  if (FileHandle Fh = WB->serverHandle(Req.Fh); Fh != Req.Fh) {
+    MetaRequest Wire = Req;
+    Wire.Fh = Fh;
+    submitDirect(Wire, std::move(Done));
+    return;
+  }
+  submitDirect(Req, std::move(Done));
 }
 
 void RpcClientBase::mountWriteBehind(const WriteBehindPolicy &Policy,

@@ -59,22 +59,22 @@ bool WriteBehindQueue::shouldQueue(const MetaRequest &Req) const {
   // Handle-based data/metadata ops ride along only on live queue-local
   // handles (files this queue created whose close has not completed);
   // server-handle ops stay synchronous, and an op on a retired local
-  // handle passes through to fail with BadFd (see translate()).
+  // handle passes through to fail with BadFd (see serverHandle()).
   switch (Req.Op) {
   case MetaOp::Write:
   case MetaOp::Close:
   case MetaOp::Ftruncate:
-    return isLocalFh(Req.Fh) && LocalFhs.count(Req.Fh);
+    return isLocalFh(Req.Fh) && LocalFhs.find(Req.Fh);
   default:
     return false;
   }
 }
 
-std::vector<uint64_t> WriteBehindQueue::seedsFor(const MetaRequest &Req) const {
-  std::vector<uint64_t> Seeds;
+template <typename Fn>
+void WriteBehindQueue::forEachSeed(const MetaRequest &Req, Fn &&F) const {
   auto AddLive = [&](uint64_t Id) {
-    if (Id && Ops.count(Id))
-      Seeds.push_back(Id);
+    if (Id && Ops.find(Id))
+      F(Id);
   };
   auto AddPath = [&](const std::string &P) {
     if (P.empty())
@@ -90,12 +90,11 @@ std::vector<uint64_t> WriteBehindQueue::seedsFor(const MetaRequest &Req) const {
   if (path2IsPath(Req.Op))
     AddPath(Req.Path2);
   if (isLocalFh(Req.Fh)) {
-    if (auto It = LocalFhs.find(Req.Fh); It != LocalFhs.end()) {
-      AddLive(It->second.OpenOp);
-      AddLive(It->second.LastOp);
+    if (const LocalHandle *H = LocalFhs.find(Req.Fh)) {
+      AddLive(H->OpenOp);
+      AddLive(H->LastOp);
     }
   }
-  return Seeds;
 }
 
 bool WriteBehindQueue::needsDrain(const MetaRequest &Req) const {
@@ -103,17 +102,36 @@ bool WriteBehindQueue::needsDrain(const MetaRequest &Req) const {
     return false; // eager: state is already applied in submit order
   if (isLocalFh(Req.Fh))
     return true; // at minimum the handle must be translated after a drain
-  return !seedsFor(Req).empty();
+  bool Any = false;
+  forEachSeed(Req, [&Any](uint64_t) { Any = true; });
+  return Any;
 }
 
-MetaRequest WriteBehindQueue::translate(const MetaRequest &Req) const {
-  if (!isLocalFh(Req.Fh))
-    return Req;
-  MetaRequest Out = Req;
-  auto It = LocalFhs.find(Req.Fh);
+FileHandle WriteBehindQueue::serverHandle(FileHandle Fh) const {
+  if (!isLocalFh(Fh))
+    return Fh;
   // InvalidHandle when the open failed or a close retired the handle.
-  Out.Fh = It != LocalFhs.end() ? It->second.ServerFh : InvalidHandle;
-  return Out;
+  const LocalHandle *H = LocalFhs.find(Fh);
+  return H ? H->ServerFh : InvalidHandle;
+}
+
+WriteBehindQueue::Op &WriteBehindQueue::takeRecord() {
+  Op *O;
+  if (FreeOps.empty()) {
+    O = &OpPool.emplace_back();
+  } else {
+    O = FreeOps.back();
+    FreeOps.pop_back();
+  }
+  O->Id = 0;
+  O->LocalFh = InvalidHandle;
+  O->State = Op::St::Queued;
+  O->Deps.clear();
+  O->Dependents.clear();
+  O->PendingDeps = 0;
+  O->Waiters.clear();
+  O->Minted = InvalidHandle;
+  return *O;
 }
 
 void WriteBehindQueue::enqueue(const MetaRequest &Req, Callback Done) {
@@ -122,29 +140,38 @@ void WriteBehindQueue::enqueue(const MetaRequest &Req, Callback Done) {
   // Outside drainStalledAndBarriers a non-empty stall list implies the
   // cap is hit, so checking Live alone keeps FIFO order.
   if (Live >= Policy.MaxQueuedOps) {
-    Stalled.push_back({Req, std::move(Done)});
+    StalledEnqueue &S = Stalled.pushSlot();
+    S.Req = Req;
+    S.Done = std::move(Done);
     return;
   }
-  if (Policy.DeferIssue)
-    enqueueDeferred(Req, std::move(Done));
-  else
-    enqueueEager(Req, std::move(Done));
+  Op &O = takeRecord();
+  O.Req = Req;
+  admit(O, std::move(Done));
 }
 
-void WriteBehindQueue::enqueueEager(const MetaRequest &Req, Callback Done) {
+void WriteBehindQueue::admit(Op &O, Callback Done) {
+  if (Policy.DeferIssue)
+    enqueueDeferred(O, std::move(Done));
+  else
+    enqueueEager(O, std::move(Done));
+}
+
+void WriteBehindQueue::enqueueEager(Op &O, Callback Done) {
   ++Enqueued;
   if (Hooks.Cache)
-    Hooks.Cache->invalidateForMutation(Req);
+    Hooks.Cache->invalidateForMutation(O.Req);
   ++Live;
   // The state change happens now (the server sees operations in exactly
   // submit order); the reply is served from the client cache while the
   // commit drains in the background.
-  MetaReply Reply = Hooks.ApplyEager(Req, [this]() {
+  MetaReply Reply = Hooks.ApplyEager(O.Req, [this]() {
     DMB_ASSERT(Live > 0, "write-behind commit drained below zero");
     --Live;
     drainStalledAndBarriers();
   });
-  localAck(std::move(Done), std::move(Reply));
+  releaseRecord(O);
+  localAck(std::move(Done), Reply);
 }
 
 MetaReply WriteBehindQueue::predictReply(const MetaRequest &Req) {
@@ -166,41 +193,40 @@ bool WriteBehindQueue::coalesce(const MetaRequest &Req) {
     break;
   case MetaOp::Write:
     if (isLocalFh(Req.Fh))
-      if (auto It = LocalFhs.find(Req.Fh); It != LocalFhs.end())
-        CandidateId = It->second.LastOp;
+      if (const LocalHandle *H = LocalFhs.find(Req.Fh))
+        CandidateId = H->LastOp;
     break;
   default:
     return false;
   }
-  auto It = Ops.find(CandidateId);
-  if (CandidateId == 0 || It == Ops.end())
+  Op *O = CandidateId ? findOp(CandidateId) : nullptr;
+  if (!O)
     return false;
-  Op &O = It->second;
   // Only a not-yet-scheduled op of the same kind on the same target can
   // absorb: once a flush claimed it, its wire identity (Xid) is fixed.
-  if (O.State != Op::St::Queued || O.Req.Op != Req.Op)
+  if (O->State != Op::St::Queued || O->Req.Op != Req.Op)
     return false;
   switch (Req.Op) {
   case MetaOp::Chmod:
-    O.Req.Mode = Req.Mode;
+    O->Req.Mode = Req.Mode;
     break;
   case MetaOp::Chown:
-    O.Req.Uid = Req.Uid;
-    O.Req.Gid = Req.Gid;
+    O->Req.Uid = Req.Uid;
+    O->Req.Gid = Req.Gid;
     break;
   case MetaOp::Utimes:
-    O.Req.Atime = Req.Atime;
-    O.Req.Mtime = Req.Mtime;
+    O->Req.Atime = Req.Atime;
+    O->Req.Mtime = Req.Mtime;
     break;
   case MetaOp::Setxattr:
-    if (O.Req.Path2 != Req.Path2)
+    if (O->Req.Path2 != Req.Path2)
       return false; // different key: a distinct attribute, not an update
-    O.Req.Value = Req.Value;
+    O->Req.Value = Req.Value;
     break;
   case MetaOp::Write:
-    if (O.Req.Fh != Req.Fh)
+    if (O->Req.Fh != Req.Fh)
       return false;
-    O.Req.Bytes += Req.Bytes;
+    O->Req.Bytes += Req.Bytes;
     QueuedBytes += Req.Bytes;
     break;
   default:
@@ -213,13 +239,13 @@ bool WriteBehindQueue::coalesce(const MetaRequest &Req) {
 void WriteBehindQueue::addDep(Op &From, uint64_t On) {
   if (On == 0 || On == From.Id)
     return;
-  auto It = Ops.find(On);
-  if (It == Ops.end())
+  Op *To = findOp(On);
+  if (!To)
     return;
   if (std::find(From.Deps.begin(), From.Deps.end(), On) != From.Deps.end())
     return;
   From.Deps.push_back(On);
-  It->second.Dependents.push_back(From.Id);
+  To->Dependents.push_back(From.Id);
   ++From.PendingDeps;
 }
 
@@ -238,16 +264,17 @@ void WriteBehindQueue::indexOp(const Op &O) {
     Index(O.Req.Path2);
 }
 
-void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
+void WriteBehindQueue::enqueueDeferred(Op &O, Callback Done) {
   ++Enqueued;
   // Shadow the attribute cache *now*: between this local ack and the
   // flush, a cached stat must not serve the pre-mutation attrs (the
   // AttrCache coherence bug this layer's audit shook out of lustre-wb).
   if (Hooks.Cache)
-    Hooks.Cache->invalidateForMutation(Req);
+    Hooks.Cache->invalidateForMutation(O.Req);
 
-  if (coalesce(Req)) {
-    localAck(std::move(Done), predictReply(Req));
+  if (coalesce(O.Req)) {
+    localAck(std::move(Done), predictReply(O.Req));
+    releaseRecord(O);
     maybeTrigger();
     return;
   }
@@ -255,17 +282,18 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
   // Pin the duplicate-request-cache identity at enqueue: every issue (and
   // retransmit) of this op, whenever the flush happens, carries the same
   // (ClientId, Xid).
-  if (Hooks.AllocXid && Req.Xid == 0)
-    Req.Xid = Hooks.AllocXid();
+  if (Hooks.AllocXid && O.Req.Xid == 0)
+    O.Req.Xid = Hooks.AllocXid();
 
-  MetaReply Predicted = predictReply(Req);
+  MetaReply Predicted = predictReply(O.Req);
   uint64_t Id = NextOpId++;
-  Op &O = Ops[Id];
   O.Id = Id;
-  O.Req = std::move(Req);
+  Ops.tryEmplace(Id).first->Rec = &O;
+  if (isLocalFh(O.Req.Fh))
+    O.LocalFh = O.Req.Fh;
   if (isCreatingOpen(O.Req)) {
     O.Minted = NextLocalFh++;
-    LocalFhs[O.Minted].OpenOp = Id;
+    LocalFhs.tryEmplace(O.Minted).first->OpenOp = Id;
     Predicted.Fh = O.Minted;
     Predicted.A.Mode = O.Req.Mode;
   }
@@ -290,13 +318,13 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
     if (const PathOp *E = LastChildOf.find(O.Req.Path))
       addDep(O, E->Id);
   }
-  if (isLocalFh(O.Req.Fh)) {
+  if (O.LocalFh != InvalidHandle) {
     // A handle retired while this op stalled has no entry left; issueOp
     // then fails the op with BadFd.
-    if (auto HIt = LocalFhs.find(O.Req.Fh); HIt != LocalFhs.end()) {
-      addDep(O, HIt->second.OpenOp);
-      addDep(O, HIt->second.LastOp);
-      HIt->second.LastOp = Id;
+    if (LocalHandle *H = LocalFhs.find(O.LocalFh)) {
+      addDep(O, H->OpenOp);
+      addDep(O, H->LastOp);
+      H->LastOp = Id;
     }
   }
   indexOp(O);
@@ -307,15 +335,31 @@ void WriteBehindQueue::enqueueDeferred(MetaRequest Req, Callback Done) {
   if (O.Req.Op == MetaOp::Write)
     QueuedBytes += O.Req.Bytes;
 
-  localAck(std::move(Done), std::move(Predicted));
+  localAck(std::move(Done), Predicted);
   maybeTrigger();
 }
 
-void WriteBehindQueue::localAck(Callback Done, MetaReply Reply) {
-  Sched.after(Policy.LocalAckCost,
-              [Done = std::move(Done), Reply = std::move(Reply)]() mutable {
-                Done(std::move(Reply));
-              });
+void WriteBehindQueue::ackAfter(SimDuration Delay, Callback Done,
+                                const MetaReply &Reply) {
+  Attr Predicted;
+  Predicted.Mode = Reply.A.Mode;
+  if (Reply.A == Predicted && Reply.Text.empty() && Reply.Entries.empty() &&
+      Reply.EntryAttrs.empty() && Reply.MapEpoch == 0) {
+    Sched.after(Delay, [Done = std::move(Done), Err = Reply.Err,
+                        Mode = Reply.A.Mode, Fh = Reply.Fh,
+                        Bytes = Reply.Bytes]() {
+      MetaReply R;
+      R.Err = Err;
+      R.A.Mode = Mode;
+      R.Fh = Fh;
+      R.Bytes = Bytes;
+      Done(std::move(R));
+    });
+    return;
+  }
+  Sched.after(Delay, [Done = std::move(Done), Reply]() mutable {
+    Done(std::move(Reply));
+  });
 }
 
 void WriteBehindQueue::maybeTrigger() {
@@ -349,38 +393,36 @@ void WriteBehindQueue::flush() {
 }
 
 void WriteBehindQueue::scheduleAll() {
-  // Skip the ids a closure already claimed (scheduled, maybe completed).
   std::vector<uint64_t> Batch;
-  Batch.reserve(QueuedIds.size());
+  Batch.swap(IdBuf);
+  // Skip the ids a closure already claimed (scheduled, maybe completed).
   for (uint64_t Id : QueuedIds)
-    if (auto It = Ops.find(Id);
-        It != Ops.end() && It->second.State == Op::St::Queued) {
-      It->second.State = Op::St::Scheduled;
+    if (Op *O = findOp(Id); O && O->State == Op::St::Queued) {
+      O->State = Op::St::Scheduled;
       Batch.push_back(Id);
     }
   QueuedIds.clear();
   QueuedCount = 0;
   QueuedBytes = 0;
   issueReady(Batch);
+  Batch.clear();
+  IdBuf.swap(Batch);
 }
 
 void WriteBehindQueue::issueReady(const std::vector<uint64_t> &Batch) {
-  for (uint64_t Id : Batch) {
-    auto It = Ops.find(Id);
-    if (It != Ops.end() && It->second.State == Op::St::Scheduled &&
-        It->second.PendingDeps == 0)
-      issueOp(It->second);
-  }
+  for (uint64_t Id : Batch)
+    if (Op *O = findOp(Id);
+        O && O->State == Op::St::Scheduled && O->PendingDeps == 0)
+      issueOp(*O);
 }
 
 void WriteBehindQueue::issueOp(Op &O) {
   O.State = Op::St::Issued;
   ++Issued;
   uint64_t Id = O.Id;
-  MetaRequest Wire = O.Req;
-  if (isLocalFh(Wire.Fh)) {
-    auto HIt = LocalFhs.find(Wire.Fh);
-    if (HIt == LocalFhs.end() || HIt->second.Failed) {
+  if (O.LocalFh != InvalidHandle) {
+    const LocalHandle *H = LocalFhs.find(O.LocalFh);
+    if (!H || H->Failed) {
       // The creating open this op rode on never materialized, or an
       // earlier close retired the handle; complete with the handle error
       // without a round trip. Deferred a tick so the completion cascade
@@ -392,29 +434,31 @@ void WriteBehindQueue::issueOp(Op &O) {
       });
       return;
     }
-    DMB_ASSERT(HIt->second.ServerFh != InvalidHandle,
+    DMB_ASSERT(H->ServerFh != InvalidHandle,
                "write-behind issued a handle op before its open resolved");
-    Wire.Fh = HIt->second.ServerFh;
+    // LocalFh keeps the queue-local handle, so the request itself can go
+    // on the wire.
+    O.Req.Fh = H->ServerFh;
   }
-  Hooks.Issue(Wire, [this, Id](MetaReply Reply) {
+  Hooks.Issue(O.Req, [this, Id](MetaReply Reply) {
     onOpDone(Id, std::move(Reply));
   });
 }
 
 void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
-  auto It = Ops.find(Id);
-  DMB_ASSERT(It != Ops.end(), "write-behind completion for a dead op");
-  auto Node = Ops.extract(It);
-  Op &O = Node.mapped();
+  Op *Rec = findOp(Id);
+  DMB_ASSERT(Rec, "write-behind completion for a dead op");
+  Op &O = *Rec;
+  Ops.erase(Id);
 
   if (O.Minted != InvalidHandle) {
     // Resolve the queue-local handle the application is holding. Only a
     // completed close retires it, and every close waits for this open.
-    auto HIt = LocalFhs.find(O.Minted);
-    DMB_ASSERT(HIt != LocalFhs.end(), "write-behind open outlived its handle");
-    HIt->second.OpenOp = 0;
-    HIt->second.ServerFh = Reply.Fh;
-    HIt->second.Failed = !Reply.ok();
+    LocalHandle *H = LocalFhs.find(O.Minted);
+    DMB_ASSERT(H, "write-behind open outlived its handle");
+    H->OpenOp = 0;
+    H->ServerFh = Reply.Fh;
+    H->Failed = !Reply.ok();
   }
   if (!Reply.ok() && Reply.Err != FsError::BadFd) {
     // A deferred op the application was already told succeeded has failed
@@ -441,36 +485,39 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   Unindex(O.Req.Path);
   if (path2IsPath(O.Req.Op))
     Unindex(O.Req.Path2);
-  if (isLocalFh(O.Req.Fh)) {
-    if (auto HIt = LocalFhs.find(O.Req.Fh); HIt != LocalFhs.end()) {
-      if (HIt->second.LastOp == Id)
-        HIt->second.LastOp = 0;
+  if (O.LocalFh != InvalidHandle) {
+    if (LocalHandle *H = LocalFhs.find(O.LocalFh)) {
+      if (H->LastOp == Id)
+        H->LastOp = 0;
       // A completed close retires the local handle entirely.
       if (O.Req.Op == MetaOp::Close)
-        LocalFhs.erase(HIt);
+        LocalFhs.erase(H);
     }
   }
 
   // Release dependents (the in-flight batch cascades in dependency
   // order), then barrier waiters, then admission.
   std::vector<uint64_t> NowReady;
+  NowReady.swap(IdBuf);
   for (uint64_t DepId : O.Dependents) {
-    auto DIt = Ops.find(DepId);
-    if (DIt == Ops.end())
+    Op *D = findOp(DepId);
+    if (!D)
       continue;
-    DMB_ASSERT(DIt->second.PendingDeps > 0,
-               "write-behind dependency count underflow");
-    if (--DIt->second.PendingDeps == 0 &&
-        DIt->second.State == Op::St::Scheduled)
+    DMB_ASSERT(D->PendingDeps > 0, "write-behind dependency count underflow");
+    if (--D->PendingDeps == 0 && D->State == Op::St::Scheduled)
       NowReady.push_back(DepId);
   }
-  for (uint64_t ReadyId : NowReady) {
-    auto RIt = Ops.find(ReadyId);
-    if (RIt != Ops.end() && RIt->second.State == Op::St::Scheduled)
-      issueOp(RIt->second);
+  for (uint64_t ReadyId : NowReady)
+    if (Op *R = findOp(ReadyId); R && R->State == Op::St::Scheduled)
+      issueOp(*R);
+  NowReady.clear();
+  IdBuf.swap(NowReady);
+  for (size_t I = 0; I != O.Waiters.size(); ++I) {
+    uint32_t Slot = O.Waiters[I];
+    if (--Awaits[Slot].Remaining == 0)
+      releaseAwait(Slot);
   }
-  for (std::function<void()> &W : O.Waiters)
-    W();
+  releaseRecord(O);
   DMB_ASSERT(Live > 0, "write-behind live count underflow");
   --Live;
   drainStalledAndBarriers();
@@ -478,65 +525,108 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
 
 void WriteBehindQueue::drainStalledAndBarriers() {
   while (!Stalled.empty() && Live < Policy.MaxQueuedOps) {
-    StalledEnqueue Next = std::move(Stalled.front());
-    Stalled.pop_front();
-    enqueue(Next.Req, std::move(Next.Done));
+    Op &O = takeRecord();
+    StalledEnqueue &Next = Stalled.front();
+    std::swap(O.Req, Next.Req); // the slot keeps the record's buffers
+    Callback Done = std::move(Next.Done);
+    Stalled.dropFront();
+    admit(O, std::move(Done));
   }
   if (Live == 0 && Stalled.empty() && !IdleWaiters.empty()) {
-    std::vector<std::function<void()>> Waiters = std::move(IdleWaiters);
-    IdleWaiters.clear();
-    for (std::function<void()> &W : Waiters)
-      W();
-  }
-}
-
-std::set<uint64_t>
-WriteBehindQueue::closureOf(std::vector<uint64_t> Seeds) const {
-  std::set<uint64_t> Closure;
-  while (!Seeds.empty()) {
-    uint64_t Id = Seeds.back();
-    Seeds.pop_back();
-    if (Id == 0 || !Closure.insert(Id).second)
-      continue;
-    auto It = Ops.find(Id);
-    if (It == Ops.end()) {
-      Closure.erase(Id);
-      continue;
+    std::vector<Callback> Waiters;
+    Waiters.swap(IdleWaiters);
+    for (Callback &Done : Waiters) {
+      MetaReply Reply;
+      Reply.Err = consumeSticky();
+      ackAfter(0, std::move(Done), Reply);
     }
-    for (uint64_t Dep : It->second.Deps)
-      Seeds.push_back(Dep);
+    Waiters.clear();
+    if (IdleWaiters.empty())
+      IdleWaiters.swap(Waiters); // keep the buffer
   }
-  return Closure;
 }
 
-void WriteBehindQueue::awaitClosure(std::vector<uint64_t> Seeds,
-                                    std::function<void()> Done) {
-  std::set<uint64_t> Closure = closureOf(std::move(Seeds));
+void WriteBehindQueue::closureOf(const MetaRequest &Req,
+                                 std::vector<uint64_t> &Closure) {
+  std::vector<uint64_t> Stack;
+  Stack.swap(StackBuf);
+  forEachSeed(Req, [&Stack](uint64_t Id) { Stack.push_back(Id); });
+  ++Walks;
+  while (!Stack.empty()) {
+    uint64_t Id = Stack.back();
+    Stack.pop_back();
+    Op *O = findOp(Id);
+    if (!O || O->Walk == Walks)
+      continue;
+    O->Walk = Walks;
+    Closure.push_back(Id);
+    Stack.insert(Stack.end(), O->Deps.begin(), O->Deps.end());
+  }
+  std::sort(Closure.begin(), Closure.end());
+  StackBuf.swap(Stack);
+}
+
+void WriteBehindQueue::awaitClosure(const MetaRequest &Req,
+                                    std::function<void()> Ready,
+                                    Callback Synced) {
+  std::vector<uint64_t> Closure;
+  Closure.swap(IdBuf);
+  closureOf(Req, Closure);
   if (Closure.empty()) {
-    Done();
+    IdBuf.swap(Closure);
+    Await Now{0, std::move(Ready), std::move(Synced)};
+    finishAwait(Now);
     return;
   }
-  auto Remaining = std::make_shared<size_t>(Closure.size());
-  auto Shared = std::make_shared<std::function<void()>>(std::move(Done));
-  std::vector<uint64_t> Batch;
-  for (uint64_t Id : Closure) {
-    Op &O = Ops.at(Id);
+  uint32_t Slot;
+  if (FreeAwaits.empty()) {
+    Slot = static_cast<uint32_t>(Awaits.size());
+    Awaits.emplace_back();
+  } else {
+    Slot = FreeAwaits.back();
+    FreeAwaits.pop_back();
+  }
+  Awaits[Slot] = Await{Closure.size(), std::move(Ready), std::move(Synced)};
+  // Every closure op waits on the barrier, in ascending id order; the
+  // ones still queued are scheduled now and form the batch, which the
+  // loop compacts to the front of the closure.
+  size_t Batch = 0;
+  for (size_t I = 0; I != Closure.size(); ++I) {
+    uint64_t Id = Closure[I];
+    Op &O = *findOp(Id);
     if (O.State == Op::St::Queued) {
       O.State = Op::St::Scheduled;
-      Batch.push_back(Id);
+      Closure[Batch++] = Id;
       DMB_ASSERT(QueuedCount > 0, "write-behind queued count underflow");
       --QueuedCount;
       if (O.Req.Op == MetaOp::Write)
         QueuedBytes -= std::min(QueuedBytes, O.Req.Bytes);
     }
-    O.Waiters.push_back([Remaining, Shared]() {
-      if (--*Remaining == 0)
-        (*Shared)();
-    });
+    O.Waiters.push_back(Slot);
   }
+  Closure.resize(Batch);
   if (QueuedCount == 0)
     QueuedIds.clear(); // every id left there was claimed by a closure
-  issueReady(Batch);
+  issueReady(Closure);
+  Closure.clear();
+  IdBuf.swap(Closure);
+}
+
+void WriteBehindQueue::releaseAwait(uint32_t Slot) {
+  Await Done = std::move(Awaits[Slot]);
+  Awaits[Slot] = Await();
+  FreeAwaits.push_back(Slot);
+  finishAwait(Done);
+}
+
+void WriteBehindQueue::finishAwait(Await &A) {
+  if (!A.Synced) {
+    A.Ready();
+    return;
+  }
+  MetaReply Reply;
+  Reply.Err = consumeSticky();
+  localAck(std::move(A.Synced), Reply);
 }
 
 FsError WriteBehindQueue::consumeSticky() {
@@ -558,26 +648,18 @@ void WriteBehindQueue::fsync(const MetaRequest &Req, Callback Done) {
     if (Live == 0 && Stalled.empty()) {
       MetaReply Reply;
       Reply.Err = consumeSticky();
-      localAck(std::move(Done), std::move(Reply));
+      localAck(std::move(Done), Reply);
       return;
     }
-    IdleWaiters.push_back([this, Done = std::move(Done)]() {
-      MetaReply Reply;
-      Reply.Err = consumeSticky();
-      Sched.after(0, [Done, Reply]() { Done(Reply); });
-    });
+    IdleWaiters.push_back(std::move(Done));
     return;
   }
   // Targeted barrier: drain exactly the dependency closure of this
   // file's ops — the rest of the queue keeps riding behind.
-  awaitClosure(seedsFor(Req), [this, Done = std::move(Done)]() {
-    MetaReply Reply;
-    Reply.Err = consumeSticky();
-    localAck(std::move(Done), std::move(Reply));
-  });
+  awaitClosure(Req, nullptr, std::move(Done));
 }
 
 void WriteBehindQueue::drainFor(const MetaRequest &Req,
                                 std::function<void()> Ready) {
-  awaitClosure(seedsFor(Req), std::move(Ready));
+  awaitClosure(Req, std::move(Ready), nullptr);
 }

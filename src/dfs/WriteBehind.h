@@ -41,11 +41,10 @@
 #include "dfs/Message.h"
 #include "sim/Scheduler.h"
 #include "support/FlatTable.h"
+#include "support/RingQueue.h"
 #include <deque>
 #include <functional>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dmb {
@@ -110,11 +109,11 @@ public:
   /// has drained. Pair with needsDrain() before a pass-through operation.
   void drainFor(const MetaRequest &Req, std::function<void()> Ready);
 
-  /// Rewrites a queue-local file handle to the server handle once the
-  /// creating open has resolved (after a drainFor). Identity for server
-  /// handles; a failed or retired local handle maps to InvalidHandle so
-  /// the inner client reports BadFd.
-  MetaRequest translate(const MetaRequest &Req) const;
+  /// The handle to send for \p Fh: the server handle a queue-local handle
+  /// resolved to once its creating open completed (after a drainFor).
+  /// Identity for server handles; a failed or retired local handle maps to
+  /// InvalidHandle so the inner client reports BadFd.
+  FileHandle serverHandle(FileHandle Fh) const;
 
   /// Force-schedules everything currently queued (manual flush trigger).
   void flush();
@@ -139,24 +138,48 @@ public:
   /// @}
 
 private:
+  /// One operation record, pooled: a deferred op lives in one from
+  /// admission to completion. A record goes back to the pool with its
+  /// strings' and vectors' buffers, so a queue at steady state allocates
+  /// nothing.
   struct Op {
-    uint64_t Id = 0;
-    MetaRequest Req; ///< Xid pinned at enqueue; Fh may be queue-local
+    uint64_t Id = 0; ///< 0 while not a live deferred op
+    /// Xid pinned at enqueue; Fh is rewritten to the server handle at issue.
+    MetaRequest Req;
+    /// The queue-local handle Req names, or InvalidHandle.
+    FileHandle LocalFh = InvalidHandle;
     enum class St { Queued, Scheduled, Issued } State = St::Queued;
     std::vector<uint64_t> Deps;       ///< live ops this one waits for
     std::vector<uint64_t> Dependents; ///< live ops waiting for this one
     unsigned PendingDeps = 0;
-    std::vector<std::function<void()>> Waiters; ///< barrier continuations
+    std::vector<uint32_t> Waiters; ///< barriers (Awaits slots) waiting
     /// The queue-local handle a creating open minted (InvalidHandle for
     /// every other op), resolved when this op completes.
     FileHandle Minted = InvalidHandle;
+    uint64_t Walk = 0; ///< the closure walk that last visited this op
+  };
+
+  /// A live op's record, by id.
+  struct OpRef {
+    uint64_t Id = 0;
+    Op *Rec = nullptr;
   };
 
   /// An enqueue that arrived over the MaxQueuedOps cap, admitted in FIFO
-  /// order as the pipeline drains.
+  /// order as the pipeline drains. Its slot in the stall ring keeps the
+  /// buffers of the requests that waited there before, and admission
+  /// swaps the request into a record.
   struct StalledEnqueue {
     MetaRequest Req;
     Callback Done;
+  };
+
+  /// A barrier waiting for a dependency closure: a drain's continuation,
+  /// or an fsync's completion, which acks with the sticky error.
+  struct Await {
+    size_t Remaining = 0; ///< closure ops not yet completed
+    std::function<void()> Ready;
+    Callback Synced;
   };
 
   /// The last live op on a path (LastByPath) or on a child of a directory
@@ -169,6 +192,7 @@ private:
   /// State of a queue-local file handle minted for a deferred creating
   /// open.
   struct LocalHandle {
+    FileHandle Fh = InvalidHandle; ///< the queue-local handle
     uint64_t OpenOp = 0; ///< the creating open's op id (0 once done)
     FileHandle ServerFh = InvalidHandle; ///< known after the open's reply
     uint64_t LastOp = 0; ///< last live op on this handle (0 = none)
@@ -179,8 +203,19 @@ private:
     return Fh != InvalidHandle && (Fh & LocalFhTag) != 0;
   }
 
-  void enqueueDeferred(MetaRequest Req, Callback Done);
-  void enqueueEager(const MetaRequest &Req, Callback Done);
+  /// A record from the pool, reset, holding no live op.
+  Op &takeRecord();
+  void releaseRecord(Op &O) { FreeOps.push_back(&O); }
+  /// The live op \p Id, or nullptr.
+  Op *findOp(uint64_t Id) const {
+    const OpRef *R = Ops.find(Id);
+    return R ? R->Rec : nullptr;
+  }
+
+  /// Admits the enqueue waiting in \p O under the current discipline.
+  void admit(Op &O, Callback Done);
+  void enqueueDeferred(Op &O, Callback Done);
+  void enqueueEager(Op &O, Callback Done);
   /// Folds \p Req into an existing queued op when the coalescing rules
   /// allow; returns true when absorbed.
   bool coalesce(const MetaRequest &Req);
@@ -189,8 +224,15 @@ private:
   /// Records \p O as the latest op touching its paths.
   void indexOp(const Op &O);
   /// Predicted local reply for a deferred enqueue.
-  MetaReply predictReply(const MetaRequest &Req);
-  void localAck(Callback Done, MetaReply Reply);
+  static MetaReply predictReply(const MetaRequest &Req);
+  /// Delivers \p Reply to \p Done after \p Delay. A reply with no more
+  /// than a predicted one fills (Err, Fh, Bytes and an attribute mode)
+  /// travels as those fields, so the event needs no heap; any other
+  /// travels whole.
+  void ackAfter(SimDuration Delay, Callback Done, const MetaReply &Reply);
+  void localAck(Callback Done, const MetaReply &Reply) {
+    ackAfter(Policy.LocalAckCost, std::move(Done), Reply);
+  }
   void maybeTrigger();
   void armTimer();
   /// Marks every St::Queued op Scheduled and issues the ready ones.
@@ -203,13 +245,20 @@ private:
   void issueOp(Op &O);
   void onOpDone(uint64_t Id, MetaReply Reply);
   void drainStalledAndBarriers();
-  /// Live transitive dependency closure of the seed set.
-  std::set<uint64_t> closureOf(std::vector<uint64_t> Seeds) const;
-  /// Seed ops a barrier/drain on \p Req must wait for.
-  std::vector<uint64_t> seedsFor(const MetaRequest &Req) const;
-  /// Schedules the closure of \p Seeds and runs \p Done when every op in
-  /// it has completed.
-  void awaitClosure(std::vector<uint64_t> Seeds, std::function<void()> Done);
+  /// Calls \p F on each live seed op a barrier/drain on \p Req must wait
+  /// for.
+  template <typename Fn> void forEachSeed(const MetaRequest &Req, Fn &&F) const;
+  /// Fills \p Closure with the live transitive dependency closure of the
+  /// seeds of \p Req, in ascending id order.
+  void closureOf(const MetaRequest &Req, std::vector<uint64_t> &Closure);
+  /// Schedules the closure of \p Req's seeds and, when every op in it has
+  /// completed, runs \p Ready or acks \p Synced with the sticky error.
+  void awaitClosure(const MetaRequest &Req, std::function<void()> Ready,
+                    Callback Synced);
+  /// Ends barrier \p Slot, whose closure has drained.
+  void releaseAwait(uint32_t Slot);
+  /// Runs \p A's continuation, or acks its fsync.
+  void finishAwait(Await &A);
   FsError consumeSticky();
 
   /// Queue-local handle tag: bit 62 set, clear of InvalidHandle (~0), far
@@ -220,15 +269,18 @@ private:
   WriteBehindPolicy Policy;
   WriteBehindHooks Hooks;
 
-  std::unordered_map<uint64_t, Op> Ops; ///< live deferred ops by id
+  FlatTable<OpRef, &OpRef::Id> Ops; ///< live deferred ops by id
+  std::deque<Op> OpPool;            ///< every record; never moves one
+  std::vector<Op *> FreeOps;        ///< records holding nothing
   uint64_t NextOpId = 1;
+  uint64_t Walks = 0; ///< closure walks so far
   /// Ids enqueued since the last flush, ascending; a closure may have
   /// scheduled (or completed) some of them already. Empty whenever
   /// QueuedCount is 0.
   std::vector<uint64_t> QueuedIds;
   FlatTable<PathOp, &PathOp::Path> LastByPath;
   FlatTable<PathOp, &PathOp::Path> LastChildOf;
-  std::unordered_map<FileHandle, LocalHandle> LocalFhs;
+  FlatTable<LocalHandle, &LocalHandle::Fh> LocalFhs;
   FileHandle NextLocalFh = LocalFhTag | 1;
 
   unsigned Live = 0;         ///< acked-not-finished (both disciplines)
@@ -237,8 +289,13 @@ private:
   uint64_t TimerEpoch = 0;   ///< invalidates stale dwell timers
   bool TimerArmed = false;
 
-  std::deque<StalledEnqueue> Stalled; ///< enqueues over the cap
-  std::vector<std::function<void()>> IdleWaiters; ///< whole-queue barriers
+  RingQueue<StalledEnqueue> Stalled; ///< enqueues over the cap
+  std::vector<Callback> IdleWaiters; ///< whole-queue fsync barriers
+  std::vector<Await> Awaits;         ///< targeted barriers, by slot
+  std::vector<uint32_t> FreeAwaits;  ///< Awaits slots not in use
+  /// Buffers the walks and batches borrow (a nested use finds them empty
+  /// and allocates its own), so they allocate only while growing.
+  std::vector<uint64_t> IdBuf, StackBuf;
 
   FsError Sticky = FsError::Ok;
   uint64_t Enqueued = 0;

@@ -73,6 +73,9 @@ struct Attr {
   SimTime Ctime = 0;          ///< st_ctime
   uint32_t BlockSize = 4096;  ///< st_blksize
   uint64_t Blocks = 0;        ///< st_blocks (allocated block count)
+
+  /// Field by field: the padding between fields is not part of the value.
+  bool operator==(const Attr &) const = default;
 };
 
 /// open() flags (subset of O_*).

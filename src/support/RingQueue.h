@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The tree's one FIFO ring: the queue of requests waiting for an RPC slot
-/// in RpcClientBase and the waiting queue of a sim Resource.
+/// in RpcClientBase, the waiting queue of a sim Resource and the stalled
+/// enqueues of a write-behind queue, which fills slots in place.
 ///
 /// A power-of-two ring over a vector, starting at zero capacity. It grows
 /// by doubling and never shrinks, so a queue that has seen its high-water
@@ -41,6 +42,27 @@ public:
       grow();
     Ring[(Head + Count) & (Ring.size() - 1)] = std::move(V);
     ++Count;
+  }
+
+  /// Appends a slot and returns it with whatever a popped element left
+  /// there, so that assigning into it reuses that element's buffers.
+  T &pushSlot() {
+    if (Count == Ring.size())
+      grow();
+    return Ring[(Head + Count++) & (Ring.size() - 1)];
+  }
+
+  /// The oldest element.
+  T &front() {
+    DMB_ASSERT(Count != 0, "RingQueue::front on an empty queue");
+    return Ring[Head];
+  }
+
+  /// Removes the oldest element, leaving it in its slot.
+  void dropFront() {
+    DMB_ASSERT(Count != 0, "RingQueue::dropFront on an empty queue");
+    Head = (Head + 1) & (Ring.size() - 1);
+    --Count;
   }
 
   /// Removes and returns the oldest element.

@@ -300,16 +300,32 @@ TEST(Server, VolumeIdsSurviveRemoveAndAdopt) {
 //===----------------------------------------------------------------------===//
 
 using DrcEntry = DuplicateRequestCache::Entry;
+using DrcReply = DuplicateRequestCache::CachedReply;
+
+/// What the reference model keeps of one cached reply: the whole of it.
+struct DrcModelEntry {
+  uint64_t Key = 0;
+  MetaOp Op = MetaOp::Stat;
+  uint32_t VolId = 0;
+  uint64_t SeqPlus1 = 0;
+  DrcReply Reply;
+  std::string Path;
+};
+
+/// \p E of cache \p C as the model keeps it.
+DrcModelEntry modelEntry(const DuplicateRequestCache &C, const DrcEntry &E) {
+  return {E.Key, E.Op, E.VolId, E.SeqPlus1, C.reply(E), E.Path};
+}
 
 /// The reference semantics: a map from key to entry and a FIFO of the keys
 /// in order of first insertion, trimmed oldest first to the capacity. An
 /// insert of a cached key refreshes its entry and keeps its FIFO place.
 struct DrcModel {
   size_t Capacity = 0;
-  std::map<uint64_t, DrcEntry> Entries;
+  std::map<uint64_t, DrcModelEntry> Entries;
   std::deque<uint64_t> Fifo;
 
-  void insert(const DrcEntry &E) {
+  void insert(const DrcModelEntry &E) {
     if (Entries.insert_or_assign(E.Key, E).second)
       Fifo.push_back(E.Key);
     while (Entries.size() > Capacity) {
@@ -319,10 +335,10 @@ struct DrcModel {
   }
 
   /// Removes the entries \p Drop accepts; returns them sorted by key.
-  template <typename Pred> std::vector<DrcEntry> removeIf(Pred Drop) {
-    std::vector<DrcEntry> Out;
+  template <typename Pred> std::vector<DrcModelEntry> removeIf(Pred Drop) {
+    std::vector<DrcModelEntry> Out;
     for (auto It = Entries.begin(); It != Entries.end();) {
-      if (Drop(It->second)) {
+      if (Drop(It->second.VolId, It->second.SeqPlus1, It->second.Path)) {
         Out.push_back(std::move(It->second));
         It = Entries.erase(It);
       } else {
@@ -334,14 +350,14 @@ struct DrcModel {
   }
 };
 
-void expectSameEntry(const DrcEntry &Want, const DrcEntry &Got) {
+void expectSameEntry(const DrcModelEntry &Want, const DrcModelEntry &Got) {
   EXPECT_EQ(Want.Key, Got.Key);
   EXPECT_EQ(Want.Op, Got.Op);
   EXPECT_EQ(Want.VolId, Got.VolId);
   EXPECT_EQ(Want.SeqPlus1, Got.SeqPlus1);
   EXPECT_EQ(Want.Path, Got.Path);
   EXPECT_EQ(Want.Reply.Err, Got.Reply.Err);
-  EXPECT_EQ(Want.Reply.A.Ino, Got.Reply.A.Ino);
+  EXPECT_TRUE(Want.Reply.A == Got.Reply.A);
   EXPECT_EQ(Want.Reply.Fh, Got.Reply.Fh);
   EXPECT_EQ(Want.Reply.Bytes, Got.Reply.Bytes);
   EXPECT_EQ(Want.Reply.MapEpoch, Got.Reply.MapEpoch);
@@ -355,12 +371,18 @@ void expectSameDrc(const DrcModel &M, const DuplicateRequestCache &C,
   std::vector<uint64_t> Order;
   C.forEach([&Order](const DrcEntry &E) { Order.push_back(E.Key); });
   ASSERT_EQ(std::vector<uint64_t>(M.Fifo.begin(), M.Fifo.end()), Order);
+  // The attribute pool holds exactly the entries with attributes.
+  ASSERT_EQ(size_t(std::count_if(M.Entries.begin(), M.Entries.end(),
+                                 [](const auto &KV) {
+                                   return !(KV.second.Reply.A == Attr());
+                                 })),
+            C.pooledAttrs());
   for (uint64_t K : Keys) {
     auto It = M.Entries.find(K);
     const DrcEntry *E = C.find(K);
     ASSERT_EQ(It != M.Entries.end(), E != nullptr) << "key " << K;
     if (E)
-      expectSameEntry(It->second, *E);
+      expectSameEntry(It->second, modelEntry(C, *E));
   }
 }
 
@@ -386,7 +408,7 @@ TEST(DuplicateRequestCache, MatchesMapAndFifoUnderSeededChurn) {
       if (Roll < 84) {
         // Short paths fit the string's inline buffer, long ones do not:
         // a reused slot must take either over the other.
-        DrcEntry E;
+        DrcModelEntry E;
         E.Key = Keys[R.below(Keys.size())];
         E.Op = Ops[R.below(5)];
         E.VolId = static_cast<uint32_t>(R.below(2));
@@ -394,7 +416,10 @@ TEST(DuplicateRequestCache, MatchesMapAndFifoUnderSeededChurn) {
         E.Path = (R.below(2) ? "/d/" : "/a/directory/path/beyond/sso/") +
                  std::to_string(Step);
         E.Reply.Err = Errs[R.below(3)];
-        E.Reply.A.Ino = Step;
+        // Only some replies carry attributes (in the cache's pool): a
+        // refreshed entry must take them up and let them go.
+        if (R.below(2))
+          E.Reply.A.Ino = Step;
         E.Reply.Fh = Step + 1;
         E.Reply.Bytes = Step + 2;
         E.Reply.MapEpoch = Step % 3;
@@ -408,27 +433,31 @@ TEST(DuplicateRequestCache, MatchesMapAndFifoUnderSeededChurn) {
         // Crash pruning: one volume's unanchored or uncommitted entries.
         uint32_t Vol = static_cast<uint32_t>(R.below(2));
         uint64_t Committed = R.below(4);
-        auto Dies = [Vol, Committed](const DrcEntry &E) {
-          return E.VolId == Vol && (E.SeqPlus1 == 0 || E.SeqPlus1 > Committed);
+        auto Dies = [Vol, Committed](uint32_t VolId, uint64_t SeqPlus1,
+                                     const std::string &) {
+          return VolId == Vol && (SeqPlus1 == 0 || SeqPlus1 > Committed);
         };
         size_t Want = M.removeIf(Dies).size();
-        EXPECT_EQ(Want, C.removeIf(Dies));
+        EXPECT_EQ(Want, C.removeIf([&Dies](const DrcEntry &E) {
+          return Dies(E.VolId, E.SeqPlus1, E.Path);
+        }));
       } else {
         // Migration extraction: one volume's short-path entries, moved out.
         uint32_t Vol = static_cast<uint32_t>(R.below(2));
-        auto Moves = [Vol](const DrcEntry &E) {
-          return E.VolId == Vol && E.Path.starts_with("/d/");
+        auto Moves = [Vol](uint32_t VolId, uint64_t, const std::string &Path) {
+          return VolId == Vol && Path.starts_with("/d/");
         };
-        std::vector<DrcEntry> Want = M.removeIf(Moves);
-        std::vector<DrcEntry> Got;
+        std::vector<DrcModelEntry> Want = M.removeIf(Moves);
+        std::vector<DrcModelEntry> Got;
         C.removeIf([&](DrcEntry &E) {
-          if (!Moves(E))
+          if (!Moves(E.VolId, E.SeqPlus1, E.Path))
             return false;
-          Got.push_back(std::move(E));
+          Got.push_back(modelEntry(C, E));
+          E.Path.clear(); // what a mover leaves behind
           return true;
         });
         std::sort(Got.begin(), Got.end(),
-                  [](const DrcEntry &A, const DrcEntry &B) {
+                  [](const DrcModelEntry &A, const DrcModelEntry &B) {
                     return A.Key < B.Key;
                   });
         ASSERT_EQ(Want.size(), Got.size());

@@ -277,7 +277,7 @@ TEST(WriteBehind, RetiredLocalHandleFailsWithBadFd) {
   EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeClose(O.Fh)).Err);
   EXPECT_EQ(FsError::BadFd, runSync(S, *C, makeWrite(O.Fh, 10)).Err);
   EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
-  EXPECT_EQ(InvalidHandle, C->writeBehind()->translate(makeRead(O.Fh, 1)).Fh);
+  EXPECT_EQ(InvalidHandle, C->writeBehind()->serverHandle(O.Fh));
   EXPECT_EQ(FsError::Ok, runSync(S, *C, makeFsync(InvalidHandle)).Err);
 
   // A second close queued while the first is still live waits for it,
