@@ -42,20 +42,19 @@ void AttrCache::invalidateSubtree(std::string_view Path) {
       [Path](const Entry &E) { return isAtOrBelow(E.Path, Path); });
 }
 
-void AttrCache::invalidateMutated(MetaOp Op, std::string_view Path,
-                                  std::string_view Path2) {
-  if (!isMutation(Op))
+void AttrCache::invalidateMutated(const MetaRequest &Req) {
+  if (!isMutation(Req.Op))
     return;
-  if (Op == MetaOp::Rename) {
+  if (Req.Op == MetaOp::Rename) {
     // A renamed directory takes its subtree along; a replaced target may
     // have been a directory too.
-    invalidateSubtree(Path);
-    invalidateSubtree(Path2);
+    invalidateSubtree(Req.Path);
+    invalidateSubtree(Req.Path2);
     return;
   }
-  invalidate(Path);
-  if (Op == MetaOp::Link)
-    invalidate(Path2);
+  invalidate(Req.Path);
+  if (Req.Op == MetaOp::Link)
+    invalidate(Req.Path2);
 }
 
 void AttrCache::invalidateForMutation(const MetaRequest &Req) {

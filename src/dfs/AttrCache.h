@@ -8,7 +8,9 @@
 /// A time-bounded attribute cache keyed by path — the client-side cache
 /// whose behaviour the StatFiles / StatNocacheFiles / StatMultinodeFiles
 /// plugins probe (thesis \S 3.4.3). A TTL of zero disables expiry
-/// (callback/invalidation-based systems like AFS).
+/// (callback/invalidation-based systems like AFS). Beside it, the record
+/// of which path each open handle names, which lets a write by handle
+/// reach the entry of the file it wrote.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,19 +57,35 @@ public:
   /// Returns fresh attributes or nullopt on miss/expiry.
   std::optional<Attr> lookup(std::string_view Path, SimTime Now);
 
+  /// Overwrites in place, keeping its insertion time, the entry whose path
+  /// has fingerprint \p PathHash (HandlePaths) when it caches the file of
+  /// \p A, the post-op attributes of a write by handle: the same device
+  /// and inode, not a file created under the name since. Inserts nothing,
+  /// so neither hits, misses nor expiry move.
+  void refresh(uint64_t PathHash, const Attr &A) {
+    Entry *E = Entries.findByHash(PathHash);
+    if (E && E->A.Dev == A.Dev && E->A.Ino == A.Ino)
+      E->A = A;
+  }
+
+  /// True when an entry for \p Path is held, fresh or not; counts nothing.
+  bool contains(std::string_view Path) const {
+    return Entries.find(Path) != nullptr;
+  }
+
   /// Drops one entry (mutation invalidation / callback break).
   void invalidate(std::string_view Path);
-
-  /// Drops what a successful synchronous mutation \p Op of \p Path (and
-  /// \p Path2) makes stale: the entry for Path, the one for Path2 on link,
-  /// and on rename both names with everything cached below them. Called
-  /// on the mutation's reply (write-behind clients use
-  /// invalidateForMutation() at enqueue instead).
-  void invalidateMutated(MetaOp Op, std::string_view Path,
-                         std::string_view Path2);
-  void invalidateMutated(const MetaRequest &Req) {
-    invalidateMutated(Req.Op, Req.Path, Req.Path2);
+  /// Drops the entry whose path has fingerprint \p PathHash.
+  void invalidateHashed(uint64_t PathHash) {
+    if (const Entry *E = Entries.findByHash(PathHash))
+      Entries.erase(E);
   }
+
+  /// Drops what a successful synchronous mutation \p Req makes stale: the
+  /// entry for its path, the one for Path2 on link, and on rename both
+  /// names with everything cached below them. Called on the mutation's
+  /// reply (write-behind clients use invalidateForMutation() at enqueue).
+  void invalidateMutated(const MetaRequest &Req);
 
   /// Drops every entry a queued-but-unflushed (or just-applied) mutation
   /// makes stale: the primary path, the secondary path (rename target,
@@ -103,6 +121,37 @@ private:
   FlatTable<Entry, &Entry::Path> Entries;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
+};
+
+/// The path each open file handle names, keyed by the handle the client's
+/// caller holds, as the path's fingerprint: its 64-bit FlatKeyHash, which
+/// finds the path's entry in a table keyed by paths
+/// (FlatTable::findByHash). A handle names no path, so this is how a write
+/// or an ftruncate by handle reaches its file's cache entry. A record is
+/// 16 bytes, with no copy of the path, and an erased one is reused, so at
+/// a steady count of open files recording one allocates nothing.
+class HandlePaths {
+public:
+  /// \p Fh, which an open returned, names \p Path.
+  void record(FileHandle Fh, std::string_view Path) {
+    Open.tryEmplace(Fh).first->PathHash = FlatKeyHash{}(Path);
+  }
+  /// A close retired \p Fh.
+  void retire(FileHandle Fh) { Open.erase(Fh); }
+  /// The fingerprint of the path \p Fh names; nullopt when no open
+  /// recorded it.
+  std::optional<uint64_t> pathHash(FileHandle Fh) const {
+    if (const Record *R = Open.find(Fh))
+      return R->PathHash;
+    return std::nullopt;
+  }
+
+private:
+  struct Record {
+    FileHandle Fh = InvalidHandle;
+    uint64_t PathHash = 0;
+  };
+  FlatTable<Record, &Record::Fh> Open;
 };
 
 } // namespace dmb

@@ -55,6 +55,19 @@ void FileServer::adoptVolume(const std::string &Name,
   Volumes[Id] = std::move(Vol);
 }
 
+/// The attributes of the file \p Req's handle names, after a successful
+/// write or ftruncate: the post-op attributes NFSv3's wcc_data carries.
+/// Read under an OpCtx of their own, so they cost nothing: no OpCost, and
+/// no simulated time moves.
+static Attr postOpAttrs(LocalFileSystem &Vol, const MetaRequest &Req,
+                        SimTime Now) {
+  OpCtx Ctx;
+  Ctx.Creds = Req.Creds;
+  Ctx.Now = Now;
+  Result<Attr> A = Vol.fstat(Ctx, Req.Fh);
+  return A.ok() ? *A : Attr();
+}
+
 MetaReply FileServer::execute(LocalFileSystem &Vol, const MetaRequest &Req,
                               SimTime Now, OpCost &Cost) {
   OpCtx Ctx;
@@ -157,8 +170,10 @@ MetaReply FileServer::execute(LocalFileSystem &Vol, const MetaRequest &Req,
   case MetaOp::Write: {
     Result<uint64_t> R = Vol.write(Ctx, Req.Fh, Req.Bytes);
     Reply.Err = R.error();
-    if (R.ok())
+    if (R.ok()) {
       Reply.Bytes = *R;
+      Reply.A = postOpAttrs(Vol, Req, Now);
+    }
     break;
   }
   case MetaOp::Read: {
@@ -177,6 +192,8 @@ MetaReply FileServer::execute(LocalFileSystem &Vol, const MetaRequest &Req,
   }
   case MetaOp::Ftruncate:
     Reply.Err = Vol.ftruncate(Ctx, Req.Fh, Req.Bytes);
+    if (Reply.ok())
+      Reply.A = postOpAttrs(Vol, Req, Now);
     break;
   case MetaOp::Fsync:
     // State is always durable in the in-memory store; fsync only costs time

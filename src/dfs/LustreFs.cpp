@@ -41,8 +41,10 @@ std::unique_ptr<ClientFs> LustreFs::makeClient(unsigned NodeIndex) {
 LustreClient::LustreClient(const ClientBuilder &B, FileServer &Mds,
                            const LustreOptions &Opts)
     : RpcClientBase(B), Mds(Mds), VolId(Mds.volumeId(LustreFs::VolumeName)),
-      Options(Opts), NodeIndex(B.nodeIndex()), Cache(Opts.AttrCacheTtl) {
-  mountWriteBehind(Options.Client.WriteBehind, &this->Mds, VolId, &Cache);
+      Options(Opts), NodeIndex(B.nodeIndex()) {
+  // Attributes are cached under an ldlm lock from stat replies only.
+  mountAttrCache(Opts.AttrCacheTtl, Opts.CacheHitCost, AttrFill::StatOnly);
+  mountWriteBehind(Options.Client.WriteBehind, &this->Mds, VolId);
 }
 
 std::string LustreClient::describe() const {
@@ -57,18 +59,6 @@ void LustreClient::dispatch(Exchange *X) {
   Mds.process(VolId, X->Req, X->Reply, [this, X]() { serverReply(X); });
 }
 
-void LustreClient::finish(Exchange *X) {
-  const MetaRequest &Req = X->Req;
-  if (X->Reply.ok()) {
-    if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat)
-      Cache.insert(Req.Path, X->Reply.A, sched().now());
-    else
-      Cache.invalidateMutated(Req);
-  }
-  slotDone();
-  complete(X);
-}
-
 void LustreClient::submitDirect(const MetaRequest &Req, Callback Done) {
   if (Req.Op == MetaOp::Fsync) {
     // Only a client without write-behind gets here, and nothing is ever
@@ -77,8 +67,6 @@ void LustreClient::submitDirect(const MetaRequest &Req, Callback Done) {
                   [Done = std::move(Done)]() { Done(MetaReply()); });
     return;
   }
-  if (answerFromCache(Cache, Options.CacheHitCost, Req, Done))
-    return;
   // Creating a file also pre-allocates an object on an OSS; the MDS hides
   // most of this with pre-created object pools — a small extra cost.
   Exchange *X = newExchange(Req, std::move(Done));

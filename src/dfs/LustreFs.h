@@ -22,7 +22,6 @@
 #ifndef DMETABENCH_DFS_LUSTREFS_H
 #define DMETABENCH_DFS_LUSTREFS_H
 
-#include "dfs/AttrCache.h"
 #include "dfs/ClientConfig.h"
 #include "dfs/DistributedFs.h"
 #include "dfs/FileServer.h"
@@ -75,10 +74,6 @@ public:
   LustreClient(const ClientBuilder &B, FileServer &Mds,
                const LustreOptions &Options);
 
-  void dropCaches() override { Cache.clear(); }
-  CacheStats cacheStats() const override {
-    return {Cache.hits(), Cache.misses()};
-  }
   std::string describe() const override;
 
   /// Mutations acked locally but not yet committed on the MDS.
@@ -89,13 +84,11 @@ public:
 private:
   void submitDirect(const MetaRequest &Req, Callback Done) override;
   void dispatch(Exchange *X) override;
-  void finish(Exchange *X) override;
 
   FileServer &Mds;
   uint32_t VolId; ///< interned VolumeName, resolved once at mount
   LustreOptions Options;
   unsigned NodeIndex;
-  AttrCache Cache;
 };
 
 } // namespace dmb

@@ -50,9 +50,11 @@ std::unique_ptr<ClientFs> NfsFs::makeClient(unsigned NodeIndex) {
 NfsClient::NfsClient(const ClientBuilder &B, FileServer &Server,
                      const NfsOptions &Opts)
     : RpcClientBase(B), Server(Server),
-      VolId(Server.volumeId(NfsFs::VolumeName)), Options(Opts),
-      NodeIndex(B.nodeIndex()), Cache(Opts.AttrCacheTtl) {
-  mountWriteBehind(Options.Client.WriteBehind, &this->Server, VolId, &Cache);
+      VolId(Server.volumeId(NfsFs::VolumeName)), NodeIndex(B.nodeIndex()) {
+  // stat()/lstat() are answered from the attribute cache within its TTL —
+  // the reason StatFiles and StatNocacheFiles differ (\S 3.4.3).
+  mountAttrCache(Opts.AttrCacheTtl, Opts.CacheHitCost, AttrFill::PostOp);
+  mountWriteBehind(Opts.Client.WriteBehind, &this->Server, VolId);
 }
 
 std::string NfsClient::describe() const {
@@ -60,48 +62,11 @@ std::string NfsClient::describe() const {
                 Server.config().Name.c_str());
 }
 
-void NfsClient::postProcess(const MetaRequest &Req, const MetaReply &Reply) {
-  if (!Reply.ok())
-    return;
-  switch (Req.Op) {
-  case MetaOp::Stat:
-  case MetaOp::Lstat:
-    Cache.insert(Req.Path, Reply.A, sched().now());
-    break;
-  case MetaOp::Open:
-    // NFSv3 replies carry post-op attributes; cache them so a stat() right
-    // after creating a file is served locally (\S 3.4.3).
-    Cache.insert(Req.Path, Reply.A, sched().now());
-    break;
-  case MetaOp::ReaddirPlus: {
-    // READDIRPLUS warms the attribute cache for every entry at once
-    // (\S 5.3.2) — subsequent stat()s are local.
-    std::string Base = Req.Path == "/" ? std::string() : Req.Path;
-    for (const auto &[Name, A] : Reply.EntryAttrs)
-      Cache.insert(Base + "/" + Name, A, sched().now());
-    break;
-  }
-  default:
-    Cache.invalidateMutated(Req);
-    break;
-  }
-}
-
 void NfsClient::dispatch(Exchange *X) {
   Server.process(VolId, X->Req, X->Reply, [this, X]() { serverReply(X); });
 }
 
-void NfsClient::finish(Exchange *X) {
-  postProcess(X->Req, X->Reply);
-  slotDone();
-  complete(X);
-}
-
 void NfsClient::submitDirect(const MetaRequest &Req, Callback Done) {
-  // stat()/lstat() can be answered from the attribute cache within its TTL
-  // — the reason StatFiles and StatNocacheFiles differ (\S 3.4.3).
-  if (answerFromCache(Cache, Options.CacheHitCost, Req, Done))
-    return;
   Exchange *X = newExchange(Req, std::move(Done));
   withSlot([this, X]() { transact(X); });
 }

@@ -17,7 +17,6 @@
 #ifndef DMETABENCH_DFS_NFSFS_H
 #define DMETABENCH_DFS_NFSFS_H
 
-#include "dfs/AttrCache.h"
 #include "dfs/ClientConfig.h"
 #include "dfs/DistributedFs.h"
 #include "dfs/FileServer.h"
@@ -67,31 +66,22 @@ private:
   FileServer Server;
 };
 
-/// Per-node NFS client.
+/// Per-node NFS client: an attribute cache that also keeps the post-op
+/// attributes of open and readdirplus replies, and synchronous RPCs.
 class NfsClient final : public RpcClientBase {
 public:
   NfsClient(const ClientBuilder &B, FileServer &Server,
             const NfsOptions &Options);
 
-  void dropCaches() override { Cache.clear(); }
-  CacheStats cacheStats() const override {
-    return {Cache.hits(), Cache.misses()};
-  }
   std::string describe() const override;
-
-  const AttrCache &attrCache() const { return Cache; }
 
 private:
   void submitDirect(const MetaRequest &Req, Callback Done) override;
   void dispatch(Exchange *X) override;
-  void finish(Exchange *X) override;
-  void postProcess(const MetaRequest &Req, const MetaReply &Reply);
 
   FileServer &Server;
   uint32_t VolId; ///< interned VolumeName, resolved once at mount
-  NfsOptions Options;
   unsigned NodeIndex;
-  AttrCache Cache;
 };
 
 } // namespace dmb

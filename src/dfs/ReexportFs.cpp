@@ -40,8 +40,11 @@ void ReexportFs::forward(const MetaRequest &Req, ClientFs::Callback Done) {
 }
 
 ReexportClient::ReexportClient(const ClientBuilder &B, ReexportFs &Gateway)
-    : RpcClientBase(B), Gateway(Gateway), NodeIndex(B.nodeIndex()),
-      Cache(Gateway.Options.AttrCacheTtl) {}
+    : RpcClientBase(B), Gateway(Gateway), NodeIndex(B.nodeIndex()) {
+  // Plain NFS semantics toward the client: TTL attribute cache.
+  mountAttrCache(Gateway.Options.AttrCacheTtl, Gateway.Options.CacheHitCost,
+                 AttrFill::PostOp);
+}
 
 std::string ReexportClient::describe() const {
   return format("nfs3 node=%u gateway-for=%s", NodeIndex,
@@ -49,23 +52,10 @@ std::string ReexportClient::describe() const {
 }
 
 void ReexportClient::submitDirect(const MetaRequest &Req, Callback Done) {
-  // Plain NFS semantics toward the client: TTL attribute cache.
-  if (answerFromCache(Cache, Gateway.Options.CacheHitCost, Req, Done))
-    return;
   Exchange *X = newExchange(Req, std::move(Done));
   withSlot([this, X]() { transact(X); });
 }
 
 void ReexportClient::dispatch(Exchange *X) {
   Gateway.forward(X->Req, replyTo(X));
-}
-
-void ReexportClient::finish(Exchange *X) {
-  const MetaRequest &Req = X->Req;
-  if (X->Reply.ok() && (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
-                        Req.Op == MetaOp::Open))
-    Cache.insert(Req.Path, X->Reply.A, sched().now());
-  Cache.invalidateMutated(Req);
-  slotDone();
-  complete(X);
 }

@@ -20,7 +20,6 @@
 #ifndef DMETABENCH_DFS_REEXPORTFS_H
 #define DMETABENCH_DFS_REEXPORTFS_H
 
-#include "dfs/AttrCache.h"
 #include "dfs/ClientConfig.h"
 #include "dfs/DistributedFs.h"
 #include "dfs/RpcClientBase.h"
@@ -81,20 +80,14 @@ class ReexportClient final : public RpcClientBase {
 public:
   ReexportClient(const ClientBuilder &B, ReexportFs &Gateway);
 
-  void dropCaches() override { Cache.clear(); }
-  CacheStats cacheStats() const override {
-    return {Cache.hits(), Cache.misses()};
-  }
   std::string describe() const override;
 
 private:
   void submitDirect(const MetaRequest &Req, Callback Done) override;
   void dispatch(Exchange *X) override;
-  void finish(Exchange *X) override;
 
   ReexportFs &Gateway;
   unsigned NodeIndex;
-  AttrCache Cache;
 };
 
 } // namespace dmb

@@ -11,7 +11,7 @@ using namespace dmb;
 
 void RpcClientBase::submit(const MetaRequest &Req, Callback Done) {
   if (!WB) {
-    submitDirect(Req, std::move(Done));
+    direct(Req, std::move(Done));
     return;
   }
   if (Req.Op == MetaOp::Fsync) {
@@ -32,7 +32,7 @@ void RpcClientBase::submit(const MetaRequest &Req, Callback Done) {
     X->Done = std::move(Done);
     WB->drainFor(Req, [this, X]() {
       X->Req.Fh = WB->serverHandle(X->Req.Fh);
-      submitDirect(X->Req, std::move(X->Done));
+      direct(X->Req, std::move(X->Done));
       recycle(X);
     });
     return;
@@ -40,15 +40,54 @@ void RpcClientBase::submit(const MetaRequest &Req, Callback Done) {
   if (FileHandle Fh = WB->serverHandle(Req.Fh); Fh != Req.Fh) {
     MetaRequest Wire = Req;
     Wire.Fh = Fh;
-    submitDirect(Wire, std::move(Done));
+    direct(Wire, std::move(Done));
     return;
   }
-  submitDirect(Req, std::move(Done));
+  direct(Req, std::move(Done));
+}
+
+void RpcClientBase::settle(const MetaRequest &Req, const MetaReply &Reply) {
+  if (!Cache)
+    return;
+  trackHandle(Req, Reply);
+  if (!Reply.ok())
+    return;
+  SimTime Now = Sched.now();
+  switch (Req.Op) {
+  case MetaOp::Stat:
+  case MetaOp::Lstat:
+    Cache->insert(Req.Path, Reply.A, Now);
+    break;
+  case MetaOp::Open:
+    // NFSv3 replies carry post-op attributes, so a stat() right after
+    // creating a file is served locally (\S 3.4.3).
+    if (Fill == AttrFill::PostOp)
+      Cache->insert(Req.Path, Reply.A, Now);
+    break;
+  case MetaOp::ReaddirPlus:
+    // READDIRPLUS warms the cache for every entry at once (\S 5.3.2):
+    // the stat()s after it are local.
+    if (Fill == AttrFill::PostOp) {
+      std::string Base = Req.Path == "/" ? std::string() : Req.Path;
+      for (const auto &[Name, A] : Reply.EntryAttrs)
+        Cache->insert(Base + "/" + Name, A, Now);
+    }
+    break;
+  case MetaOp::Write:
+  case MetaOp::Ftruncate:
+    // A handle names no path: the record says which entry the post-op
+    // attributes belong to.
+    if (std::optional<uint64_t> PathHash = Paths.pathHash(Req.Fh))
+      Cache->refresh(*PathHash, Reply.A);
+    break;
+  default:
+    Cache->invalidateMutated(Req); // this client's own stale entries
+    break;
+  }
 }
 
 void RpcClientBase::mountWriteBehind(const WriteBehindPolicy &Policy,
-                                     FileServer *Eager, uint32_t VolId,
-                                     AttrCache *Cache) {
+                                     FileServer *Eager, uint32_t VolId) {
   if (!Policy.enabled())
     return;
   WriteBehindHooks Hooks;
@@ -57,10 +96,18 @@ void RpcClientBase::mountWriteBehind(const WriteBehindPolicy &Policy,
   };
   Hooks.AllocXid = [this]() { return allocXid(); };
   if (Eager)
-    Hooks.ApplyEager = [Eager, VolId](const MetaRequest &R,
-                                      std::function<void()> Committed) {
-      return Eager->processEager(VolId, R, std::move(Committed));
+    // An eager op's reply never reaches finish(): the handle record sees
+    // its creating opens and closes here.
+    Hooks.ApplyEager = [this, Eager, VolId](const MetaRequest &R,
+                                            std::function<void()> Committed) {
+      MetaReply Reply = Eager->processEager(VolId, R, std::move(Committed));
+      if (Cache)
+        trackHandle(R, Reply);
+      return Reply;
     };
-  Hooks.Cache = Cache;
+  if (Cache) {
+    Hooks.Cache = &*Cache;
+    Hooks.Paths = &Paths;
+  }
   WB = std::make_unique<WriteBehindQueue>(Sched, Policy, std::move(Hooks));
 }

@@ -29,9 +29,10 @@
 ///
 /// Above the exchange sits the client front end every model shares:
 /// submit() is the one front door (it routes through the write-behind
-/// queue mountWriteBehind() mounted, then hands the request to the
-/// model's submitDirect()), answerFromCache() serves a fresh stat from an
-/// attribute cache, failLocally() answers an error without leaving the
+/// queue mountWriteBehind() mounted, answers a fresh stat from the
+/// attribute cache mountAttrCache() mounted, then hands the request to
+/// the model's submitDirect()), finish() keeps that cache coherent with
+/// every reply, failLocally() answers an error without leaving the
 /// client, and ClientHandles is the client-local handle table of models
 /// that talk to several servers. Construction goes through
 /// dfs/ClientBuilder.h, so the model constructors shrink to their
@@ -42,6 +43,7 @@
 #ifndef DMETABENCH_DFS_RPCCLIENTBASE_H
 #define DMETABENCH_DFS_RPCCLIENTBASE_H
 
+#include "dfs/AttrCache.h"
 #include "dfs/ClientBuilder.h"
 #include "dfs/ClientConfig.h"
 #include "dfs/ClientFs.h"
@@ -52,6 +54,7 @@
 #include "sim/Network.h"
 #include "sim/Scheduler.h"
 #include "sim/Trace.h"
+#include "support/Assert.h"
 #include "support/RingQueue.h"
 #include <functional>
 #include <memory>
@@ -110,6 +113,12 @@ private:
   FileHandle NextLocalFh = 1;
 };
 
+/// Which replies fill a client's attribute cache.
+enum class AttrFill {
+  StatOnly, ///< stat and lstat (lustre, afs)
+  PostOp,   ///< also open's and readdirplus's post-op attributes, as NFS's
+};
+
 /// Base class managing RPC slots and the network round trip.
 class RpcClientBase : public ClientFs {
 public:
@@ -117,17 +126,26 @@ public:
   /// mounted, an fsync is the queue's barrier, a mutation it takes is
   /// acked from it, and a read around queued state first drains the
   /// dependency closure it can observe; what passes through reaches
-  /// submitDirect() with queue-local handles translated.
+  /// submitDirect() with queue-local handles translated, unless the
+  /// attribute cache answers it first.
   void submit(const MetaRequest &Req, Callback Done) final;
 
   /// The write-behind queue, when mountWriteBehind() mounted one.
   const WriteBehindQueue *writeBehind() const { return WB.get(); }
 
+  void dropCaches() override {
+    if (Cache)
+      Cache->clear();
+  }
+  CacheStats cacheStats() const final {
+    return Cache ? CacheStats{Cache->hits(), Cache->misses()} : CacheStats{};
+  }
+
 protected:
   explicit RpcClientBase(const ClientBuilder &B)
-      : Sched(B.sched()), Config(B.config()), ClientIdV(B.clientId()),
-        Slots(Config.RpcSlots ? Config.RpcSlots : 1),
-        ToServer(Sched, Config.Net), FromServer(Sched, Config.Net) {}
+      : Sched(B.sched()), Retry(B.config().Retry), ClientIdV(B.clientId()),
+        Slots(B.config().RpcSlots ? B.config().RpcSlots : 1),
+        ToServer(Sched, B.config().Net), FromServer(Sched, B.config().Net) {}
 
   /// Runs \p RpcFn once a slot is free. RpcFn must eventually call
   /// slotDone() exactly once. The slot grant is the operation's NetOut
@@ -184,10 +202,12 @@ protected:
     MetaReply Reply; ///< written by the server, moved to the caller
     Callback Done;   ///< the caller's completion
     SimDuration SendExtra = 0;
-    /// Where the model routes the request: server, filer or shard index,
-    /// the volume id at that server, and the length of the mount prefix
-    /// the volume models strip from Req's paths before the server sees
-    /// them. Single-server models leave them.
+    /// Where the model routes the request: the server's handle behind the
+    /// client-local one a volume model's Req keeps, the server, filer or
+    /// shard index, the volume id at that server, and the length of the
+    /// mount prefix the volume models strip from Req's paths before the
+    /// server sees them. Single-server models leave them.
+    FileHandle ServerFh = InvalidHandle;
     unsigned Server = 0;
     uint32_t VolId = 0;
     uint32_t MountPrefixLen = 0;
@@ -214,6 +234,7 @@ protected:
     X->Req = Req;
     X->Done = std::move(Done);
     X->SendExtra = 0;
+    X->ServerFh = InvalidHandle;
     X->Server = 0;
     X->VolId = 0;
     X->MountPrefixLen = 0;
@@ -241,7 +262,7 @@ protected:
   /// inside the NetOut->QueueEnter (request lost) or ServiceEnd->Deliver
   /// (reply lost) span of the operation.
   void transact(Exchange *X) {
-    if (Config.Retry.enabled()) {
+    if (Retry.enabled()) {
       X->Req.ClientId = ClientIdV;
       // A caller-stamped Xid is kept (pinned): a client re-issuing a
       // redirected operation passes the original Xid so the destination
@@ -259,9 +280,14 @@ protected:
   virtual void dispatch(Exchange *X) = 0;
 
   /// Client half: runs once per operation, when its reply (or a TimedOut
-  /// error) arrives in X->Reply. Whoever took the RPC slot releases it,
-  /// here or in X->Done. The default completes the operation.
-  virtual void finish(Exchange *X) { complete(X); }
+  /// error) arrives in X->Reply. The default settles the attribute cache
+  /// with the reply, releases the RPC slot and completes the operation;
+  /// an override adds the model's reply handling, then calls it.
+  virtual void finish(Exchange *X) {
+    settle(X->Req, X->Reply);
+    slotDone();
+    complete(X);
+  }
 
   /// The model's path for a request submit() lets through: every request
   /// on a client without write-behind, and each op the queue issues.
@@ -271,31 +297,6 @@ protected:
   void complete(Exchange *X) {
     Callback Done = std::move(X->Done);
     Done(std::move(X->Reply));
-  }
-
-  /// Answers a stat or lstat of \p Req from \p Cache after \p Cost when
-  /// the cache holds fresh attributes for its path, taking \p Done;
-  /// returns false, leaving \p Done alone, otherwise. The reply waits in
-  /// a pooled exchange record, so the event captures only {this, record}
-  /// and allocates nothing.
-  [[nodiscard]] bool answerFromCache(AttrCache &Cache, SimDuration Cost,
-                                     const MetaRequest &Req, Callback &Done) {
-    if (Req.Op != MetaOp::Stat && Req.Op != MetaOp::Lstat)
-      return false;
-    std::optional<Attr> A = Cache.lookup(Req.Path, Sched.now());
-    if (!A)
-      return false;
-    Exchange *X = acquireExchange();
-    X->Reply = MetaReply();
-    X->Reply.A = *A;
-    X->Done = std::move(Done);
-    Sched.after(Cost, [this, X]() {
-      Callback Done = std::move(X->Done);
-      MetaReply Reply = std::move(X->Reply);
-      recycle(X);
-      Done(std::move(Reply));
-    });
-    return true;
   }
 
   /// Answers \p Done with \p Err without leaving the client: requests
@@ -327,18 +328,35 @@ protected:
     };
   }
 
+  /// Mounts the attribute cache, before mountWriteBehind(): entries expire
+  /// after \p Ttl (0: never), a stat they answer takes \p HitCost, and
+  /// settle() keeps them coherent with every reply.
+  void mountAttrCache(SimDuration Ttl, SimDuration HitCost, AttrFill F) {
+    DMB_ASSERT(!WB, "mount the attribute cache before the write-behind queue");
+    Cache.emplace(Ttl);
+    CacheHitCost = HitCost;
+    Fill = F;
+  }
+
   /// Mounts the write-behind queue submit() routes through, behind
   /// \p Policy: Issue sends one op through submitDirect(), AllocXid pins
   /// (ClientId, Xid) at enqueue time, and — when \p Eager is non-null —
   /// ApplyEager applies eager-discipline ops at \p Eager under \p VolId
-  /// with \p Cache kept coherent. No-op when the policy is disabled, so a
-  /// client without write-behind carries only the null pointer.
+  /// with the attribute cache kept coherent. No-op when the policy is
+  /// disabled, so a client without write-behind carries only the null
+  /// pointer.
   void mountWriteBehind(const WriteBehindPolicy &Policy,
-                        FileServer *Eager = nullptr, uint32_t VolId = 0,
-                        AttrCache *Cache = nullptr);
+                        FileServer *Eager = nullptr, uint32_t VolId = 0);
+
+  /// The attribute cache, when mountAttrCache() mounted one.
+  AttrCache *attrCache() { return Cache ? &*Cache : nullptr; }
+  /// The fingerprint of the path the open handle \p Fh names, as this
+  /// client's caller holds it (HandlePaths); nullopt when unknown.
+  std::optional<uint64_t> openPathHash(FileHandle Fh) const {
+    return Paths.pathHash(Fh);
+  }
 
   Scheduler &sched() { return Sched; }
-  SimDuration oneWayLatency() const { return Config.Net.OneWayLatency; }
 
   /// Allocates a fresh transaction id. Clients that must know an
   /// operation's Xid before transact() — e.g. to re-issue the same
@@ -350,7 +368,6 @@ public:
   /// Observability for tests, benches and the fault plan.
   unsigned inFlightRpcs() const { return InFlight; }
   size_t queuedRpcs() const { return Pending.size(); }
-  const ClientConfig &clientConfig() const { return Config; }
   unsigned rpcClientId() const { return ClientIdV; }
   uint64_t retransmits() const { return Retransmits; }
   uint64_t timedOutOps() const { return TimedOutOps; }
@@ -378,14 +395,56 @@ private:
     // Accumulating the whole train in a double and casting once at the end
     // drifts from that sequence for non-power-of-two factors and can
     // overshoot for large attempt counts.
-    SimDuration T = Config.Retry.Timeout;
+    SimDuration T = Retry.Timeout;
     for (unsigned I = 0; I < Attempt; ++I) {
       T = static_cast<SimDuration>(static_cast<double>(T) *
-                                   Config.Retry.BackoffFactor);
-      if (T >= Config.Retry.MaxTimeout)
-        return Config.Retry.MaxTimeout;
+                                   Retry.BackoffFactor);
+      if (T >= Retry.MaxTimeout)
+        return Retry.MaxTimeout;
     }
-    return T < Config.Retry.MaxTimeout ? T : Config.Retry.MaxTimeout;
+    return T < Retry.MaxTimeout ? T : Retry.MaxTimeout;
+  }
+
+  /// Hands \p Req to submitDirect() unless the attribute cache answers it.
+  void direct(const MetaRequest &Req, Callback Done) {
+    if (!answerFromCache(Req, Done))
+      submitDirect(Req, std::move(Done));
+  }
+
+  /// Answers a stat or lstat of \p Req from the attribute cache after its
+  /// hit cost when it holds fresh attributes for the path, taking \p Done;
+  /// returns false, leaving \p Done alone, otherwise. The reply waits in
+  /// a pooled exchange record, so the event captures only {this, record}
+  /// and allocates nothing.
+  [[nodiscard]] bool answerFromCache(const MetaRequest &Req, Callback &Done) {
+    if (!Cache || (Req.Op != MetaOp::Stat && Req.Op != MetaOp::Lstat))
+      return false;
+    std::optional<Attr> A = Cache->lookup(Req.Path, Sched.now());
+    if (!A)
+      return false;
+    Exchange *X = acquireExchange();
+    X->Reply = MetaReply();
+    X->Reply.A = *A;
+    X->Done = std::move(Done);
+    Sched.after(CacheHitCost, [this, X]() {
+      Callback Done = std::move(X->Done);
+      MetaReply Reply = std::move(X->Reply);
+      recycle(X);
+      Done(std::move(Reply));
+    });
+    return true;
+  }
+
+  /// Fills the attribute cache from \p Reply to \p Req, or drops what the
+  /// mutation made stale, and keeps the handle record.
+  void settle(const MetaRequest &Req, const MetaReply &Reply);
+  /// The handle record's part of settle(): a successful open records the
+  /// path its handle names, a close retires the handle.
+  void trackHandle(const MetaRequest &Req, const MetaReply &Reply) {
+    if (Req.Op == MetaOp::Open && Reply.ok())
+      Paths.record(Reply.Fh, Req.Path);
+    else if (Req.Op == MetaOp::Close)
+      Paths.retire(Req.Fh);
   }
 
   Exchange *acquireExchange() {
@@ -437,6 +496,7 @@ private:
       A = acquireExchange();
       A->Req = Op->Req;
       A->SendExtra = Op->SendExtra;
+      A->ServerFh = Op->ServerFh;
       A->Server = Op->Server;
       A->VolId = Op->VolId;
       A->MountPrefixLen = Op->MountPrefixLen;
@@ -444,12 +504,12 @@ private:
       ++Op->Refs;
     }
     send(A);
-    if (!Config.Retry.enabled())
+    if (!Retry.enabled())
       return;
     ++Op->Refs;
     Sched.after(timeoutFor(Op->Attempt), [this, Op]() {
       if (!Op->Completed) {
-        if (Op->Attempt >= Config.Retry.MaxRetransmits) {
+        if (Op->Attempt >= Retry.MaxRetransmits) {
           Op->Completed = true;
           ++TimedOutOps;
           Op->Reply = MetaReply();
@@ -478,7 +538,9 @@ private:
   }
 
   Scheduler &Sched;
-  ClientConfig Config;
+  /// The client's retry policy; the links keep their own copy of the
+  /// network configuration, and the models their write-behind policy.
+  RetryPolicy Retry;
   unsigned ClientIdV;
   unsigned Slots;
   NetworkLink ToServer;
@@ -490,6 +552,10 @@ private:
   RingQueue<PendingRpc> Pending; ///< requests waiting for a slot
   std::vector<std::unique_ptr<Exchange>> Exchanges; ///< the record pool
   Exchange *FreeExchanges = nullptr;
+  std::optional<AttrCache> Cache;
+  SimDuration CacheHitCost = 0;
+  AttrFill Fill = AttrFill::StatOnly;
+  HandlePaths Paths; ///< kept only with a cache, which it serves
   std::unique_ptr<WriteBehindQueue> WB;
 };
 

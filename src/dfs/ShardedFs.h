@@ -270,6 +270,9 @@ private:
   void attempt(const MetaRequest &Req, uint64_t Xid, unsigned RedirectsLeft,
                Callback Done);
   void dispatch(Exchange *X) override;
+  /// Only completes: the caller's completion releases the RPC slot, which
+  /// a redirected operation holds across its attempts.
+  void finish(Exchange *X) override { complete(X); }
 
   ShardedFs &Fs;
   unsigned NodeIndex;

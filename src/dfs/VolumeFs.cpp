@@ -147,7 +147,7 @@ void VolumeFs::breakPromise(const Promise &P) {
   for (uint32_t H = P.First; H != NoHolder;) {
     uint32_t Next = Holders[H].Next;
     if (live(Holders[H])) {
-      Slots[Holders[H].Slot].Client->Cache.invalidate(P.Path);
+      Slots[Holders[H].Slot].Client->attrCache()->invalidate(P.Path);
       ++Broken;
     }
     freeHolder(H);
@@ -179,12 +179,22 @@ void VolumeFs::breakCallbacks(MetaOp Op, std::string_view Path,
     Break(Path2);
 }
 
+void VolumeFs::breakStore(uint64_t PathHash) {
+  if (const Promise *P = Promises.findByHash(PathHash)) {
+    breakPromise(*P);
+    Promises.erase(P);
+  }
+}
+
 VolumeClient::VolumeClient(const ClientBuilder &B, VolumeFs &Cell)
     : RpcClientBase(B), Cell(&Cell), NodeIndex(B.nodeIndex()),
       // Client mounts are distributed ~uniformly over the filer network
       // interfaces (\S 4.1.3).
-      Nblade(B.nodeIndex() % Cell.numServers()), Slot(Cell.Slots.size()),
-      Cache(Cell.options().AttrCacheTtl) {
+      Nblade(B.nodeIndex() % Cell.numServers()), Slot(Cell.Slots.size()) {
+  const VolumeOptions &O = Cell.options();
+  mountAttrCache(O.AttrCacheTtl, O.CacheHitCost,
+                 O.Mode == Aggregation::External ? AttrFill::StatOnly
+                                                 : AttrFill::PostOp);
   Cell.Slots.push_back({this, 0});
 }
 
@@ -194,7 +204,7 @@ VolumeClient::~VolumeClient() {
 }
 
 void VolumeClient::dropCaches() {
-  Cache.clear();
+  RpcClientBase::dropCaches();
   if (Cell)
     ++Cell->Slots[Slot].Gen; // every promise made to this client lapses
 }
@@ -217,7 +227,7 @@ void VolumeClient::submitDirect(const MetaRequest &Req, Callback Done) {
       return;
     }
     X = newExchange(Req, std::move(Done));
-    X->Req.Fh = H->ServerFh;
+    X->ServerFh = H->ServerFh;
     X->Server = H->Server;
     X->VolId = H->VolId;
   } else {
@@ -229,8 +239,6 @@ void VolumeClient::submitDirect(const MetaRequest &Req, Callback Done) {
       failLocally(Err, std::move(Done));
       return;
     }
-    if (answerFromCache(Cache, O.CacheHitCost, Req, Done))
-      return;
     X = newExchange(Req, std::move(Done));
     X->Server = Mount->ServerIndex;
     X->VolId = Cell->server(Mount->ServerIndex).volumeId(Mount->Volume);
@@ -251,13 +259,14 @@ void VolumeClient::submitDirect(const MetaRequest &Req, Callback Done) {
 }
 
 void VolumeClient::execute(Exchange *X, std::function<void()> Done) {
-  const MetaRequest *Req = &X->Req;
-  if (!ClientHandles::routesByHandle(X->Req)) {
-    // The cache is keyed by the full path; the server sees the volume's.
+  if (ClientHandles::routesByHandle(X->Req)) {
+    ServerReq = X->Req;
+    ServerReq.Fh = X->ServerFh;
+  } else {
     MountTable::toVolume(X->Req, X->MountPrefixLen, ServerReq);
-    Req = &ServerReq;
   }
-  Cell->server(X->Server).process(X->VolId, *Req, X->Reply, std::move(Done));
+  Cell->server(X->Server).process(X->VolId, ServerReq, X->Reply,
+                                  std::move(Done));
 }
 
 void VolumeClient::dispatch(Exchange *X) {
@@ -294,21 +303,23 @@ void VolumeClient::dispatch(Exchange *X) {
 void VolumeClient::finish(Exchange *X) {
   const MetaRequest &Req = X->Req;
   if (X->Reply.ok()) {
-    bool Callbacks = Cell->options().Mode == Aggregation::External;
-    // A callback cache fills from stat replies only; an NFS cache also
-    // keeps open's post-op attributes.
-    if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat ||
-        (Req.Op == MetaOp::Open && !Callbacks))
-      if (Cache.insert(Req.Path, X->Reply.A, sched().now()) && Callbacks)
-        Cell->promise(Req.Path, Slot);
-    if (!Callbacks)
-      Cache.invalidateMutated(Req); // this client's own stale entries
-    else if (isMutation(Req.Op) ||
-             (Req.Op == MetaOp::Open && (Req.Flags & OpenCreate)))
-      Cell->breakCallbacks(Req.Op, Req.Path, Req.Path2);
+    if (Cell->options().Mode == Aggregation::External) {
+      // Callback promises: a stat reply the cache is about to take earns
+      // one, and a mutation, a creating open or a store breaks those on
+      // what it changed, for every holder.
+      if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
+        if (!attrCache()->contains(Req.Path))
+          Cell->promise(Req.Path, Slot);
+      } else if (Req.Op == MetaOp::Write || Req.Op == MetaOp::Ftruncate) {
+        if (std::optional<uint64_t> PathHash = openPathHash(Req.Fh))
+          Cell->breakStore(*PathHash);
+      } else if (isMutation(Req.Op) ||
+                 (Req.Op == MetaOp::Open && (Req.Flags & OpenCreate))) {
+        Cell->breakCallbacks(Req.Op, Req.Path, Req.Path2);
+      }
+    }
     if (Req.Op == MetaOp::Open)
       X->Reply.Fh = Handles.wrap(X->Server, X->VolId, X->Reply.Fh);
   }
-  slotDone();
-  complete(X);
+  RpcClientBase::finish(X);
 }

@@ -29,7 +29,6 @@
 #ifndef DMETABENCH_DFS_VOLUMEFS_H
 #define DMETABENCH_DFS_VOLUMEFS_H
 
-#include "dfs/AttrCache.h"
 #include "dfs/ClientConfig.h"
 #include "dfs/DistributedFs.h"
 #include "dfs/FileServer.h"
@@ -167,6 +166,9 @@ private:
   /// those of both names, anything else that of \p Path.
   void breakCallbacks(MetaOp Op, std::string_view Path,
                       std::string_view Path2);
+  /// The same for a store (a write or ftruncate by handle), which breaks
+  /// the promise on the path with fingerprint \p PathHash (HandlePaths).
+  void breakStore(uint64_t PathHash);
   /// Breaks \p P, which the caller then erases.
   void breakPromise(const Promise &P);
   bool live(const Holder &H) const {
@@ -195,9 +197,6 @@ public:
   ~VolumeClient() override;
 
   void dropCaches() override;
-  CacheStats cacheStats() const override {
-    return {Cache.hits(), Cache.misses()};
-  }
   std::string describe() const override;
 
   /// Internal aggregation: the filer whose N-blade this node mounts.
@@ -217,12 +216,14 @@ private:
   unsigned NodeIndex;
   unsigned Nblade;
   uint32_t Slot;
-  AttrCache Cache;
   ClientHandles Handles;
   /// By VLDB entry: volumes whose location this client has looked up.
   std::vector<bool> KnownVolumes;
   /// The request as the server sees it, rewritten per RPC: the server
-  /// executes a request at arrival, so one scratch copy suffices.
+  /// executes a request at arrival, so one scratch copy suffices. It names
+  /// the volume's paths and the server's handle; the caller's request in
+  /// the exchange keeps the full paths and the client-local handle, which
+  /// key the cache and the handle record.
   MetaRequest ServerReq;
 };
 

@@ -157,10 +157,31 @@ void WriteBehindQueue::admit(Op &O, Callback Done) {
     enqueueEager(O, std::move(Done));
 }
 
+void WriteBehindQueue::shadow(const MetaRequest &Req) {
+  if (!Hooks.Cache)
+    return;
+  Hooks.Cache->invalidateForMutation(Req);
+  if (Req.Op == MetaOp::Write || Req.Op == MetaOp::Ftruncate)
+    if (std::optional<uint64_t> PathHash = filePathHash(Req.Fh))
+      Hooks.Cache->invalidateHashed(*PathHash);
+}
+
+std::optional<uint64_t>
+WriteBehindQueue::filePathHash(FileHandle Fh) const {
+  if (isLocalFh(Fh)) {
+    const LocalHandle *H = LocalFhs.find(Fh);
+    if (!H)
+      return std::nullopt;
+    if (const Op *Open = findOp(H->OpenOp))
+      return FlatKeyHash{}(Open->Req.Path);
+    Fh = H->ServerFh;
+  }
+  return Hooks.Paths ? Hooks.Paths->pathHash(Fh) : std::nullopt;
+}
+
 void WriteBehindQueue::enqueueEager(Op &O, Callback Done) {
   ++Enqueued;
-  if (Hooks.Cache)
-    Hooks.Cache->invalidateForMutation(O.Req);
+  shadow(O.Req);
   ++Live;
   // The state change happens now (the server sees operations in exactly
   // submit order); the reply is served from the client cache while the
@@ -170,6 +191,11 @@ void WriteBehindQueue::enqueueEager(Op &O, Callback Done) {
     --Live;
     drainStalledAndBarriers();
   });
+  // A store's post-op attributes are for caches, which the enqueue already
+  // shadowed; acked without them, as a deferred store is, the reply
+  // travels in the event's inline buffer.
+  if (O.Req.Op == MetaOp::Write || O.Req.Op == MetaOp::Ftruncate)
+    Reply.A = Attr();
   releaseRecord(O);
   localAck(std::move(Done), Reply);
 }
@@ -269,8 +295,7 @@ void WriteBehindQueue::enqueueDeferred(Op &O, Callback Done) {
   // Shadow the attribute cache *now*: between this local ack and the
   // flush, a cached stat must not serve the pre-mutation attrs (the
   // AttrCache coherence bug this layer's audit shook out of lustre-wb).
-  if (Hooks.Cache)
-    Hooks.Cache->invalidateForMutation(O.Req);
+  shadow(O.Req);
 
   if (coalesce(O.Req)) {
     localAck(std::move(Done), predictReply(O.Req));

@@ -71,6 +71,9 @@ struct WriteBehindHooks {
   /// mutation invalidates the cached attrs its flush will change, so a
   /// stat between local ack and flush never observes pre-mutation state.
   AttrCache *Cache = nullptr;
+  /// The client's record of the path each server handle names, so that a
+  /// queued write or ftruncate also shadows the entry of its file.
+  const HandlePaths *Paths = nullptr;
 };
 
 /// The per-client write-behind queue. All entry points are scheduler-driven
@@ -223,6 +226,15 @@ private:
   void addDep(Op &From, uint64_t On);
   /// Records \p O as the latest op touching its paths.
   void indexOp(const Op &O);
+  /// Drops the cached attributes queued \p Req makes stale: what
+  /// AttrCache::invalidateForMutation() drops, and for a write or an
+  /// ftruncate the entry of the file its handle names.
+  void shadow(const MetaRequest &Req);
+  /// The fingerprint of the path the file \p Fh names (HandlePaths): a
+  /// queue-local handle leads to the open the queue minted it for, or once
+  /// that open completed, to its server handle, which leads to the
+  /// client's record. nullopt when unknown.
+  std::optional<uint64_t> filePathHash(FileHandle Fh) const;
   /// Predicted local reply for a deferred enqueue.
   static MetaReply predictReply(const MetaRequest &Req);
   /// Delivers \p Reply to \p Done after \p Delay. A reply with no more

@@ -94,6 +94,22 @@ public:
     return I == Free ? nullptr : &Entries[I];
   }
 
+  /// The entry whose key hashes to all 64 bits of \p H, or nullptr: a
+  /// lookup by a key's fingerprint where the key itself is not kept. Two
+  /// keys of one table sharing 64 bits of hash are taken not to occur.
+  T *findByHash(uint64_t H) {
+    if (Slots.empty())
+      return nullptr;
+    uint32_t Short = static_cast<uint32_t>(H) | LiveBit;
+    for (size_t S = Short & mask();; S = (S + 1) & mask()) {
+      const Slot &Sl = Slots[S];
+      if (Sl.Index == Free)
+        return nullptr;
+      if (Sl.Hash == Short && HashFn{}(KeyArg(Entries[Sl.Index].*Key)) == H)
+        return &Entries[Sl.Index];
+    }
+  }
+
   /// The entry keyed \p K, adding a value-initialized one with that key
   /// when there is none; the flag says whether it was added.
   std::pair<T *, bool> tryEmplace(KeyArg K) {

@@ -7,9 +7,10 @@
 /// \file
 /// Parameterized battery running the same POSIX-semantics checks against
 /// every *distributed* file system model (thesis \S 2.6: comparing systems
-/// requires knowing what each guarantees). Every model must expose name
-/// uniqueness, correct error codes, cross-node visibility of committed
-/// mutations, and directory listing semantics.
+/// requires knowing what each guarantees), and an NFS re-export of NFS,
+/// whose nodes all share the gateway's one inner client. Every model must
+/// expose name uniqueness, correct error codes, cross-node visibility of
+/// committed mutations, and directory listing semantics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,7 @@ using namespace dmb;
 
 namespace {
 
-enum class FsKind { Nfs, Lustre, LustreWriteback, Cxfs, Afs, Gx };
+enum class FsKind { Nfs, Lustre, LustreWriteback, Cxfs, Afs, Gx, Reexport };
 
 const char *fsKindName(FsKind K) {
   switch (K) {
@@ -36,6 +37,8 @@ const char *fsKindName(FsKind K) {
     return "afs";
   case FsKind::Gx:
     return "gx";
+  case FsKind::Reexport:
+    return "reexport";
   }
   return "?";
 }
@@ -66,6 +69,10 @@ protected:
     case FsKind::Gx:
       Fs = std::make_unique<VolumeFs>(S, gxOptions());
       break;
+    case FsKind::Reexport:
+      Inner = std::make_unique<NfsFs>(S);
+      Fs = std::make_unique<ReexportFs>(S, *Inner);
+      break;
     }
     A = Fs->makeClient(0);
     B = Fs->makeClient(1);
@@ -91,6 +98,7 @@ protected:
   }
 
   Scheduler S;
+  std::unique_ptr<DistributedFs> Inner; ///< what a re-export exports
   std::unique_ptr<DistributedFs> Fs;
   std::unique_ptr<ClientFs> A, B;
 };
@@ -164,6 +172,26 @@ TEST_P(DfsSemanticsTest, WriteSizeVisibleAfterCloseToOpen) {
   MetaReply St = run(*B, makeStat("/sz"));
   ASSERT_TRUE(St.ok());
   EXPECT_EQ(12345u, St.A.Size);
+}
+
+// A write names a handle, not a path, yet the writer's own stat sees the
+// size it wrote, after a creating open and after a plain one alike.
+TEST_P(DfsSemanticsTest, OwnWriteSizeVisibleToOwnStat) {
+  MetaReply O = run(*A, makeOpen("/sz", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  ASSERT_TRUE(run(*A, makeWrite(O.Fh, 12345)).ok());
+  ASSERT_EQ(FsError::Ok, run(*A, makeClose(O.Fh)).Err);
+  MetaReply St = run(*A, makeStat("/sz"));
+  ASSERT_TRUE(St.ok());
+  EXPECT_EQ(12345u, St.A.Size);
+
+  O = run(*A, makeOpen("/sz", OpenWrite));
+  ASSERT_TRUE(O.ok());
+  ASSERT_TRUE(run(*A, makeWrite(O.Fh, 20000)).ok());
+  ASSERT_EQ(FsError::Ok, run(*A, makeClose(O.Fh)).Err);
+  St = run(*A, makeStat("/sz"));
+  ASSERT_TRUE(St.ok());
+  EXPECT_EQ(20000u, St.A.Size);
 }
 
 TEST_P(DfsSemanticsTest, SymlinksResolve) {
@@ -260,7 +288,7 @@ INSTANTIATE_TEST_SUITE_P(AllModels, DfsSemanticsTest,
                          ::testing::Values(FsKind::Nfs, FsKind::Lustre,
                                            FsKind::LustreWriteback,
                                            FsKind::Cxfs, FsKind::Afs,
-                                           FsKind::Gx),
+                                           FsKind::Gx, FsKind::Reexport),
                          [](const auto &Info) {
                            return fsKindName(Info.param);
                          });

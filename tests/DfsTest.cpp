@@ -18,6 +18,7 @@
 #include "dfs/LustreFs.h"
 #include "dfs/NfsFs.h"
 #include "dfs/ReexportFs.h"
+#include "dfs/ShardedFs.h"
 #include "dfs/VolumeFs.h"
 #include "sim/Trace.h"
 #include "support/Random.h"
@@ -744,6 +745,25 @@ TEST(Afs, RenameBreaksOtherClientsCallbacksOnBothNamesAndBelow) {
   EXPECT_EQ(FsError::NoEnt, runSync(S, *B, makeStat("/d/x")).Err);
 }
 
+TEST(Afs, StoreBreaksOtherClientsCallbacks) {
+  Scheduler S;
+  VolumeFs Cell(S, afsOptions());
+  std::unique_ptr<ClientFs> A = Cell.makeClient(0);
+  std::unique_ptr<ClientFs> B = Cell.makeClient(1);
+  MetaReply O = runSync(S, *A, makeOpen("/sz", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  // B caches the empty file under a callback promise.
+  ASSERT_EQ(0u, runSync(S, *B, makeStat("/sz")).A.Size);
+  uint64_t Before = Cell.callbacksBroken();
+  // A's store names a handle, yet it breaks the promise on the file.
+  ASSERT_TRUE(runSync(S, *A, makeWrite(O.Fh, 30000)).ok());
+  ASSERT_EQ(FsError::Ok, runSync(S, *A, makeClose(O.Fh)).Err);
+  EXPECT_EQ(Before + 1, Cell.callbacksBroken());
+  MetaReply St = runSync(S, *B, makeStat("/sz"));
+  ASSERT_TRUE(St.ok());
+  EXPECT_EQ(30000u, St.A.Size);
+}
+
 TEST(Afs, HandleOpsRouteToOwningVolume) {
   Scheduler S;
   VolumeFs Cell(S, afsOptions());
@@ -915,23 +935,37 @@ TEST(Gx, NbladeAssignmentRoundRobin) {
 // Cache statistics of the caching clients
 //===----------------------------------------------------------------------===//
 
+// The one cache of RpcClientBase counts for every model that mounts it,
+// and a client without one reports nothing.
 TEST(ClientCache, StatsCountHitsOnAfsGxAndReexport) {
-  for (const char *Model : {"afs", "gx", "reexport"}) {
+  for (std::string Model :
+       {"nfs", "lustre", "afs", "gx", "reexport", "sharded"}) {
     SCOPED_TRACE(Model);
     Scheduler S;
     NfsFs Inner(S);
     std::unique_ptr<DistributedFs> Fs;
-    if (std::string(Model) == "afs")
+    if (Model == "nfs")
+      Fs = std::make_unique<NfsFs>(S);
+    else if (Model == "lustre")
+      Fs = std::make_unique<LustreFs>(S);
+    else if (Model == "afs")
       Fs = std::make_unique<VolumeFs>(S, afsOptions());
-    else if (std::string(Model) == "gx")
+    else if (Model == "gx")
       Fs = std::make_unique<VolumeFs>(S, gxOptions());
-    else
+    else if (Model == "reexport")
       Fs = std::make_unique<ReexportFs>(S, Inner);
+    else
+      Fs = std::make_unique<ShardedFs>(S);
     std::unique_ptr<ClientFs> C = Fs->makeClient(0);
     ASSERT_EQ(FsError::Ok, touch(S, *C, "/f"));
     for (int I = 0; I < 5; ++I)
       ASSERT_TRUE(runSync(S, *C, makeStat("/f")).ok());
     FsAdmin::CacheStats Stats = C->cacheStats();
+    if (Model == "sharded") {
+      EXPECT_EQ(0u, Stats.Hits);
+      EXPECT_EQ(0u, Stats.Misses);
+      continue;
+    }
     EXPECT_GT(Stats.Hits, 0u);
     EXPECT_EQ(5u, Stats.Hits + Stats.Misses);
   }

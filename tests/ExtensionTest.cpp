@@ -57,23 +57,45 @@ TEST(ReaddirPlus, ReturnsEntriesWithAttributes) {
   }
 }
 
+// Every client that speaks NFS to its node keeps readdirplus's post-op
+// attributes: NFS itself, a GX N-blade mount (on a volume the client's
+// N-blade forwards) and a re-export of NFS.
 TEST(ReaddirPlus, WarmsTheAttributeCache) {
-  Scheduler S;
-  NfsFs Fs(S);
-  std::unique_ptr<ClientFs> C = Fs.makeClient(0);
-  ASSERT_TRUE(runSync(S, *C, makeMkdir("/d")).ok());
-  for (int I = 0; I < 10; ++I) {
-    MetaReply O = runSync(
-        S, *C, makeOpen("/d/f" + std::to_string(I), OpenWrite | OpenCreate));
-    ASSERT_TRUE(runSync(S, *C, makeClose(O.Fh)).ok());
+  for (std::string Model : {"nfs", "gx", "reexport"}) {
+    SCOPED_TRACE(Model);
+    Scheduler S;
+    NfsFs Nfs(S);
+    VolumeFs Gx(S, gxOptions());
+    Gx.setupUniform(0, 2);
+    ReexportFs Reexport(S, Nfs);
+    DistributedFs &Fs = Model == "nfs"  ? static_cast<DistributedFs &>(Nfs)
+                        : Model == "gx" ? static_cast<DistributedFs &>(Gx)
+                                        : Reexport;
+    // Server requests of every server the mount can reach.
+    auto Requests = [&]() {
+      uint64_t N = Nfs.server().processedRequests();
+      for (unsigned I = 0; I < Gx.numServers(); ++I)
+        N += Gx.server(I).processedRequests();
+      return N;
+    };
+    std::unique_ptr<ClientFs> C = Fs.makeClient(0);
+    const std::string Dir = Model == "gx" ? "/vol1/d" : "/d";
+    ASSERT_TRUE(runSync(S, *C, makeMkdir(Dir)).ok());
+    for (int I = 0; I < 10; ++I) {
+      MetaReply O = runSync(S, *C,
+                            makeOpen(Dir + "/f" + std::to_string(I),
+                                     OpenWrite | OpenCreate));
+      ASSERT_TRUE(runSync(S, *C, makeClose(O.Fh)).ok());
+    }
+    C->dropCaches();
+    ASSERT_TRUE(runSync(S, *C, makeReaddirPlus(Dir)).ok());
+    // All subsequent stats are served locally: no new server requests.
+    uint64_t Before = Requests();
+    for (int I = 0; I < 10; ++I)
+      ASSERT_TRUE(
+          runSync(S, *C, makeStat(Dir + "/f" + std::to_string(I))).ok());
+    EXPECT_EQ(Before, Requests());
   }
-  C->dropCaches();
-  ASSERT_TRUE(runSync(S, *C, makeReaddirPlus("/d")).ok());
-  // All subsequent stats are served locally: no new server requests.
-  uint64_t Before = Fs.server().processedRequests();
-  for (int I = 0; I < 10; ++I)
-    ASSERT_TRUE(runSync(S, *C, makeStat("/d/f" + std::to_string(I))).ok());
-  EXPECT_EQ(Before, Fs.server().processedRequests());
 }
 
 TEST(ReaddirPlus, OnMissingDirectoryFails) {

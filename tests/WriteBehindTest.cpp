@@ -492,6 +492,45 @@ TEST(WriteBehind, FsyncDrainsExactlyTheDependencyClosure) {
 // The other clients opt in through the same policy
 //===----------------------------------------------------------------------===//
 
+// The writer's own stat sees the size it wrote, whether the write rode a
+// queue-local handle (queued, then issued with the server's handle) or a
+// server handle from a plain open (passed straight through).
+TEST(WriteBehind, OwnWriteSizeVisibleToOwnStat) {
+  Scheduler S;
+  NfsFs Fs(S, deferredNfs());
+  std::unique_ptr<ClientFs> C = Fs.makeClient(0);
+  MetaReply O = runSync(S, *C, makeOpen("/sz", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  ASSERT_TRUE(runSync(S, *C, makeWrite(O.Fh, 12345)).ok());
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(O.Fh)).Err);
+  EXPECT_EQ(12345u, runSync(S, *C, makeStat("/sz")).A.Size);
+
+  O = runSync(S, *C, makeOpen("/sz", OpenWrite));
+  ASSERT_TRUE(O.ok());
+  ASSERT_TRUE(runSync(S, *C, makeWrite(O.Fh, 20000)).ok());
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(O.Fh)).Err);
+  EXPECT_EQ(20000u, runSync(S, *C, makeStat("/sz")).A.Size);
+}
+
+// Under the eager discipline a write is applied at enqueue and never
+// passes the client's reply path: its enqueue drops the cached entry of
+// the file its handle names, the handle of a creating open included.
+TEST(WriteBehind, EagerWriteShadowsItsFilesCachedAttributes) {
+  Scheduler S;
+  LustreOptions Opts;
+  Opts.Client.WriteBehind.Enabled = true;
+  Opts.Client.WriteBehind.DeferIssue = false;
+  LustreFs Fs(S, Opts);
+  std::unique_ptr<ClientFs> C = Fs.makeClient(0);
+  MetaReply O = runSync(S, *C, makeOpen("/sz", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  EXPECT_EQ(0u, runSync(S, *C, makeStat("/sz")).A.Size); // cached
+  ASSERT_TRUE(runSync(S, *C, makeWrite(O.Fh, 12345)).ok());
+  EXPECT_EQ(12345u, runSync(S, *C, makeStat("/sz")).A.Size);
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(O.Fh)).Err);
+  EXPECT_EQ(12345u, runSync(S, *C, makeStat("/sz")).A.Size);
+}
+
 TEST(WriteBehind, LustreClientOptsIntoTheDeferredPipeline) {
   Scheduler S;
   LustreOptions O;

@@ -23,8 +23,8 @@
 #      crash-consistency) benches on their own checks — and the JSON E30
 #      and E31 write must reproduce the committed BENCH_E30.json /
 #      BENCH_E31.json,
-#   7. the trace, fault, write-behind, fs, dfs, sharded, hybrid
-#      (re-export, volume move), flat-table, CPU-queue (Resource,
+#   7. the trace, fault, write-behind, fs, dfs, client-cache, sharded,
+#      hybrid (re-export, volume move), flat-table, CPU-queue (Resource,
 #      SharedProcessor), journal and duplicate-request-cache tests
 #      rebuilt under ASan+UBSan (always — the trace layer threads ids
 #      through every queue, the retry path keeps exchange records alive
@@ -33,7 +33,8 @@
 #      keeps ops, handles and stalled enqueues alive across flushes, the
 #      clients' shared front end hands requests, completions and
 #      client-local handles between the queue, the handle table and the
-#      model, a path walk returns its leaf as a view into the request
+#      model, the base-owned attribute cache and its handle record reuse
+#      pooled and erased records, a path walk returns its leaf as a view into the request
 #      path or a symlink target, the flat table moves entries on erase
 #      and growth under the pointers its users hold, the CPU queues
 #      compact and wrap their reused storage under running completions,
@@ -133,7 +134,10 @@ else
   # hands ops, queue-local handles and stalled enqueues between flushes,
   # closures and completions, the clients' shared front end
   # (RpcClientBase::submit, ClientHandles) routes every model's requests
-  # and client-local handles, the sharded client among them, the volume
+  # and client-local handles, the sharded client among them, the
+  # base-owned attribute cache answers stats through pooled records and
+  # finds entries by the path fingerprints of its handle record
+  # (HandlePaths; the ClientCache suite and the sweep), the volume
   # model's callback promises name clients that may be destroyed before
   # the cluster breaks them (the Afs suite), the path walk hands out its
   # leaf as a view into the request path or a symlink target, the flat
@@ -145,7 +149,7 @@ else
   # intern a volume while the commit frontier advances, and the
   # duplicate-request cache overwrites and compacts ring slots under its
   # index — exactly the kind of plumbing where lifetime bugs hide.
-  step "trace, fault, write-behind, fs, dfs, sharded, hybrid, flat-table, CPU-queue, journal and DRC tests under ASan+UBSan (build-sanitize/)"
+  step "trace, fault, write-behind, fs, dfs, client-cache, sharded, hybrid, flat-table, CPU-queue, journal and DRC tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
@@ -158,7 +162,8 @@ else
   SUITES='^Trace|^Fault|^Network|^WriteBehind'
   SUITES+='|^Fs|^AllKinds/DirIndexParamTest'
   SUITES+='|^Afs|^AttrCacheUnit|^Cxfs|^Gx|^LocalModel|^Lustre|^Mounts|^Nfs'
-  SUITES+='|^Server|^AllModels/DfsSemanticsTest|^FlatTable|^Interner'
+  SUITES+='|^Server|^AllModels/DfsSemanticsTest|^ClientCache'
+  SUITES+='|^FlatTable|^Interner'
   SUITES+='|^Sharded|^Reexport|^VolumeMove'
   SUITES+='|^SharedProcessor|^Resource|^Journal|^DuplicateRequestCache'
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
