@@ -6,16 +6,15 @@
 ///
 /// \file
 /// Ablation for the directory-index design choices of \S 2.4.2 "Directory
-/// search": measures (with google-benchmark, real host time) insert and
-/// lookup cost of the three index implementations at growing directory
-/// sizes, and prints the *modelled* per-lookup scan cost that drives the
-/// simulation (experiment E09's mechanism).
+/// search": prints the *modelled* per-lookup scan cost of the three index
+/// implementations at growing directory sizes — the directory entries a
+/// lookup visits, which drive the simulated service time (experiment
+/// E09's mechanism). The output is deterministic. Real host lookup times
+/// are what perfbench's replay measures (fs.execute_ns.*).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fs/DirectoryIndex.h"
-#include "support/Format.h"
-#include <benchmark/benchmark.h>
 #include <cstdio>
 #include <memory>
 
@@ -32,50 +31,6 @@ std::unique_ptr<DirectoryIndex> filledIndex(DirIndexKind Kind, int64_t N) {
                            FileType::Regular},
                   Cost);
   return Index;
-}
-
-void BM_DirLookup(benchmark::State &State) {
-  DirIndexKind Kind = static_cast<DirIndexKind>(State.range(0));
-  int64_t N = State.range(1);
-  std::unique_ptr<DirectoryIndex> Index = filledIndex(Kind, N);
-  OpCost Cost;
-  int64_t I = 0;
-  for (auto _ : State) {
-    const DirEntry *E =
-        Index->lookup("file" + std::to_string(I % N), Cost);
-    benchmark::DoNotOptimize(E);
-    ++I;
-  }
-  State.SetLabel(dirIndexKindName(Kind));
-}
-
-void BM_DirInsert(benchmark::State &State) {
-  DirIndexKind Kind = static_cast<DirIndexKind>(State.range(0));
-  int64_t N = State.range(1);
-  for (auto _ : State) {
-    State.PauseTiming();
-    std::unique_ptr<DirectoryIndex> Index = filledIndex(Kind, N);
-    OpCost Cost;
-    State.ResumeTiming();
-    for (int64_t I = 0; I < 64; ++I)
-      Index->insert(DirEntry{"new" + std::to_string(I),
-                             static_cast<InodeNum>(N + I + 2),
-                             FileType::Regular},
-                    Cost);
-  }
-  State.SetItemsProcessed(State.iterations() * 64);
-  State.SetLabel(dirIndexKindName(Kind));
-}
-
-void registerAll() {
-  for (int Kind : {0, 1, 2})
-    for (int64_t N : {1000, 10000, 100000}) {
-      benchmark::RegisterBenchmark("BM_DirLookup", BM_DirLookup)
-          ->Args({Kind, N});
-      benchmark::RegisterBenchmark("BM_DirInsert", BM_DirInsert)
-          ->Args({Kind, N})
-          ->Unit(benchmark::kMicrosecond);
-    }
 }
 
 void printModelledCosts() {
@@ -103,13 +58,9 @@ void printModelledCosts() {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main() {
   std::printf("E19 bench_dir_index_ablation (thesis §2.4.2, mechanism of "
               "§4.3.3)\n");
-  registerAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   printModelledCosts();
   return 0;
 }

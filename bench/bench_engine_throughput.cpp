@@ -39,8 +39,8 @@ namespace {
 /// throughput of the engine itself can only be measured against real time.
 double wallSeconds() {
   using Clock =
-      std::chrono::steady_clock; // dmeta-lint: allow(wall-clock) host time
-  return std::chrono::duration< // dmeta-lint: allow(wall-clock) host time
+      std::chrono::steady_clock; // dmeta-analyze: allow(wall-clock) host time
+  return std::chrono::duration< // dmeta-analyze: allow(wall-clock) host time
              double>(
              Clock::now().time_since_epoch())
       .count();

@@ -89,6 +89,15 @@ void WriteBehindQueue::forEachSeed(const MetaRequest &Req, Fn &&F) const {
   AddPath(Req.Path);
   if (path2IsPath(Req.Op))
     AddPath(Req.Path2);
+  // A queued write or ftruncate names a handle, not a path: reading or
+  // syncing a file by path also waits for the stores queued on every
+  // local handle minted for it. Each handle's stores chain through its
+  // last one, so the closure takes in the rest; no edge joins the ops.
+  if (!Req.Path.empty() && StoringOn.size())
+    if (const NewestStoring *E = StoringOn.find(FlatKeyHash{}(Req.Path)))
+      for (const StoringHandle *S = Storing.find(E->Fh); S;
+           S = Storing.find(S->Older))
+        AddLive(S->LastStore);
   if (isLocalFh(Req.Fh)) {
     if (const LocalHandle *H = LocalFhs.find(Req.Fh)) {
       AddLive(H->OpenOp);
@@ -169,12 +178,9 @@ void WriteBehindQueue::shadow(const MetaRequest &Req) {
 std::optional<uint64_t>
 WriteBehindQueue::filePathHash(FileHandle Fh) const {
   if (isLocalFh(Fh)) {
-    const LocalHandle *H = LocalFhs.find(Fh);
-    if (!H)
-      return std::nullopt;
-    if (const Op *Open = findOp(H->OpenOp))
-      return FlatKeyHash{}(Open->Req.Path);
-    Fh = H->ServerFh;
+    if (const LocalHandle *H = LocalFhs.find(Fh))
+      return H->PathHash;
+    return std::nullopt;
   }
   return Hooks.Paths ? Hooks.Paths->pathHash(Fh) : std::nullopt;
 }
@@ -290,6 +296,36 @@ void WriteBehindQueue::indexOp(const Op &O) {
     Index(O.Req.Path2);
 }
 
+void WriteBehindQueue::indexStore(const LocalHandle &H, uint64_t Id) {
+  auto [S, Added] = Storing.tryEmplace(H.Fh);
+  S->LastStore = Id;
+  if (!Added)
+    return;
+  S->PathHash = H.PathHash;
+  NewestStoring &Newest = *StoringOn.tryEmplace(H.PathHash).first;
+  S->Older = Newest.Fh;
+  Newest.Fh = H.Fh;
+}
+
+void WriteBehindQueue::unindexStore(StoringHandle &S) {
+  NewestStoring *Newest = StoringOn.find(S.PathHash);
+  DMB_ASSERT(Newest, "write-behind storing handle missing from its path");
+  if (Newest->Fh == S.Fh) {
+    if (S.Older == InvalidHandle)
+      StoringOn.erase(Newest);
+    else
+      Newest->Fh = S.Older;
+  } else {
+    // A newer storing handle for the same path is live: unlink S behind
+    // it.
+    StoringHandle *Newer = Storing.find(Newest->Fh);
+    while (Newer->Older != S.Fh)
+      Newer = Storing.find(Newer->Older);
+    Newer->Older = S.Older;
+  }
+  Storing.erase(&S);
+}
+
 void WriteBehindQueue::enqueueDeferred(Op &O, Callback Done) {
   ++Enqueued;
   // Shadow the attribute cache *now*: between this local ack and the
@@ -318,7 +354,9 @@ void WriteBehindQueue::enqueueDeferred(Op &O, Callback Done) {
     O.LocalFh = O.Req.Fh;
   if (isCreatingOpen(O.Req)) {
     O.Minted = NextLocalFh++;
-    LocalFhs.tryEmplace(O.Minted).first->OpenOp = Id;
+    LocalHandle &H = *LocalFhs.tryEmplace(O.Minted).first;
+    H.OpenOp = Id;
+    H.PathHash = FlatKeyHash{}(O.Req.Path);
     Predicted.Fh = O.Minted;
     Predicted.A.Mode = O.Req.Mode;
   }
@@ -350,6 +388,8 @@ void WriteBehindQueue::enqueueDeferred(Op &O, Callback Done) {
       addDep(O, H->OpenOp);
       addDep(O, H->LastOp);
       H->LastOp = Id;
+      if (O.Req.Op == MetaOp::Write || O.Req.Op == MetaOp::Ftruncate)
+        indexStore(*H, Id);
     }
   }
   indexOp(O);
@@ -447,7 +487,9 @@ void WriteBehindQueue::issueOp(Op &O) {
   uint64_t Id = O.Id;
   if (O.LocalFh != InvalidHandle) {
     const LocalHandle *H = LocalFhs.find(O.LocalFh);
-    if (!H || H->Failed) {
+    DMB_ASSERT(!H || H->OpenOp == 0,
+               "write-behind issued a handle op before its open resolved");
+    if (!H || H->ServerFh == InvalidHandle) {
       // The creating open this op rode on never materialized, or an
       // earlier close retired the handle; complete with the handle error
       // without a round trip. Deferred a tick so the completion cascade
@@ -459,8 +501,6 @@ void WriteBehindQueue::issueOp(Op &O) {
       });
       return;
     }
-    DMB_ASSERT(H->ServerFh != InvalidHandle,
-               "write-behind issued a handle op before its open resolved");
     // LocalFh keeps the queue-local handle, so the request itself can go
     // on the wire.
     O.Req.Fh = H->ServerFh;
@@ -482,8 +522,7 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
     LocalHandle *H = LocalFhs.find(O.Minted);
     DMB_ASSERT(H, "write-behind open outlived its handle");
     H->OpenOp = 0;
-    H->ServerFh = Reply.Fh;
-    H->Failed = !Reply.ok();
+    H->ServerFh = Reply.ok() ? Reply.Fh : InvalidHandle;
   }
   if (!Reply.ok() && Reply.Err != FsError::BadFd) {
     // A deferred op the application was already told succeeded has failed
@@ -511,6 +550,8 @@ void WriteBehindQueue::onOpDone(uint64_t Id, MetaReply Reply) {
   if (path2IsPath(O.Req.Op))
     Unindex(O.Req.Path2);
   if (O.LocalFh != InvalidHandle) {
+    if (StoringHandle *S = Storing.find(O.LocalFh); S && S->LastStore == Id)
+      unindexStore(*S);
     if (LocalHandle *H = LocalFhs.find(O.LocalFh)) {
       if (H->LastOp == Id)
         H->LastOp = 0;

@@ -197,9 +197,28 @@ private:
   struct LocalHandle {
     FileHandle Fh = InvalidHandle; ///< the queue-local handle
     uint64_t OpenOp = 0; ///< the creating open's op id (0 once done)
-    FileHandle ServerFh = InvalidHandle; ///< known after the open's reply
+    /// Known after the open's reply; InvalidHandle then means the open
+    /// failed at the server.
+    FileHandle ServerFh = InvalidHandle;
     uint64_t LastOp = 0; ///< last live op on this handle (0 = none)
-    bool Failed = false; ///< the open failed at the server
+    uint64_t PathHash = 0; ///< fingerprint of the path the open named
+  };
+
+  /// A queue-local handle with a live write or ftruncate. Kept apart from
+  /// LocalHandle so that a queue whose files see no stores pays nothing.
+  struct StoringHandle {
+    FileHandle Fh = InvalidHandle; ///< the queue-local handle
+    uint64_t PathHash = 0;         ///< its LocalHandle's
+    uint64_t LastStore = 0;        ///< its last live store
+    /// The next older storing handle minted for the same path.
+    FileHandle Older = InvalidHandle;
+  };
+
+  /// The newest storing handle minted for a path, keyed by the path's
+  /// fingerprint; older ones follow StoringHandle::Older.
+  struct NewestStoring {
+    uint64_t PathHash = 0;
+    FileHandle Fh = InvalidHandle;
   };
 
   static bool isLocalFh(FileHandle Fh) {
@@ -226,14 +245,17 @@ private:
   void addDep(Op &From, uint64_t On);
   /// Records \p O as the latest op touching its paths.
   void indexOp(const Op &O);
+  /// Records store \p Id as the last live one on local handle \p H.
+  void indexStore(const LocalHandle &H, uint64_t Id);
+  /// Drops \p S, whose last store completed, from its path's handles.
+  void unindexStore(StoringHandle &S);
   /// Drops the cached attributes queued \p Req makes stale: what
   /// AttrCache::invalidateForMutation() drops, and for a write or an
   /// ftruncate the entry of the file its handle names.
   void shadow(const MetaRequest &Req);
-  /// The fingerprint of the path the file \p Fh names (HandlePaths): a
-  /// queue-local handle leads to the open the queue minted it for, or once
-  /// that open completed, to its server handle, which leads to the
-  /// client's record. nullopt when unknown.
+  /// The fingerprint of the path the file \p Fh names: a queue-local
+  /// handle's own, a server handle's from the client's record
+  /// (HandlePaths). nullopt when unknown.
   std::optional<uint64_t> filePathHash(FileHandle Fh) const;
   /// Predicted local reply for a deferred enqueue.
   static MetaReply predictReply(const MetaRequest &Req);
@@ -293,6 +315,8 @@ private:
   FlatTable<PathOp, &PathOp::Path> LastByPath;
   FlatTable<PathOp, &PathOp::Path> LastChildOf;
   FlatTable<LocalHandle, &LocalHandle::Fh> LocalFhs;
+  FlatTable<StoringHandle, &StoringHandle::Fh> Storing;
+  FlatTable<NewestStoring, &NewestStoring::PathHash> StoringOn;
   FileHandle NextLocalFh = LocalFhTag | 1;
 
   unsigned Live = 0;         ///< acked-not-finished (both disciplines)

@@ -17,7 +17,7 @@
 /// The sink is passive storage. Components never talk to it directly:
 /// they record through the owning Scheduler (traceBegin / traceStamp /
 /// traceFinish), which guarantees every timestamp is read from that
-/// scheduler's simulated clock — dmeta-lint's trace-clock rule enforces
+/// scheduler's simulated clock — dmeta-analyze's trace-clock rule enforces
 /// this. Tracing is off unless a sink is attached, and recording never
 /// schedules events, so enabling it cannot change simulated timing.
 ///

@@ -41,7 +41,7 @@ enum class [[nodiscard]] FsError {
 };
 
 /// Number of FsError values. Kept in sync with the enum above; both the
-/// dmeta-lint table-sync check and the exhaustive round-trip test in
+/// dmeta-analyze error-table check and the exhaustive round-trip test in
 /// tests/SupportTest.cpp verify it.
 inline constexpr unsigned NumFsErrors = 20;
 

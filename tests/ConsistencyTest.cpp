@@ -443,7 +443,7 @@ std::vector<std::string> treeImage(LocalFileSystem &Fs) {
             uint64_t(A->Nlink), uint64_t(A->Uid), uint64_t(A->Gid), A->Size,
             uint64_t(A->Atime), uint64_t(A->Mtime), uint64_t(A->Ctime),
             uint64_t(A->BlockSize), A->Blocks})
-        Line += " " + std::to_string(V);
+        Line.append(1, ' ').append(std::to_string(V));
       if (A->Type == FileType::Symlink)
         Line += " -> " + *Fs.readlink(Root, Path);
       if (Result<std::vector<std::string>> Keys = Fs.listxattr(Root, Path);

@@ -25,7 +25,7 @@ namespace {
 // --- Queue-level order -----------------------------------------------------
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) for adversarial key
-/// sets; stdlib randomness is banned in tests (dmeta-lint: randomness).
+/// sets; dmeta-analyze's randomness rule bans stdlib randomness in tests.
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ULL;
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;

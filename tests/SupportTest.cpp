@@ -30,7 +30,7 @@ TEST(Error, NamesAreCanonical) {
 }
 
 TEST(Error, ExhaustiveNameRoundTrip) {
-  // Runtime twin of dmeta-lint's error-table sync check: every code has a
+  // Runtime twin of dmeta-analyze's error-table check: every code has a
   // distinct canonical name that parses back to the same code.
   std::set<std::string> Seen;
   for (unsigned I = 0; I < NumFsErrors; ++I) {

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The tokenizer underpins both check tools; a token split in the wrong
-// place silently changes what every rule sees. These tests pin the lexing
+// The tokenizer underpins every rule of dmeta-analyze; a token split in
+// the wrong place silently changes what every rule sees. These tests pin the lexing
 // of the constructs that historically broke: C++14 digit separators,
 // user-defined-literal suffixes, and raw strings with encoding prefixes
 // or delimiters containing quotes.
@@ -72,7 +72,8 @@ TEST(Tokenizer, DigitSeparatorWithSuffixAndNeighbours) {
 }
 
 TEST(Tokenizer, DigitSeparatorSurvivesInSanitizedView) {
-  std::vector<std::string> San = sanitizeSource("int x = 1'000'000;\n");
+  std::vector<std::string> San =
+      tokenize("int x = 1'000'000;\n").SanitizedLines;
   ASSERT_EQ(1u, San.size());
   EXPECT_EQ("int x = 1'000'000;", San[0]);
 }
@@ -100,7 +101,7 @@ TEST(Tokenizer, CharUdlSuffixDoesNotBecomeAnIdentifier) {
 TEST(Tokenizer, CharLiteralKeepsItsQuotesInTheSanitizedView) {
   // Dropping the quotes entirely glued the neighbours together: f('x')
   // sanitized to f() and substring rules saw calls that are not there.
-  std::vector<std::string> San = sanitizeSource("f('x');\n");
+  std::vector<std::string> San = tokenize("f('x');\n").SanitizedLines;
   ASSERT_EQ(1u, San.size());
   EXPECT_EQ("f('');", San[0]);
 }

@@ -512,6 +512,57 @@ TEST(WriteBehind, OwnWriteSizeVisibleToOwnStat) {
   EXPECT_EQ(20000u, runSync(S, *C, makeStat("/sz")).A.Size);
 }
 
+// A stat by path waits for a write still queued on the queue-local handle
+// of its file. The write names a handle, not a path, so without that wait
+// the stat reaches a server that has not seen the write yet (and the
+// enqueue already dropped the cached size it would otherwise serve).
+TEST(WriteBehind, StatWaitsForQueuedWriteOnLocalHandle) {
+  Scheduler S;
+  NfsFs Fs(S, deferredNfs());
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<NfsClient *>(Client.get());
+  MetaReply O = runSync(S, *C, makeOpen("/sz", OpenWrite | OpenCreate));
+  ASSERT_TRUE(O.ok());
+  bool Acked = false;
+  C->submit(makeWrite(O.Fh, 12345), [&](MetaReply R) {
+    EXPECT_TRUE(R.ok());
+    Acked = true;
+  });
+  S.runUntil(S.now() + microseconds(100));
+  ASSERT_TRUE(Acked);
+  ASSERT_EQ(1u, C->writeBehind()->dirtyOps()); // acked, not flushed yet
+  EXPECT_EQ(12345u, runSync(S, *C, makeStat("/sz")).A.Size);
+  EXPECT_EQ(0u, C->writeBehind()->dirtyOps());
+}
+
+// Every live local handle minted for a path counts, not only the newest:
+// with the middle and then the newest of three closed, the oldest's
+// queued stores still hold a stat of the path back.
+TEST(WriteBehind, StatWaitsForStoresOnEveryLocalHandleOfItsPath) {
+  Scheduler S;
+  NfsFs Fs(S, deferredNfs());
+  std::unique_ptr<ClientFs> Client = Fs.makeClient(0);
+  auto *C = static_cast<NfsClient *>(Client.get());
+  std::vector<FileHandle> H;
+  for (int I = 0; I < 3; ++I) {
+    MetaReply O = runSync(S, *C, makeOpen("/m", OpenWrite | OpenCreate));
+    ASSERT_TRUE(O.ok());
+    H.push_back(O.Fh);
+  }
+  auto StatAfterQueuedWrite = [&](uint64_t Bytes) {
+    C->submit(makeWrite(H[0], Bytes),
+              [](MetaReply R) { EXPECT_TRUE(R.ok()); });
+    S.runUntil(S.now() + microseconds(100));
+    EXPECT_EQ(1u, C->writeBehind()->dirtyOps());
+    return runSync(S, *C, makeStat("/m")).A.Size;
+  };
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(H[1])).Err);
+  EXPECT_EQ(100u, StatAfterQueuedWrite(100));
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(H[2])).Err);
+  EXPECT_EQ(300u, StatAfterQueuedWrite(200));
+  ASSERT_EQ(FsError::Ok, runSync(S, *C, makeClose(H[0])).Err);
+}
+
 // Under the eager discipline a write is applied at enqueue and never
 // passes the client's reply path: its enqueue drops the cached entry of
 // the file its handle names, the handle of a creating open included.

@@ -10,6 +10,7 @@
 #include "analyze/SymbolTable.h"
 #include "analyze/Tokenizer.h"
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <utility>
@@ -19,30 +20,153 @@ using namespace dmb::analyze;
 
 namespace {
 
-const char *ToolName = "dmeta-analyze";
-
-bool startsWith(const std::string &S, const char *Prefix) {
-  return S.rfind(Prefix, 0) == 0;
-}
-
-bool endsWith(const std::string &S, const char *Suffix) {
-  std::string Suf(Suffix);
-  return S.size() >= Suf.size() &&
-         S.compare(S.size() - Suf.size(), Suf.size(), Suf) == 0;
-}
-
-/// Rules about values that must not differ across identical runs apply to
-/// everything whose output lands in results, traces or schedules.
+/// Everything whose output is compared across runs: src/, bench/ and
+/// tools/. The determinism token rules, header guards, the event-queue
+/// ban and the suppression-justification rule apply here.
 bool determinismScope(const std::string &RelPath) {
-  return startsWith(RelPath, "src/") || startsWith(RelPath, "bench/") ||
-         startsWith(RelPath, "tools/");
+  return RelPath.starts_with("src/") || RelPath.starts_with("bench/") ||
+         RelPath.starts_with("tools/");
 }
 
-/// Callback-lifetime applies where a scheduled callback can outlive the
-/// frame that created it. tests/ and bench/ drive the scheduler to
-/// completion inside the capturing frame, so they are exempt.
+/// Where a callback can outlive the frame that created it and a raw
+/// assert() would vanish from a release build: src/ and tools/. tests/
+/// and bench/ drive the scheduler to completion inside the capturing
+/// frame.
 bool lifetimeScope(const std::string &RelPath) {
-  return startsWith(RelPath, "src/") || startsWith(RelPath, "tools/");
+  return RelPath.starts_with("src/") || RelPath.starts_with("tools/");
+}
+
+/// Where host time and stdlib randomness are banned: the simulation
+/// substrate plus everything whose output is compared against recorded
+/// experiment results.
+bool hostStateScope(const std::string &RelPath) {
+  return RelPath.starts_with("src/sim/") || RelPath.starts_with("src/dfs/") ||
+         RelPath.starts_with("src/cluster/") ||
+         RelPath.starts_with("tests/") || RelPath.starts_with("bench/") ||
+         RelPath.starts_with("tools/");
+}
+
+/// Where trace points must go through the owning Scheduler: src/sim and
+/// src/dfs, except the sink itself and the Scheduler, which owns the
+/// clock the stamps come from.
+bool traceClockScope(const std::string &RelPath) {
+  return (RelPath.starts_with("src/sim/") ||
+          RelPath.starts_with("src/dfs/")) &&
+         !RelPath.starts_with("src/sim/Trace.") &&
+         !RelPath.starts_with("src/sim/Scheduler.");
+}
+
+/// Whether \p Line contains \p Token with no identifier character
+/// immediately before it (so "time(" does not match "runtime(").
+bool hasBareToken(const std::string &Line, const std::string &Token) {
+  for (size_t Pos = Line.find(Token); Pos != std::string::npos;
+       Pos = Line.find(Token, Pos + 1))
+    if (Pos == 0 || !isIdentChar(Line[Pos - 1]))
+      return true;
+  return false;
+}
+
+/// Whether \p Line contains \p Word with non-identifier characters (or the
+/// line boundary) on both sides — "Rng" must not match "RngState".
+bool hasWholeWord(const std::string &Line, const std::string &Word) {
+  size_t Pos = 0;
+  while ((Pos = Line.find(Word, Pos)) != std::string::npos) {
+    size_t After = Pos + Word.size();
+    if ((Pos == 0 || !isIdentChar(Line[Pos - 1])) &&
+        (After >= Line.size() || !isIdentChar(Line[After])))
+      return true;
+    ++Pos;
+  }
+  return false;
+}
+
+struct Pattern {
+  const char *Text;
+  bool Bare; ///< Require a non-identifier character before the match.
+};
+
+const Pattern WallClockPatterns[] = {
+    {"std::chrono", false},   {"gettimeofday", false},
+    {"clock_gettime", false}, {"time(", true},
+};
+
+const Pattern RandomnessPatterns[] = {
+    {"std::rand", false}, {"random_device", false}, {"mt19937", false},
+    {"drand48", false},   {"srand(", true},         {"rand(", true},
+};
+
+const Pattern TraceSinkPatterns[] = {
+    {"beginOp(", true},
+    {"finishOp(", true},
+    {"stamp(", true},
+};
+
+const Pattern EventQueuePatterns[] = {
+    {"std::priority_queue", false},
+    {"push_heap(", true},
+    {"pop_heap(", true},
+    {"make_heap(", true},
+};
+
+const Pattern HostMutexPatterns[] = {
+    {"std::mutex", false},       {"std::recursive_mutex", false},
+    {"std::timed_mutex", false}, {"std::shared_mutex", false},
+    {"pthread_mutex", false},
+};
+
+const Pattern ManualLockPatterns[] = {
+    {".lock()", false},   {"->lock()", false},
+    {".unlock()", false}, {"->unlock()", false},
+    {"pthread_mutex_lock(", true}, {"pthread_mutex_unlock(", true},
+};
+
+/// The text of the first of \p Patterns found on \p Line, or nullptr.
+template <size_t N>
+const char *firstMatch(const std::string &Line, const Pattern (&Patterns)[N]) {
+  for (const Pattern &P : Patterns)
+    if (P.Bare ? hasBareToken(Line, P.Text)
+               : Line.find(P.Text) != std::string::npos)
+      return P.Text;
+  return nullptr;
+}
+
+/// True when [Pos, end) contains a letter — the minimum for a suppression
+/// comment to count as justified.
+bool hasJustificationText(const std::string &Line, size_t Pos) {
+  for (size_t I = Pos; I < Line.size(); ++I) {
+    char C = Line[I];
+    if ((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z'))
+      return true;
+  }
+  return false;
+}
+
+/// Expected include-guard macro: DMETABENCH_<DIR>_<FILE>_H. The "src"
+/// prefix is dropped, and an umbrella directory matching the project name
+/// (src/dmetabench/DMetabench.h) is not repeated.
+std::string expectedGuard(const std::string &RelPath) {
+  std::string Stem = RelPath.substr(0, RelPath.size() - 2); // drop ".h"
+  std::vector<std::string> Parts;
+  std::string Cur;
+  for (char C : Stem) {
+    if (C == '/') {
+      Parts.push_back(Cur);
+      Cur.clear();
+    } else {
+      char U = (C >= 'a' && C <= 'z') ? static_cast<char>(C - 'a' + 'A') : C;
+      Cur += isIdentChar(U) ? U : '_';
+    }
+  }
+  Parts.push_back(Cur);
+  size_t First = 0;
+  if (!Parts.empty() && Parts[First] == "SRC")
+    ++First;
+  if (First < Parts.size() && Parts[First] == "DMETABENCH")
+    ++First;
+  std::string Guard = "DMETABENCH";
+  for (size_t I = First; I < Parts.size(); ++I)
+    Guard += "_" + Parts[I];
+  return Guard + "_H";
 }
 
 bool isPunct(const Token &T, const char *Text) {
@@ -74,11 +198,14 @@ public:
   RuleEngine(const std::vector<SourceFile> &Files, std::vector<Finding> &Out)
       : Files(Files), Out(Out) {}
 
-  void run() {
+  void run(std::ostream *Dot) {
     harvestErrorFunctions();
     ST.build(Files);
     CG.build(ST, Files);
+    if (Dot)
+      CG.writeDot(*Dot);
     indexDefinitions();
+    checkErrorTable();
     buildTaintSummaries();
     // Container declarations are tracked per file first, so a .cpp can
     // inherit the members its own header declares (fsck iterating the
@@ -87,8 +214,9 @@ public:
     for (const SourceFile &F : Files)
       Tracked[F.RelPath] = trackContainers(F);
     for (const SourceFile &F : Files) {
+      checkLines(F);
       ContainerSets CS = Tracked[F.RelPath];
-      if (endsWith(F.RelPath, ".cpp")) {
+      if (F.RelPath.ends_with(".cpp")) {
         auto HdrIt = Tracked.find(
             F.RelPath.substr(0, F.RelPath.size() - 4) + ".h");
         if (HdrIt != Tracked.end())
@@ -131,9 +259,242 @@ private:
                                          F.RawLines.size()
                                  ? F.RawLines[Line - 1]
                                  : Empty;
-    if (allowedOnLine(Raw, ToolName, Rule))
+    if (allowedOnLine(Raw, Rule))
       return;
     Out.push_back({F.RelPath, Line, Rule, Message});
+  }
+
+  //===--------------------------------------------------------------------===
+  // Line rules
+  //===--------------------------------------------------------------------===
+
+  void checkLines(const SourceFile &F) {
+    const std::string &Rel = F.RelPath;
+    const std::vector<std::string> &Lines = F.Toks.SanitizedLines;
+    bool Compared = determinismScope(Rel);
+    if (Compared && Rel.ends_with(".h"))
+      checkHeaderGuard(F);
+    bool HostState = hostStateScope(Rel);
+    bool Lifetime = lifetimeScope(Rel);
+    bool TraceClock = traceClockScope(Rel);
+    bool EventQueue = Compared && !Rel.starts_with("src/sim/EventQueue.");
+    // fault-determinism fires only in files that handle a FaultPolicy in
+    // code (a mention in a comment or string does not count), and
+    // raii-guard only in files that use a host-thread mutex at all:
+    // SimMutex has its own scheduler-driven lock()/unlock() protocol.
+    bool Faults = false, HostMutex = false;
+    for (const std::string &L : Lines) {
+      Faults = Faults || hasWholeWord(L, "FaultPolicy");
+      HostMutex = HostMutex || firstMatch(L, HostMutexPatterns);
+    }
+
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      const std::string &L = Lines[I];
+      int Line = static_cast<int>(I + 1);
+      if (Compared)
+        checkSuppressionJustified(F, Line);
+      if (const char *Hit = HostState ? firstMatch(L, WallClockPatterns)
+                                      : nullptr)
+        emit(F, Line, "wall-clock",
+             std::string("host clock call '") + Hit +
+                 "' in deterministic code; use Scheduler::now() / SimTime");
+      if (const char *Hit = HostState ? firstMatch(L, RandomnessPatterns)
+                                      : nullptr)
+        emit(F, Line, "randomness",
+             std::string("unseeded randomness '") + Hit +
+                 "' in deterministic code; use support/Random");
+      if (const char *Hit =
+              EventQueue ? firstMatch(L, EventQueuePatterns) : nullptr)
+        emit(F, Line, "event-queue",
+             std::string("heap scheduling primitive '") + Hit +
+                 "' outside sim/EventQueue; route pending-event ordering "
+                 "through HeapEventQueue so every event pops in one "
+                 "(time, tie key) order");
+      if (const char *Hit =
+              TraceClock ? firstMatch(L, TraceSinkPatterns) : nullptr)
+        emit(F, Line, "trace-clock",
+             std::string("direct OpTraceSink call '") + Hit +
+                 "' outside the scheduler; use "
+                 "Scheduler::traceBegin()/traceStamp() so stamps read the "
+                 "owning clock");
+      if (Faults && hasWholeWord(L, "Rng") &&
+          L.find("Seed") == std::string::npos)
+        emit(F, Line, "fault-determinism",
+             "Rng in fault-policy code not derived from a Seed on this "
+             "line; fault rolls must be a pure function of "
+             "(FaultPolicy.Seed, send time) — a sequential stream or "
+             "ad-hoc seed breaks schedule invariance");
+      if (Lifetime && hasBareToken(L, "assert("))
+        emit(F, Line, "raw-assert",
+             "raw assert() vanishes in release builds; use DMB_ASSERT / "
+             "DMB_CHECK (support/Assert.h)");
+      else if (Lifetime && L.find("#include <cassert>") != std::string::npos)
+        emit(F, Line, "raw-assert", "<cassert> include; use support/Assert.h");
+      if (HostMutex && firstMatch(L, ManualLockPatterns))
+        emit(F, Line, "raii-guard",
+             "manual lock()/unlock() in a file using a host mutex; pair "
+             "acquisitions through std::lock_guard / std::scoped_lock so "
+             "early returns and exceptions cannot leak the lock");
+    }
+  }
+
+  /// Every allow() marker and NOLINT must carry trailing prose. Works on
+  /// the raw line: suppressions live in comments.
+  void checkSuppressionJustified(const SourceFile &F, int Line) {
+    const std::string &Raw = F.RawLines[Line - 1];
+    // Assembled at runtime, so this source line is not a marker itself.
+    std::string Marker = std::string(ToolName) + ": allow(";
+    if (size_t Pos = Raw.find(Marker); Pos != std::string::npos) {
+      size_t Close = Raw.find(')', Pos + Marker.size());
+      if (Close == std::string::npos || !hasJustificationText(Raw, Close + 1))
+        emit(F, Line, "suppression-justification",
+             std::string(ToolName) +
+                 " allow() without a trailing justification; say why the "
+                 "exception is sound so the reviewer can check the "
+                 "reasoning, not just the suppression");
+    }
+    // clang-tidy spelling: "// NOLINT(rule): why". Only a NOLINT that opens
+    // a comment counts — prose mentions elsewhere in a sentence do not.
+    size_t Slashes = 0;
+    while ((Slashes = Raw.find("//", Slashes)) != std::string::npos) {
+      size_t P = Slashes + 2;
+      while (P < Raw.size() && (Raw[P] == ' ' || Raw[P] == '/'))
+        ++P;
+      Slashes = P;
+      if (Raw.compare(P, 6, "NOLI"
+                            "NT") != 0)
+        continue;
+      P += 6;
+      if (Raw.compare(P, 8, "NEXTLINE") == 0)
+        P += 8;
+      if (P < Raw.size() && Raw[P] == '(') {
+        size_t Close = Raw.find(')', P);
+        P = Close == std::string::npos ? Raw.size() : Close + 1;
+      }
+      if (!hasJustificationText(Raw, P))
+        emit(F, Line, "suppression-justification",
+             "NOLINT without a trailing justification; say why the "
+             "clang-tidy finding is a false positive here");
+    }
+  }
+
+  void checkHeaderGuard(const SourceFile &F) {
+    const std::vector<std::string> &Lines = F.RawLines;
+    std::string Expected = expectedGuard(F.RelPath);
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      if (!Lines[I].starts_with("#ifndef "))
+        continue;
+      std::string Guard = Lines[I].substr(8);
+      while (!Guard.empty() && (Guard.back() == ' ' || Guard.back() == '\r'))
+        Guard.pop_back();
+      if (Guard != Expected)
+        emit(F, static_cast<int>(I + 1), "header-guard",
+             "guard '" + Guard + "' should be '" + Expected + "'");
+      else if (I + 1 >= Lines.size() || Lines[I + 1] != "#define " + Expected)
+        emit(F, static_cast<int>(I + 2), "header-guard",
+             "'#define " + Expected + "' must follow the #ifndef");
+      return;
+    }
+    emit(F, 0, "header-guard", "missing '#ifndef " + Expected + "'");
+  }
+
+  /// The error-table rule over src/support/Error.{h,cpp}, when the tree
+  /// has both: enum members vs NumFsErrors vs the fsErrorName() cases.
+  void checkErrorTable() {
+    auto HIt = FileIndexOf.find("src/support/Error.h");
+    auto CppIt = FileIndexOf.find("src/support/Error.cpp");
+    if (HIt == FileIndexOf.end() || CppIt == FileIndexOf.end())
+      return;
+    const SourceFile &H = Files[HIt->second], &Cpp = Files[CppIt->second];
+
+    // `enum class [[nodiscard]] FsError {`: attributes may sit between.
+    std::vector<std::string> Members;
+    size_t DeclaredCount = 0;
+    bool InEnum = false, EnumDone = false, HaveCount = false;
+    for (const std::string &L : H.Toks.SanitizedLines) {
+      if (size_t Pos = L.find("NumFsErrors = ");
+          Pos != std::string::npos && !HaveCount) {
+        DeclaredCount = std::strtoul(L.c_str() + Pos + 14, nullptr, 10);
+        HaveCount = true;
+      }
+      if (EnumDone)
+        continue;
+      if (!InEnum) {
+        size_t Enum = L.find("enum class");
+        InEnum = Enum != std::string::npos &&
+                 L.find("FsError", Enum) != std::string::npos;
+        continue;
+      }
+      if (L.find("};") != std::string::npos) {
+        EnumDone = true;
+        continue;
+      }
+      size_t I = L.find_first_not_of(" \t"), Start = I;
+      while (I < L.size() && isIdentChar(L[I]))
+        ++I;
+      if (Start != std::string::npos && I > Start)
+        Members.push_back(L.substr(Start, I - Start));
+    }
+    if (Members.empty()) {
+      emit(H, 0, "error-table", "enum class FsError not found");
+      return;
+    }
+    if (!HaveCount)
+      emit(H, 0, "error-table", "NumFsErrors constant missing");
+    else if (DeclaredCount != Members.size())
+      emit(H, 0, "error-table",
+           "NumFsErrors is " + std::to_string(DeclaredCount) +
+               " but the enum has " + std::to_string(Members.size()) +
+               " members");
+
+    // case FsError::X: ... return "NAME"; pairs from the name table.
+    std::vector<std::pair<std::string, std::string>> Cases;
+    for (size_t I = 0; I < Cpp.RawLines.size(); ++I) {
+      const std::string &L = Cpp.Toks.SanitizedLines[I];
+      size_t Pos = L.find("case FsError::");
+      if (Pos == std::string::npos)
+        continue;
+      size_t Start = Pos + 14, End = Start;
+      while (End < L.size() && isIdentChar(L[End]))
+        ++End;
+      // The returned literal sits on this or one of the next two lines;
+      // the sanitizer blanks literal contents, so read the raw text here.
+      std::string Name;
+      for (size_t J = I; J < Cpp.RawLines.size() && J < I + 3; ++J) {
+        const std::string &Raw = Cpp.RawLines[J];
+        size_t R = Raw.find("return \"");
+        if (R == std::string::npos)
+          continue;
+        size_t NEnd = Raw.find('"', R + 8);
+        if (NEnd != std::string::npos)
+          Name = Raw.substr(R + 8, NEnd - R - 8);
+        break;
+      }
+      Cases.emplace_back(L.substr(Start, End - Start), Name);
+    }
+
+    for (const std::string &M : Members) {
+      size_t Count = std::count_if(Cases.begin(), Cases.end(),
+                                   [&](const auto &C) { return C.first == M; });
+      if (Count == 0)
+        emit(Cpp, 0, "error-table",
+             "fsErrorName has no case for FsError::" + M);
+      else if (Count > 1)
+        emit(Cpp, 0, "error-table",
+             "fsErrorName has duplicate cases for FsError::" + M);
+    }
+    for (size_t I = 0; I < Cases.size(); ++I) {
+      const auto &[Member, Name] = Cases[I];
+      if (std::find(Members.begin(), Members.end(), Member) == Members.end())
+        emit(Cpp, 0, "error-table",
+             "fsErrorName handles unknown member FsError::" + Member);
+      if (Name.empty())
+        emit(Cpp, 0, "error-table",
+             "case FsError::" + Member + " does not return a name literal");
+      for (size_t J = I + 1; J < Cases.size(); ++J)
+        if (!Name.empty() && Name == Cases[J].second)
+          emit(Cpp, 0, "error-table", "duplicate error name '" + Name + "'");
+    }
   }
 
   //===--------------------------------------------------------------------===
@@ -463,13 +824,16 @@ private:
   // Rule: callback-lifetime
   //===--------------------------------------------------------------------===
 
-  /// Appends capture descriptions that take the address of (or a
-  /// reference to) a frame-local name: `[&x]` and `[p = &x]`. `[this]`,
-  /// by-value captures and the bare `[&]` default are not reported ([&]
-  /// without names gives the reviewer nothing to check; the named forms
-  /// are where dangles hide).
+  /// Appends the by-reference captures of the capture list [Open, Close]:
+  /// the default ([&] or [&, ...]), a named reference ([&x]) or an
+  /// address-of init-capture ([p = &x]). `[this]` and by-value captures
+  /// are fine.
   static void riskyCaptures(const std::vector<Token> &T, size_t Open,
                             size_t Close, std::vector<std::string> &Risky) {
+    if (isPunct(T[Open + 1], "&") && isPunct(T[Open + 2], "]"))
+      Risky.push_back("&");
+    else if (isPunct(T[Open + 1], "&") && isPunct(T[Open + 2], ","))
+      Risky.push_back("&, ...");
     for (size_t I = Open + 1; I + 1 < Close; ++I) {
       if (isPunct(T[I], "&") && !isPunct(T[I - 1], "=") &&
           T[I + 1].Kind == TokKind::Ident && I + 2 <= Close &&
@@ -484,11 +848,12 @@ private:
   void checkCallbackLifetime(const SourceFile &F) {
     const std::vector<Token> &T = F.Toks.Tokens;
     for (size_t I = 0; I + 1 < T.size(); ++I) {
-      // Scheduler::at/after(...) — the callback runs at a later virtual
-      // time, far outside the current frame.
+      // An at()/after() call — the callback runs at a later virtual time,
+      // far outside the current frame. A call, not a declaration: the
+      // name follows punctuation (`.`, `->`, `;`, `{`...) or `return`.
       bool Scheduled =
           (isIdent(T[I], "at") || isIdent(T[I], "after")) && I > 0 &&
-          (isPunct(T[I - 1], ".") || isPunct(T[I - 1], "->")) &&
+          (T[I - 1].Kind == TokKind::Punct || isIdent(T[I - 1], "return")) &&
           isPunct(T[I + 1], "(");
       // Stores into an InplaceFunction-typed variable or member — the
       // wrapper can be invoked long after the assigning frame returned.
@@ -566,7 +931,7 @@ private:
   /// checked without hand-maintaining a list.
   void harvestErrorFunctions() {
     for (const SourceFile &F : Files) {
-      if (!startsWith(F.RelPath, "src/"))
+      if (!F.RelPath.starts_with("src/"))
         continue;
       const std::vector<Token> &T = F.Toks.Tokens;
       for (size_t I = 0; I + 2 < T.size(); ++I) {
@@ -755,7 +1120,7 @@ private:
         T[I].Line >= 1 && static_cast<size_t>(T[I].Line) <= F.RawLines.size()
             ? F.RawLines[T[I].Line - 1]
             : Empty;
-    if (allowedOnLine(Raw, ToolName, "determinism-taint"))
+    if (allowedOnLine(Raw, "determinism-taint"))
       return "";
     return Desc;
   }
@@ -1129,20 +1494,22 @@ private:
 
 } // namespace
 
-std::vector<Finding> dmb::analyze::analyzeSources(
-    const std::vector<std::pair<std::string, std::string>> &Inputs) {
-  std::vector<SourceFile> Files;
-  Files.reserve(Inputs.size());
-  for (const auto &[Rel, Content] : Inputs) {
-    SourceFile F;
-    F.RelPath = Rel;
-    F.Content = Content;
-    F.Toks = tokenize(Content);
-    F.RawLines = splitLines(Content);
-    Files.push_back(std::move(F));
-  }
-  std::vector<Finding> Out;
-  RuleEngine(Files, Out).run();
+namespace {
+
+SourceFile parseSource(std::string RelPath, const std::string &Content) {
+  SourceFile F;
+  F.RelPath = std::move(RelPath);
+  F.Toks = tokenize(Content);
+  F.RawLines = splitLines(Content);
+  return F;
+}
+
+/// Runs every rule over \p Files after the findings already in \p Out,
+/// and sorts the lot.
+std::vector<Finding> analyzeFiles(const std::vector<SourceFile> &Files,
+                                  std::vector<Finding> Out,
+                                  std::ostream *Dot) {
+  RuleEngine(Files, Out).run(Dot);
   std::sort(Out.begin(), Out.end(), [](const Finding &A, const Finding &B) {
     if (A.File != B.File)
       return A.File < B.File;
@@ -1155,52 +1522,47 @@ std::vector<Finding> dmb::analyze::analyzeSources(
   return Out;
 }
 
+} // namespace
+
+std::vector<Finding> dmb::analyze::analyzeSources(
+    const std::vector<std::pair<std::string, std::string>> &Inputs) {
+  std::vector<SourceFile> Files;
+  Files.reserve(Inputs.size());
+  for (const auto &[Rel, Content] : Inputs)
+    Files.push_back(parseSource(Rel, Content));
+  return analyzeFiles(Files, {}, nullptr);
+}
+
 std::vector<Finding> dmb::analyze::analyzeTree(const std::string &Root,
-                                               size_t *FilesChecked) {
-  std::vector<std::pair<std::string, std::string>> Inputs;
+                                               size_t *FilesChecked,
+                                               std::ostream *Dot) {
+  std::vector<SourceFile> Files;
+  std::vector<Finding> Unreadable;
   for (const std::string &Rel :
        collectSourceFiles(Root, {"src", "tests", "bench", "tools"})) {
     std::string Content;
     if (readFile(Root + "/" + Rel, Content))
-      Inputs.push_back({Rel, std::move(Content)});
+      Files.push_back(parseSource(Rel, Content));
+    else
+      Unreadable.push_back({Rel, 0, "io", "cannot read file"});
   }
   if (FilesChecked)
-    *FilesChecked = Inputs.size();
-  return analyzeSources(Inputs);
-}
-
-bool dmb::analyze::writeCallGraphDot(const std::string &Root,
-                                     std::ostream &OS) {
-  std::vector<SourceFile> Files;
-  for (const std::string &Rel :
-       collectSourceFiles(Root, {"src", "tests", "bench", "tools"})) {
-    std::string Content;
-    if (!readFile(Root + "/" + Rel, Content))
-      continue;
-    SourceFile F;
-    F.RelPath = Rel;
-    F.Content = std::move(Content);
-    F.Toks = tokenize(F.Content);
-    F.RawLines = splitLines(F.Content);
-    Files.push_back(std::move(F));
-  }
-  if (Files.empty())
-    return false;
-  SymbolTable ST;
-  ST.build(Files);
-  CallGraph CG;
-  CG.build(ST, Files);
-  CG.writeDot(OS);
-  return true;
+    *FilesChecked = Files.size();
+  return analyzeFiles(Files, std::move(Unreadable), Dot);
 }
 
 const std::vector<std::string> &dmb::analyze::analyzeRuleNames() {
   static const std::vector<std::string> Names = {
-      "unordered-iteration",    "pointer-identity",
-      "callback-lifetime",      "determinism-taint",
-      "error-path-propagation", "blocking-in-callback",
-      "swallowed-completion-error",
-      "layering",               "include-cycle",
+      "wall-clock",          "randomness",
+      "raw-assert",          "header-guard",
+      "error-table",         "trace-clock",
+      "event-queue",         "raii-guard",
+      "fault-determinism",   "suppression-justification",
+      "io",                  "unordered-iteration",
+      "pointer-identity",    "callback-lifetime",
+      "determinism-taint",   "error-path-propagation",
+      "blocking-in-callback", "swallowed-completion-error",
+      "layering",            "include-cycle",
       "unused-include"};
   return Names;
 }

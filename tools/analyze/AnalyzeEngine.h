@@ -5,32 +5,74 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine behind tools/dmeta-analyze: symbol-aware determinism and
-/// lifetime rules that the line-level lint (tools/lint) cannot express.
-/// It works on the shared token stream (analyze/Tokenizer.h) plus the
-/// project include graph (analyze/IncludeGraph.h).
+/// The engine behind tools/dmeta-analyze: every rule that keeps benchmark
+/// runs bit-for-bit deterministic (DESIGN.md, key decision 4), callbacks
+/// and errors safe, and the tree layered. One pass reads and tokenizes
+/// each file under src/, tests/, bench/ and tools/ once
+/// (analyze/Tokenizer.h); the line rules read its sanitized lines, the
+/// token rules its token stream, and the interprocedural rules one symbol
+/// table and call graph built over all of it.
 ///
-/// Rules:
+/// Line rules (substring and token matches on sanitized lines, so prose
+/// and string fixtures cannot trip them):
+///  - wall-clock:   no std::chrono / time() / gettimeofday / clock_gettime
+///                  in src/sim, src/dfs, src/cluster, tests/, bench/ or
+///                  tools/ — simulated components read Scheduler::now().
+///  - randomness:   no std::rand / srand / random_device / mt19937 /
+///                  drand48 in the same scopes — all randomness flows
+///                  through the seeded support/Random Rng.
+///  - raw-assert:   no assert() or <cassert> under src/ or tools/ — use
+///                  DMB_ASSERT / DMB_CHECK (support/Assert.h), which stay
+///                  armed in release builds and report sim time.
+///  - header-guard: headers under src/, bench/ and tools/ use the
+///                  canonical DMETABENCH_<DIR>_<FILE>_H guard spelling.
+///  - error-table:  the FsError enum, its NumFsErrors count and the
+///                  fsErrorName() case table (src/support/Error.{h,cpp})
+///                  stay in sync with unique names.
+///  - trace-clock:  no direct OpTraceSink calls (beginOp / stamp /
+///                  finishOp) in src/sim or src/dfs outside sim/Trace.*
+///                  and sim/Scheduler.* — trace points go through
+///                  Scheduler::traceBegin()/traceStamp(), so every
+///                  timestamp reads the owning scheduler's clock.
+///  - event-queue:  no std::priority_queue or heap primitives in src/,
+///                  bench/ or tools/ outside sim/EventQueue.* — pending
+///                  events pop in one (time, tie key) order.
+///  - raii-guard:   in files using a host-thread mutex, no manual
+///                  lock()/unlock() — acquisitions go through
+///                  std::lock_guard / std::scoped_lock. SimMutex is
+///                  exempt: its scheduler-driven protocol cannot be a
+///                  scoped guard.
+///  - fault-determinism: in files that handle a FaultPolicy in code, every
+///                  Rng mention sits on a line that also names a Seed —
+///                  fault rolls are a pure function of (FaultPolicy.Seed,
+///                  send time); a sequential stream or an ad-hoc seed
+///                  breaks replay and schedule-perturbation invariance.
+///  - suppression-justification: every allow() marker and clang-tidy
+///                  suppression comment in src/, bench/ and tools/ carries
+///                  trailing text saying why the exception is sound.
+///                  tests/ are exempt: fixtures there quote bare markers.
+///  - io:           a file under the scanned directories cannot be read.
+///
+/// Token rules:
 ///  - unordered-iteration: a range-for or .begin() loop over a
 ///    std::unordered_map/unordered_set variable whose body reaches an
 ///    output, trace, result or scheduling sink. Hash iteration order
 ///    depends on addresses and insertion history, so anything it emits
-///    breaks bit-identical replay (DESIGN.md key decision 4). A loop that
-///    only accumulates into a container which is std::sort-ed later in
-///    the same scope is the sanctioned sort-before-emit spelling and is
-///    not flagged.
+///    breaks bit-identical replay. A loop that only accumulates into a
+///    container which is std::sort-ed later in the same scope is the
+///    sanctioned sort-before-emit spelling and is not flagged.
 ///  - pointer-identity: pointer values leaking into ordering or output —
 ///    iteration over a pointer-keyed map/set (address order), "%p" in a
 ///    format string, streaming a pointer (<< &x, << (void*)x),
 ///    std::hash over a pointer type, or reinterpret_cast of a pointer to
 ///    an integer. Scope: src/, bench/ and tools/ (everything whose output
 ///    is compared across runs).
-///  - callback-lifetime: per-capture escape analysis on lambdas handed to
-///    Scheduler::at()/after() or stored in InplaceFunction members: a
-///    named by-reference capture ([&x]) or an address-of init-capture
-///    ([p = &x]) dangles if the callback outlives the frame. tests/ and
-///    bench/ are exempt (the capturing frame runs the scheduler to
-///    completion); src/ and tools/ are not.
+///  - callback-lifetime: every by-reference capture of a lambda handed to
+///    a Scheduler at()/after() call or stored in an InplaceFunction: the
+///    default ([&], [&, ...]), a named reference ([&x]) or an address-of
+///    init-capture ([p = &x]) dangles if the callback outlives the frame.
+///    tests/ and bench/ are exempt (the capturing frame runs the
+///    scheduler to completion); src/ and tools/ are not.
 ///  - swallowed-completion-error: a completion lambda handed to an async
 ///    submission API (submit/enqueue/rpc/transact/process/processEager)
 ///    that names its MetaReply parameter but never reads .Err/.ok() nor
@@ -64,8 +106,7 @@
 ///    the scheduler loop via Scheduler::run/runUntil.
 ///
 /// A finding on a line containing "dmeta-analyze: allow(<rule>) <why>" is
-/// suppressed; the justification text is enforced by dmeta-lint's
-/// suppression-justification rule.
+/// suppressed (Diagnostics.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,22 +123,20 @@ namespace dmb {
 namespace analyze {
 
 /// Analyzes the repo tree under \p Root (src/, tests/, bench/, tools/).
-/// \p FilesChecked, when non-null, receives the number of files scanned.
+/// \p FilesChecked, when non-null, receives the number of files read.
+/// \p Dot, when non-null, receives the call graph the interprocedural
+/// rules used, in Graphviz dot format (the --dot flag).
 std::vector<Finding> analyzeTree(const std::string &Root,
-                                 size_t *FilesChecked = nullptr);
+                                 size_t *FilesChecked = nullptr,
+                                 std::ostream *Dot = nullptr);
 
 /// Analyzes in-memory sources given as (RelPath, Content) pairs — the
 /// unit-test entry point; identical semantics to analyzeTree.
 std::vector<Finding>
 analyzeSources(const std::vector<std::pair<std::string, std::string>> &Files);
 
-/// Rule names understood by analyzeTree, for --rule validation.
+/// Rule names analyzeTree can report, for --rule validation.
 const std::vector<std::string> &analyzeRuleNames();
-
-/// Builds the whole-tree symbol table and call graph under \p Root and
-/// writes it in Graphviz dot format (the --dot flag). Returns false when
-/// no sources are found.
-bool writeCallGraphDot(const std::string &Root, std::ostream &OS);
 
 } // namespace analyze
 } // namespace dmb

@@ -64,10 +64,10 @@ std::string jsonEscape(const std::string &S) {
 } // namespace
 
 std::string
-dmb::analyze::renderFindingsJson(const std::string &Tool, size_t FilesChecked,
+dmb::analyze::renderFindingsJson(size_t FilesChecked,
                                  const std::vector<Finding> &Findings) {
   std::ostringstream Os;
-  Os << "{\"tool\": \"" << jsonEscape(Tool) << "\", \"filesChecked\": "
+  Os << "{\"tool\": \"" << ToolName << "\", \"filesChecked\": "
      << FilesChecked << ", \"findings\": [";
   for (size_t I = 0; I < Findings.size(); ++I) {
     const Finding &F = Findings[I];
@@ -82,9 +82,9 @@ dmb::analyze::renderFindingsJson(const std::string &Tool, size_t FilesChecked,
 }
 
 bool dmb::analyze::allowedOnLine(const std::string &RawLine,
-                                 const std::string &Tool,
                                  const std::string &Rule) {
-  return RawLine.find(Tool + ": allow(" + Rule + ")") != std::string::npos;
+  return RawLine.find(std::string(ToolName) + ": allow(" + Rule + ")") !=
+         std::string::npos;
 }
 
 bool dmb::analyze::readFile(const std::string &Path, std::string &Content) {

@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pieces tools/lint and tools/analyze share besides the tokenizer:
+/// The pieces every rule of dmeta-analyze shares besides the tokenizer:
 /// the Finding record, the suppression escape hatch, the text and JSON
-/// renderers, and the deterministic source-tree walk. Keeping them here
-/// guarantees the two tools agree on output format (one GitHub problem
-/// matcher covers both) and on suppression spelling.
+/// renderers (one GitHub problem matcher reads the text form), and the
+/// deterministic source-tree walk.
 ///
 /// Suppressions: a finding on a line containing
 ///
-///   <tool>: allow(<rule>) <justification>
+///   dmeta-analyze: allow(<rule>) <justification>
 ///
 /// (e.g. "dmeta-analyze: allow(unused-include) kept for operator<<") is
-/// dropped. The justification text is mandatory — the lint engine's
+/// dropped. The justification text is mandatory — the
 /// suppression-justification rule flags bare allow() comments, so every
 /// suppression in the tree documents why it is sound.
 ///
@@ -32,6 +31,10 @@
 namespace dmb {
 namespace analyze {
 
+/// The tool's name: its binary, the "tool" field of its JSON and the
+/// prefix of its suppression marker.
+inline constexpr char ToolName[] = "dmeta-analyze";
+
 /// One rule violation at a specific source line (Line is 1-based; 0 for
 /// whole-file findings such as a missing header guard).
 struct Finding {
@@ -45,15 +48,14 @@ struct Finding {
 std::string renderFinding(const Finding &F);
 
 /// The whole result set as a JSON object:
-///   {"tool": "...", "filesChecked": N, "findings": [{...}, ...]}
-std::string renderFindingsJson(const std::string &Tool, size_t FilesChecked,
+///   {"tool": "dmeta-analyze", "filesChecked": N, "findings": [{...}, ...]}
+std::string renderFindingsJson(size_t FilesChecked,
                                const std::vector<Finding> &Findings);
 
-/// True when \p RawLine carries "<Tool>: allow(<Rule>)" for exactly this
-/// rule. Matches the raw (unsanitized) line: suppressions live in
+/// True when \p RawLine carries "dmeta-analyze: allow(<Rule>)" for exactly
+/// this rule. Matches the raw (unsanitized) line: suppressions live in
 /// comments.
-bool allowedOnLine(const std::string &RawLine, const std::string &Tool,
-                   const std::string &Rule);
+bool allowedOnLine(const std::string &RawLine, const std::string &Rule);
 
 /// Reads \p Path into \p Content; false on I/O failure.
 bool readFile(const std::string &Path, std::string &Content);

@@ -12,35 +12,30 @@ using namespace dmb::analyze;
 
 namespace {
 
-bool startsWith(const std::string &S, const char *Prefix) {
-  return S.rfind(Prefix, 0) == 0;
-}
-
 std::string dirName(const std::string &RelPath) {
   size_t Slash = RelPath.rfind('/');
   return Slash == std::string::npos ? std::string() : RelPath.substr(0, Slash);
 }
 
-const char *ToolName = "dmeta-analyze";
-
 } // namespace
 
 int dmb::analyze::layerBand(const std::string &RelPath) {
-  if (startsWith(RelPath, "src/support/"))
+  if (RelPath.starts_with("src/support/"))
     return 0;
-  if (startsWith(RelPath, "src/sim/"))
+  if (RelPath.starts_with("src/sim/"))
     return 1;
-  if (startsWith(RelPath, "src/fs/") || startsWith(RelPath, "src/dfs/") ||
-      startsWith(RelPath, "src/cluster/") ||
-      startsWith(RelPath, "src/workload/"))
+  if (RelPath.starts_with("src/fs/") || RelPath.starts_with("src/dfs/") ||
+      RelPath.starts_with("src/cluster/") ||
+      RelPath.starts_with("src/workload/"))
     return 2;
-  if (startsWith(RelPath, "src/core/") ||
-      startsWith(RelPath, "src/analysis/") || startsWith(RelPath, "src/chart/"))
+  if (RelPath.starts_with("src/core/") ||
+      RelPath.starts_with("src/analysis/") ||
+      RelPath.starts_with("src/chart/"))
     return 3;
-  if (startsWith(RelPath, "src/dmetabench/"))
+  if (RelPath.starts_with("src/dmetabench/"))
     return 4;
-  if (startsWith(RelPath, "bench/") || startsWith(RelPath, "tests/") ||
-      startsWith(RelPath, "tools/") || startsWith(RelPath, "examples/"))
+  if (RelPath.starts_with("bench/") || RelPath.starts_with("tests/") ||
+      RelPath.starts_with("tools/") || RelPath.starts_with("examples/"))
     return 5;
   return -1;
 }
@@ -106,7 +101,7 @@ void IncludeGraph::checkLayering(const SourceFile &F,
     const std::string &Raw = static_cast<size_t>(E.Line - 1) < F.RawLines.size()
                                  ? F.RawLines[E.Line - 1]
                                  : F.RelPath;
-    if (allowedOnLine(Raw, ToolName, "layering"))
+    if (allowedOnLine(Raw, "layering"))
       continue;
     Out.push_back({F.RelPath, E.Line, "layering",
                    "include of '" + E.Target + "' (band " +
@@ -319,7 +314,7 @@ void IncludeGraph::checkUnusedIncludes(const SourceFile &F,
     const std::string &Raw = static_cast<size_t>(E.Line - 1) < F.RawLines.size()
                                  ? F.RawLines[E.Line - 1]
                                  : std::string();
-    if (allowedOnLine(Raw, ToolName, "unused-include"))
+    if (allowedOnLine(Raw, "unused-include"))
       continue;
     Out.push_back({F.RelPath, E.Line, "unused-include",
                    "no symbol declared in '" + E.Target +

@@ -50,7 +50,6 @@ int layerBand(const std::string &RelPath);
 /// One file's parsed view, shared between the graph and the rule engine.
 struct SourceFile {
   std::string RelPath;
-  std::string Content;
   TokenizedSource Toks;
   std::vector<std::string> RawLines;
 };

@@ -173,10 +173,9 @@ private:
     push(TokKind::String, StartLine, std::move(Text));
   }
 
-  /// Consumes a 'x' character literal. Contents are dropped (like the
-  /// lint sanitizer always did) but the quotes stay in the sanitized
-  /// view, so `f('x')` sanitizes to `f('')` rather than gluing the
-  /// neighbours together.
+  /// Consumes a 'x' character literal. Contents are dropped but the
+  /// quotes stay in the sanitized view, so `f('x')` sanitizes to `f('')`
+  /// rather than gluing the neighbours together.
   void charLit() {
     int StartLine = Line;
     emitSan('\'');
@@ -404,11 +403,6 @@ TokenizedSource dmb::analyze::tokenize(const std::string &Content) {
   if (Out.SanitizedLines.size() > Raw.size())
     Out.SanitizedLines.resize(Raw.size());
   return Out;
-}
-
-std::vector<std::string>
-dmb::analyze::sanitizeSource(const std::string &Content) {
-  return tokenize(Content).SanitizedLines;
 }
 
 size_t dmb::analyze::matchForward(const std::vector<Token> &Tokens,

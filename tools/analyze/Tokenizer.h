@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A single-pass C++ tokenizer shared by tools/lint (line-level rules on
-/// sanitized text) and tools/analyze (symbol-aware rules on the token
-/// stream). One scan of a source file produces both views:
+/// The single-pass C++ tokenizer every rule of dmeta-analyze reads: line
+/// rules the sanitized text, symbol-aware rules the token stream. One scan
+/// of a source file produces both views:
 ///
 ///  - Tokens: identifiers, numbers, string/char literals, punctuation and
 ///    preprocessor directives, each stamped with its 1-based line and the
@@ -72,9 +72,6 @@ TokenizedSource tokenize(const std::string &Content);
 /// Splits \p Content into lines (LF or CRLF; final line without newline
 /// kept). Shared by the engines so raw and sanitized views line up.
 std::vector<std::string> splitLines(const std::string &Content);
-
-/// Sanitized view only — equivalent to tokenize(Content).SanitizedLines.
-std::vector<std::string> sanitizeSource(const std::string &Content);
 
 /// True for [A-Za-z0-9_].
 bool isIdentChar(char C);

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyze/ToolMain.h"
+#include "analyze/AnalyzeEngine.h"
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -18,14 +19,16 @@ using namespace dmb::analyze;
 
 namespace {
 
-void printUsage(std::FILE *To, const ToolConfig &Cfg) {
+void printUsage(std::FILE *To) {
   std::fprintf(To,
                "usage: %s [--root <dir>] [--rule <name>]... [--json]\n"
-               "       %*s [--baseline <file>] [--write-baseline <file>]%s\n\n",
-               Cfg.Tool.c_str(), static_cast<int>(Cfg.Tool.size()), "",
-               Cfg.WriteDot ? " [--dot <file>]" : "");
-  std::fprintf(To, "%s\n\nrules:\n", Cfg.Description.c_str());
-  for (const std::string &R : Cfg.Rules)
+               "       %*s [--baseline <file>] [--write-baseline <file>]"
+               " [--dot <file>]\n\n",
+               ToolName, static_cast<int>(sizeof(ToolName) - 1), "");
+  std::fprintf(To, "Determinism, lifetime, error-path and layering checks "
+                   "for the DMetabench tree\n(rule catalogue: "
+                   "tools/analyze/AnalyzeEngine.h).\n\nrules:\n");
+  for (const std::string &R : analyzeRuleNames())
     std::fprintf(To, "  %s\n", R.c_str());
   std::fprintf(To,
                "\nexit codes: 0 clean, 1 findings, 2 usage error, 3 no "
@@ -56,7 +59,7 @@ std::string dmb::analyze::baselineKey(const Finding &F) {
   return F.File + " [" + F.Rule + "] " + F.Message;
 }
 
-int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
+int dmb::analyze::toolMain(int Argc, char **Argv) {
   std::string Root = ".";
   std::set<std::string> RuleFilter;
   std::string BaselinePath, WriteBaselinePath, DotPath;
@@ -65,7 +68,7 @@ int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
-      printUsage(stdout, Cfg);
+      printUsage(stdout);
       return 0;
     }
     if (Arg == "--json") {
@@ -75,9 +78,9 @@ int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
     if (Arg == "--root" || Arg == "--rule" || Arg == "--baseline" ||
         Arg == "--write-baseline" || Arg == "--dot") {
       if (I + 1 >= Argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", Cfg.Tool.c_str(),
+        std::fprintf(stderr, "%s: %s requires a value\n", ToolName,
                      Arg.c_str());
-        printUsage(stderr, Cfg);
+        printUsage(stderr);
         return 2;
       }
       std::string Val = Argv[++I];
@@ -88,54 +91,51 @@ int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
       } else if (Arg == "--write-baseline") {
         WriteBaselinePath = Val;
       } else if (Arg == "--dot") {
-        if (!Cfg.WriteDot) {
-          std::fprintf(stderr, "%s: --dot is not supported by this tool\n",
-                       Cfg.Tool.c_str());
-          return 2;
-        }
         DotPath = Val;
       } else {
-        if (std::find(Cfg.Rules.begin(), Cfg.Rules.end(), Val) ==
-            Cfg.Rules.end()) {
-          std::fprintf(stderr, "%s: unknown rule '%s'\n", Cfg.Tool.c_str(),
+        const std::vector<std::string> &Rules = analyzeRuleNames();
+        if (std::find(Rules.begin(), Rules.end(), Val) == Rules.end()) {
+          std::fprintf(stderr, "%s: unknown rule '%s'\n", ToolName,
                        Val.c_str());
-          printUsage(stderr, Cfg);
+          printUsage(stderr);
           return 2;
         }
         RuleFilter.insert(Val);
       }
       continue;
     }
-    std::fprintf(stderr, "%s: unknown argument '%s'\n", Cfg.Tool.c_str(),
+    std::fprintf(stderr, "%s: unknown argument '%s'\n", ToolName,
                  Arg.c_str());
-    printUsage(stderr, Cfg);
+    printUsage(stderr);
     return 2;
   }
 
   // The baseline must parse before the (possibly slow) scan runs.
   std::map<std::string, int> Baseline;
   if (!BaselinePath.empty() && !loadBaseline(BaselinePath, Baseline)) {
-    std::fprintf(stderr, "%s: cannot read baseline '%s'\n", Cfg.Tool.c_str(),
+    std::fprintf(stderr, "%s: cannot read baseline '%s'\n", ToolName,
                  BaselinePath.c_str());
     return 2;
   }
 
   size_t FilesChecked = 0;
-  std::vector<Finding> Findings = Cfg.Run(Root, FilesChecked);
+  std::ostringstream Dot;
+  std::vector<Finding> Findings =
+      analyzeTree(Root, &FilesChecked, DotPath.empty() ? nullptr : &Dot);
   if (FilesChecked == 0) {
-    std::fprintf(stderr, "%s: no sources found under '%s'\n", Cfg.Tool.c_str(),
+    std::fprintf(stderr, "%s: no sources found under '%s'\n", ToolName,
                  Root.c_str());
     return 3;
   }
 
   if (!DotPath.empty()) {
-    std::ofstream Dot(DotPath);
-    if (!Dot || !Cfg.WriteDot(Root, Dot)) {
+    std::ofstream Out(DotPath);
+    if (!(Out << Dot.str())) {
       std::fprintf(stderr, "%s: cannot write call graph to '%s'\n",
-                   Cfg.Tool.c_str(), DotPath.c_str());
+                   ToolName, DotPath.c_str());
       return 2;
     }
-    std::fprintf(stderr, "%s: call graph written to %s\n", Cfg.Tool.c_str(),
+    std::fprintf(stderr, "%s: call graph written to %s\n", ToolName,
                  DotPath.c_str());
   }
 
@@ -151,18 +151,18 @@ int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
     std::ofstream Out(WriteBaselinePath);
     if (!Out) {
       std::fprintf(stderr, "%s: cannot write baseline '%s'\n",
-                   Cfg.Tool.c_str(), WriteBaselinePath.c_str());
+                   ToolName, WriteBaselinePath.c_str());
       return 2;
     }
-    Out << "# " << Cfg.Tool
+    Out << "# " << ToolName
         << " baseline: one accepted finding per line, \"file [rule] "
            "message\".\n";
     Out << "# Line numbers are omitted on purpose; regenerate with:\n";
-    Out << "#   " << Cfg.Tool << " --write-baseline <this file>\n";
+    Out << "#   " << ToolName << " --write-baseline <this file>\n";
     for (const Finding &F : Findings)
       Out << baselineKey(F) << "\n";
     std::fprintf(stderr, "%s: %zu finding%s recorded to %s\n",
-                 Cfg.Tool.c_str(), Findings.size(),
+                 ToolName, Findings.size(),
                  Findings.size() == 1 ? "" : "s", WriteBaselinePath.c_str());
     return 0;
   }
@@ -183,7 +183,7 @@ int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
   }
 
   if (Json) {
-    std::fputs(renderFindingsJson(Cfg.Tool, FilesChecked, Findings).c_str(),
+    std::fputs(renderFindingsJson(FilesChecked, Findings).c_str(),
                stdout);
     std::fputc('\n', stdout);
   } else {
@@ -193,11 +193,11 @@ int dmb::analyze::toolMain(int Argc, char **Argv, const ToolConfig &Cfg) {
       std::fprintf(stderr,
                    "%s: %zu file%s checked, %zu new finding%s (%zu known "
                    "from baseline)\n",
-                   Cfg.Tool.c_str(), FilesChecked, FilesChecked == 1 ? "" : "s",
+                   ToolName, FilesChecked, FilesChecked == 1 ? "" : "s",
                    Findings.size(), Findings.size() == 1 ? "" : "s", Known);
     else
       std::fprintf(stderr,
-                   "%s: %zu file%s checked, %zu finding%s\n", Cfg.Tool.c_str(),
+                   "%s: %zu file%s checked, %zu finding%s\n", ToolName,
                    FilesChecked, FilesChecked == 1 ? "" : "s", Findings.size(),
                    Findings.size() == 1 ? "" : "s");
   }

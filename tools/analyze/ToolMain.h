@@ -1,12 +1,12 @@
-//===- tools/analyze/ToolMain.h - Shared check-tool CLI ---------*- C++ -*-===//
+//===- tools/analyze/ToolMain.h - dmeta-analyze CLI -------------*- C++ -*-===//
 //
 // Part of the DMetabench reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The command-line front end shared by dmeta-lint and dmeta-analyze, so
-/// the two tools agree on flags, output formats and exit codes:
+/// The command-line front end of dmeta-analyze, a library function so the
+/// tests can drive it in-process:
 ///
 ///   --root <dir>            repo root to scan (default: current directory)
 ///   --rule <name>           only report this rule; repeatable
@@ -15,8 +15,8 @@
 ///                           nonzero only on NEW findings (adopting a
 ///                           rule on a tree with accepted debt)
 ///   --write-baseline <file> record current findings to <file>, exit 0
-///   --dot <file>            write the call graph as Graphviz dot
-///                           (tools that build one; usage error otherwise)
+///   --dot <file>            also write the call graph the rules used, as
+///                           Graphviz dot (from the same pass)
 ///   --help                  usage
 ///
 /// Baseline format: one finding per line as "file [rule] message" — the
@@ -29,7 +29,8 @@
 ///   0  clean (no findings after --rule/--baseline filtering)
 ///   1  findings reported
 ///   2  usage error (unknown flag, missing value, unknown rule name,
-///      unreadable --baseline file, --dot on a tool without a graph)
+///      unreadable --baseline file, unwritable --dot or --write-baseline
+///      file)
 ///   3  no sources found under --root (an empty scan is a misconfigured
 ///      invocation, not a clean tree — distinct from 2 so CI can tell a
 ///      bad flag from a bad checkout)
@@ -40,38 +41,19 @@
 #define DMETABENCH_TOOLS_ANALYZE_TOOLMAIN_H
 
 #include "analyze/Diagnostics.h"
-#include <cstddef>
-#include <functional>
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace dmb {
 namespace analyze {
-
-/// What a concrete tool plugs into the shared front end.
-struct ToolConfig {
-  std::string Tool;        ///< binary name for usage and JSON ("dmeta-lint")
-  std::string Description; ///< one-line purpose for --help
-  std::vector<std::string> Rules; ///< valid --rule values
-  /// Runs the scan rooted at \p Root; sets \p FilesChecked.
-  std::function<std::vector<Finding>(const std::string &Root,
-                                     size_t &FilesChecked)>
-      Run;
-  /// Writes the tool's call graph as Graphviz dot (--dot); tools without
-  /// a graph leave this unset and --dot becomes a usage error. Returns
-  /// false when the tree under \p Root yields nothing to graph.
-  std::function<bool(const std::string &Root, std::ostream &OS)> WriteDot;
-};
 
 /// Baseline matching key for a finding: "file [rule] message". The line
 /// number is omitted so edits above a known finding do not invalidate
 /// the baseline entry.
 std::string baselineKey(const Finding &F);
 
-/// Parses argv, runs the tool, prints findings; returns the exit code
+/// Parses argv, runs the analyzer, prints findings; returns the exit code
 /// documented above.
-int toolMain(int Argc, char **Argv, const ToolConfig &Cfg);
+int toolMain(int Argc, char **Argv);
 
 } // namespace analyze
 } // namespace dmb

@@ -1,37 +1,21 @@
-//===- tools/dmeta-analyze.cpp - Symbol-aware static analyzer -------------===//
+//===- tools/dmeta-analyze.cpp - The tree's static analyzer ---------------===//
 //
 // Part of the DMetabench reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Driver for the symbol-aware analyzer: determinism (unordered-iteration,
-/// pointer-identity), lifetime (callback-lifetime), interprocedural
-/// dataflow (determinism-taint, error-path-propagation,
-/// blocking-in-callback over the whole-program symbol table and call
-/// graph) and architecture (layering, include-cycle, unused-include) rules
-/// over src/, tests/, bench/ and tools/. `--dot <file>` exports the call
-/// graph. See
-/// tools/analyze/AnalyzeEngine.h for the rule catalogue and DESIGN.md
+/// Driver for the one analysis tool: determinism, lifetime, error-path and
+/// layering rules over src/, tests/, bench/ and tools/, from line matches
+/// through the whole-program call graph, in one pass over the tree.
+/// `--dot <file>` also exports that call graph. Registered as a ctest, so
+/// `ctest` and the `check` target fail on findings like on a failing unit
+/// test. See tools/analyze/AnalyzeEngine.h for the rule catalogue,
+/// tools/analyze/ToolMain.h for flags and exit codes, and DESIGN.md
 /// ("Static analysis") for the rationale.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analyze/AnalyzeEngine.h"
 #include "analyze/ToolMain.h"
 
-int main(int Argc, char **Argv) {
-  dmb::analyze::ToolConfig Cfg;
-  Cfg.Tool = "dmeta-analyze";
-  Cfg.Description =
-      "Symbol-aware determinism, lifetime and layering checks for the "
-      "DMetabench tree.";
-  Cfg.Rules = dmb::analyze::analyzeRuleNames();
-  Cfg.Run = [](const std::string &Root, size_t &FilesChecked) {
-    return dmb::analyze::analyzeTree(Root, &FilesChecked);
-  };
-  Cfg.WriteDot = [](const std::string &Root, std::ostream &OS) {
-    return dmb::analyze::writeCallGraphDot(Root, OS);
-  };
-  return dmb::analyze::toolMain(Argc, Argv, Cfg);
-}
+int main(int Argc, char **Argv) { return dmb::analyze::toolMain(Argc, Argv); }

@@ -3,8 +3,8 @@
 by digest.
 
 Entries:
-  - each bench/bench_* experiment except the two that print host timings
-    (bench_dir_index_ablation, bench_engine_throughput): its stdout;
+  - each bench/bench_* experiment except bench_engine_throughput, which
+    prints host timings: its stdout;
   - each CLI model (nfs, lustre, lustre-wb, afs, gx, cxfs, localfs,
     sharded): the files `dmetabench --fs M --operations MakeFiles,StatFiles
     --problemsize 200 --timelimit 1 --outdir D` writes into D (its stdout
@@ -46,7 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "bench", "golden")
 
 # Experiments whose stdout is host timing, not simulation output.
-HOST_TIMED = {"bench_dir_index_ablation", "bench_engine_throughput"}
+HOST_TIMED = {"bench_engine_throughput"}
 
 # Files an experiment writes into its working directory, each compared
 # with the committed copy of the same name at the root of the repo.

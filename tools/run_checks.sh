@@ -4,9 +4,9 @@
 # Pre-merge gate for the DMetabench tree. Runs, in order:
 #
 #   1. a plain RelWithDebInfo build of everything,
-#   2. dmeta-lint and dmeta-analyze over the source tree — the analyzer
-#      also exports its call graph to build/callgraph.dot (uploaded as a
-#      CI artifact) and must finish inside a 20 s wall-time budget, so an
+#   2. dmeta-analyze over the source tree, in one pass that also exports
+#      its call graph to build/callgraph.dot (uploaded as a CI artifact);
+#      it must finish inside a 20 s wall-time budget, so an
 #      interprocedural fixpoint regression fails the gate instead of
 #      silently slowing every presubmit,
 #   3. the full ctest suite,
@@ -78,17 +78,14 @@ step "configure + build (build/)"
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
 
-step "dmeta-lint"
-"$ROOT/build/tools/dmeta-lint" --root "$ROOT"
-
 step "dmeta-analyze (+ call-graph export, 20 s budget)"
 ANALYZE_T0="$(date +%s)"
 "$ROOT/build/tools/dmeta-analyze" --root "$ROOT" \
     --dot "$ROOT/build/callgraph.dot"
 ANALYZE_SECS="$(( $(date +%s) - ANALYZE_T0 ))"
-# The whole-tree symbol table, call graph and taint fixpoint run in well
-# under a second today; 20 s of headroom flags a complexity regression
-# without flaking on slow CI runners.
+# Every rule, the whole-tree symbol table, call graph and taint fixpoint
+# run in well under a second today; 20 s of headroom flags a complexity
+# regression without flaking on slow CI runners.
 if [ "$ANALYZE_SECS" -gt 20 ]; then
   echo "run_checks.sh: dmeta-analyze took ${ANALYZE_SECS}s (budget 20s)" >&2
   exit 1
@@ -109,11 +106,11 @@ step "engine throughput smoke (reduced sizes)"
     --out "$ROOT/build/BENCH_engine.json"
 
 step "golden corpus (experiment stdout, CLI model result files)"
-# Every experiment but the two host-timed ones, and every CLI model's
-# --outdir files, digested and compared with bench/golden/; a mismatch
-# names the entry and its first differing line or file. It also runs the
-# self-checking E29-E31 and compares E30's and E31's JSON with the
-# committed BENCH_E30.json / BENCH_E31.json.
+# Every experiment but the host-timed bench_engine_throughput, and every
+# CLI model's --outdir files, digested and compared with bench/golden/; a
+# mismatch names the entry and its first differing line or file. It also
+# runs the self-checking E29-E31 and compares E30's and E31's JSON with
+# the committed BENCH_E30.json / BENCH_E31.json.
 python3 "$ROOT/tools/golden.py" --build "$ROOT/build" -j "$JOBS"
 
 if [ -n "$SANITIZE" ]; then
