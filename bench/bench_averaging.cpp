@@ -30,8 +30,8 @@ static SubtaskResult fig34Example() {
     P.Ordinal = Ord;
     P.Rank = static_cast<int>(Ord + 1);
     P.Hostname = format("node%u", Ord);
-    P.OpsPerInterval = std::move(Buckets);
-    for (uint64_t B : P.OpsPerInterval)
+    P.OpsPerInterval = IntervalCounts::fromDense(Buckets);
+    for (uint64_t B : Buckets)
       P.TotalOps += B;
     P.FinishOffset = seconds(Finish);
     R.Processes.push_back(std::move(P));

@@ -171,8 +171,21 @@ struct CurvePoint {
   unsigned Ppn = 0;
   uint64_t SimOps = 0;
   uint64_t Events = 0;
+  /// Master::runCombination alone: what the scale-curve guard compares.
   double WallSec = 0;
   double EventsPerSec = 0;
+  /// The whole point, phase by phase, the way perfbench splits a run:
+  /// setup is the Scheduler, Cluster and file system construction, the
+  /// mount and the Master constructor; gather is the Listing 3.4 and 3.5
+  /// summaries; teardown is every destructor. (perfbench's gather also
+  /// renders the dense canonical result text, whose size grows with
+  /// clients squared here: each client's timeline runs to its queue
+  /// position.)
+  double SetupSec = 0;
+  double GatherSec = 0;
+  double TeardownSec = 0;
+  double TotalSec = 0;
+  size_t Intervals = 0; ///< rows of the Listing 3.4 summaries
 };
 
 /// One scale-out point: a full Master combination with Clients simulated
@@ -183,33 +196,87 @@ struct CurvePoint {
 CurvePoint runCurvePoint(unsigned Clients) {
   unsigned Ppn = 8;
   unsigned Nodes = std::max(1u, Clients / Ppn);
-  Scheduler S;
-  Cluster C(S, Nodes, Ppn);
-  NfsFs Fs(S);
-  C.mountEverywhere(Fs);
-
   BenchParams P;
   P.Operations = {"MakeFiles"};
   P.ProblemSize = 1000;
   P.TimeLimit = seconds(0.01);
   MpiEnvironment Env = MpiEnvironment::uniform(Nodes, Ppn + 1);
-  Master M(C, Env, Fs.name(), P);
 
   double T0 = wallSeconds();
-  ResultSet Res = M.runCombination(Nodes, Ppn);
+  auto S = std::make_unique<Scheduler>();
+  auto C = std::make_unique<Cluster>(*S, Nodes, Ppn);
+  auto Fs = std::make_unique<NfsFs>(*S);
+  C->mountEverywhere(*Fs);
+  auto M = std::make_unique<Master>(*C, Env, Fs->name(), P);
   double T1 = wallSeconds();
+  auto Res = std::make_unique<ResultSet>(M->runCombination(Nodes, Ppn));
+  double T2 = wallSeconds();
+  uint64_t SimOps = 0;
+  size_t Rows = 0;
+  for (const SubtaskResult &Sub : Res->Subtasks) {
+    SimOps += summarize(Sub).TotalOps;
+    Rows += intervalSummary(Sub).size();
+  }
+  double T3 = wallSeconds();
+  uint64_t Events = S->executedEvents();
+  // Reverse order of construction.
+  Res.reset();
+  M.reset();
+  Fs.reset();
+  C.reset();
+  S.reset();
+  double T4 = wallSeconds();
 
   CurvePoint Pt;
   Pt.Clients = Nodes * Ppn;
   Pt.Nodes = Nodes;
   Pt.Ppn = Ppn;
-  for (const SubtaskResult &Sub : Res.Subtasks)
-    Pt.SimOps += summarize(Sub).TotalOps;
-  Pt.Events = S.executedEvents();
-  Pt.WallSec = T1 - T0;
+  Pt.SimOps = SimOps;
+  Pt.Events = Events;
+  Pt.Intervals = Rows;
+  Pt.WallSec = T2 - T1;
   Pt.EventsPerSec =
       Pt.WallSec > 0 ? static_cast<double>(Pt.Events) / Pt.WallSec : 0;
+  Pt.SetupSec = T1 - T0;
+  Pt.GatherSec = T3 - T2;
+  Pt.TeardownSec = T4 - T3;
+  Pt.TotalSec = T4 - T0;
   return Pt;
+}
+
+/// The phase fields of \p Pt, as JSON members.
+std::string jsonPhases(const CurvePoint &Pt) {
+  return format("\"setup_s\": %.3f, \"run_s\": %.3f, \"gather_s\": %.3f, "
+                "\"teardown_s\": %.3f, \"total_s\": %.3f",
+                Pt.SetupSec, Pt.WallSec, Pt.GatherSec, Pt.TeardownSec,
+                Pt.TotalSec);
+}
+
+/// Runs the one curve point of \p Clients clients and nothing else, so
+/// that the process's peak resident set is that point's, and writes it
+/// to \p Out.
+int runIsolatedPoint(uint64_t Clients, const std::string &Out) {
+  CurvePoint Pt = runCurvePoint(static_cast<unsigned>(Clients));
+  long HwmKb = readVmHwmKb();
+  long BytesPerClient = Pt.Clients ? HwmKb * 1024L / long(Pt.Clients) : 0;
+  std::printf("isolated point: %u clients (%u nodes x %u): %llu sim ops, "
+              "%llu events, %zu intervals; setup %.3f s, run %.3f s, "
+              "gather %.3f s, teardown %.3f s, total %.3f s; VmHWM %ld kB "
+              "= %ld bytes per client\n",
+              Pt.Clients, Pt.Nodes, Pt.Ppn, (unsigned long long)Pt.SimOps,
+              (unsigned long long)Pt.Events, Pt.Intervals, Pt.SetupSec,
+              Pt.WallSec, Pt.GatherSec, Pt.TeardownSec, Pt.TotalSec, HwmKb,
+              BytesPerClient);
+  std::string Json = format(
+      "{\"clients\": %u, \"nodes\": %u, \"ppn\": %u, \"sim_ops\": %llu, "
+      "\"events\": %llu, \"intervals\": %zu, %s, \"vmhwm_kb\": %ld, "
+      "\"vmhwm_bytes_per_client\": %ld}\n",
+      Pt.Clients, Pt.Nodes, Pt.Ppn, (unsigned long long)Pt.SimOps,
+      (unsigned long long)Pt.Events, Pt.Intervals, jsonPhases(Pt).c_str(),
+      HwmKb, BytesPerClient);
+  std::ofstream(Out) << Json;
+  std::printf("wrote %s\n", Out.c_str());
+  return 0;
 }
 
 } // namespace
@@ -223,6 +290,7 @@ int main(int Argc, char **Argv) {
   uint64_t ProblemSize = 65536;
   double TimeLimitSec = 75.0;
   uint64_t CurveMax = 1048576;
+  uint64_t Point = 0;
   std::string Out = "BENCH_engine.json";
   std::string Label = "current";
 
@@ -241,6 +309,8 @@ int main(int Argc, char **Argv) {
       TimeLimitSec = std::strtod(Val(), nullptr);
     else if (!std::strcmp(Arg, "--curve-max"))
       CurveMax = std::strtoull(Val(), nullptr, 10);
+    else if (!std::strcmp(Arg, "--point"))
+      Point = std::strtoull(Val(), nullptr, 10);
     else if (!std::strcmp(Arg, "--out"))
       Out = Val();
     else if (!std::strcmp(Arg, "--label"))
@@ -249,12 +319,21 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "usage: bench_engine_throughput [--events N] [--chains N]"
                    " [--problemsize N] [--timelimit SEC] [--curve-max N]"
-                   " [--out FILE] [--label NAME]\n");
+                   " [--point N] [--out FILE] [--label NAME]\n");
       return 2;
     }
   }
   if (Chains == 0)
     Chains = 1;
+  if (Point) {
+    // Eight processes per node; 4M clients would need about 13 GB.
+    if (Point < 8 || Point > (1u << 22)) {
+      std::fprintf(stderr, "bench_engine_throughput: --point takes 8 to "
+                           "4194304 clients\n");
+      return 2;
+    }
+    return runIsolatedPoint(Point, Out);
+  }
 
   banner("E28-engine-throughput", "ROADMAP north star",
          "Raw scheduler events/sec and end-to-end simulated metadata "
@@ -293,10 +372,12 @@ int main(int Argc, char **Argv) {
     CurvePoint Pt = runCurvePoint(static_cast<unsigned>(Clients));
     long HwmAfter = readVmHwmKb();
     std::printf("scale %7u clients (%6u nodes x %u): %llu sim ops, "
-                "%llu events in %.3f s -> %.0f events/s\n",
+                "%llu events in %.3f s -> %.0f events/s (total %.3f s: "
+                "setup %.3f, gather %.3f, teardown %.3f)\n",
                 Pt.Clients, Pt.Nodes, Pt.Ppn,
                 (unsigned long long)Pt.SimOps,
-                (unsigned long long)Pt.Events, Pt.WallSec, Pt.EventsPerSec);
+                (unsigned long long)Pt.Events, Pt.WallSec, Pt.EventsPerSec,
+                Pt.TotalSec, Pt.SetupSec, Pt.GatherSec, Pt.TeardownSec);
     if (HwmAfter > HwmBefore && Pt.Clients > 0)
       BytesPerClient =
           (HwmAfter - HwmBefore) * 1024L / static_cast<long>(Pt.Clients);
@@ -311,11 +392,11 @@ int main(int Argc, char **Argv) {
     const CurvePoint &Pt = Curve[I];
     CurveJson += format("%s\n    {\"clients\": %u, \"nodes\": %u, "
                         "\"ppn\": %u, \"sim_ops\": %llu, \"events\": %llu, "
-                        "\"wall_s\": %.3f, \"events_per_sec\": %.0f}",
+                        "\"wall_s\": %.3f, \"events_per_sec\": %.0f, %s}",
                         I ? "," : "", Pt.Clients, Pt.Nodes, Pt.Ppn,
                         (unsigned long long)Pt.SimOps,
                         (unsigned long long)Pt.Events, Pt.WallSec,
-                        Pt.EventsPerSec);
+                        Pt.EventsPerSec, jsonPhases(Pt).c_str());
   }
   CurveJson += "\n  ]";
 

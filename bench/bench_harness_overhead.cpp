@@ -25,46 +25,47 @@ namespace {
 /// open() (thesis Listing 4.2: equal counts of fstat/open/close).
 class HighLevelCreateInstance : public PluginInstance {
 public:
-  explicit HighLevelCreateInstance(const PluginContext &Ctx) : Ctx(Ctx) {}
+  explicit HighLevelCreateInstance(const PluginContext &Ctx)
+      : WorkDir(Ctx.WorkDir), NumFiles(Ctx.ProblemSize) {}
 
   std::unique_ptr<OpStream> bench() override {
-    struct State {
+    struct Stream : OpStream {
+      const HighLevelCreateInstance &I;
       uint64_t Index = 0;
       int Step = 0; // 0 = fstat probe, 1 = open, 2 = close
-    };
-    struct Stream : OpStream {
-      PluginContext Ctx;
-      State St;
-      explicit Stream(PluginContext C) : Ctx(std::move(C)) {}
+      explicit Stream(const HighLevelCreateInstance &I) : I(I) {}
       bool next(const MetaReply &Last, StreamStep &Out) override {
-        if (St.Index >= Ctx.ProblemSize)
+        if (Index >= I.NumFiles)
           return false;
-        std::string Path =
-            Ctx.WorkDir + format("/%llu", (unsigned long long)St.Index);
-        switch (St.Step) {
+        switch (Step) {
         case 0:
           // Python checks that the name is not a directory first.
-          Out.Req = makeStat(Path);
-          St.Step = 1;
+          Out.Req = makeStat(I.filePath(Index));
+          Step = 1;
           return true;
         case 1:
-          Out.Req = makeOpen(Path, OpenWrite | OpenCreate);
-          St.Step = 2;
+          Out.Req = makeOpen(I.filePath(Index), OpenWrite | OpenCreate);
+          Step = 2;
           return true;
         default:
           Out.Req = makeClose(Last.Fh);
           Out.CompletesOp = true;
-          St.Step = 0;
-          ++St.Index;
+          Step = 0;
+          ++Index;
           return true;
         }
       }
     };
-    return std::make_unique<Stream>(Ctx);
+    return std::make_unique<Stream>(*this);
   }
 
 private:
-  PluginContext Ctx;
+  std::string filePath(uint64_t Index) const {
+    return std::string(WorkDir) + format("/%llu", (unsigned long long)Index);
+  }
+
+  std::string_view WorkDir; ///< borrowed from the subtask
+  uint64_t NumFiles;
 };
 
 class HighLevelCreatePlugin : public BenchmarkPlugin {
@@ -80,14 +81,15 @@ public:
 /// so server request counts isolate the bench phase.
 class LowLevelCreateInstance : public PluginInstance {
 public:
-  explicit LowLevelCreateInstance(const PluginContext &Ctx) : Ctx(Ctx) {}
+  explicit LowLevelCreateInstance(const PluginContext &Ctx)
+      : WorkDir(Ctx.WorkDir), NumFiles(Ctx.ProblemSize) {}
 
   std::unique_ptr<OpStream> bench() override {
     struct Stream : OpStream {
-      PluginContext Ctx;
+      const LowLevelCreateInstance &I;
       uint64_t Index = 0;
       bool AwaitClose = false;
-      explicit Stream(PluginContext C) : Ctx(std::move(C)) {}
+      explicit Stream(const LowLevelCreateInstance &I) : I(I) {}
       bool next(const MetaReply &Last, StreamStep &Out) override {
         if (AwaitClose) {
           Out.Req = makeClose(Last.Fh);
@@ -96,20 +98,21 @@ public:
           ++Index;
           return true;
         }
-        if (Index >= Ctx.ProblemSize)
+        if (Index >= I.NumFiles)
           return false;
-        Out.Req = makeOpen(Ctx.WorkDir +
+        Out.Req = makeOpen(std::string(I.WorkDir) +
                                format("/%llu", (unsigned long long)Index),
                            OpenWrite | OpenCreate);
         AwaitClose = true;
         return true;
       }
     };
-    return std::make_unique<Stream>(Ctx);
+    return std::make_unique<Stream>(*this);
   }
 
 private:
-  PluginContext Ctx;
+  std::string_view WorkDir; ///< borrowed from the subtask
+  uint64_t NumFiles;
 };
 
 class LowLevelCreatePlugin : public BenchmarkPlugin {

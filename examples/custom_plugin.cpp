@@ -26,9 +26,12 @@ namespace {
 /// Per-process state of the MailSpool benchmark.
 class MailSpoolInstance : public PluginInstance {
 public:
+  // The context's directories are borrowed; an instance keeps only what
+  // its streams read.
   explicit MailSpoolInstance(const PluginContext &Ctx)
-      : Ctx(Ctx), Tmp(Ctx.WorkDir + format("/tmp%u", Ctx.Ordinal)),
-        Spool(Ctx.WorkDir + format("/spool%u", Ctx.Ordinal)) {}
+      : Messages(Ctx.ProblemSize),
+        Tmp(std::string(Ctx.WorkDir) + format("/tmp%u", Ctx.Ordinal)),
+        Spool(std::string(Ctx.WorkDir) + format("/spool%u", Ctx.Ordinal)) {}
 
   std::unique_ptr<OpStream> prepare() override {
     struct Stream : OpStream {
@@ -61,7 +64,7 @@ public:
       FileHandle Fh = InvalidHandle;
       explicit Stream(MailSpoolInstance &I) : I(I) {}
       bool next(const MetaReply &Last, StreamStep &Out) override {
-        if (Msg >= I.Ctx.ProblemSize)
+        if (Msg >= I.Messages)
           return false;
         std::string TmpName =
             I.Tmp + format("/m%llu", (unsigned long long)Msg);
@@ -104,7 +107,7 @@ public:
       explicit Stream(MailSpoolInstance &I) : I(I) {}
       bool next(const MetaReply &, StreamStep &Out) override {
         if (Stage == 0) {
-          if (Msg < I.Ctx.ProblemSize) {
+          if (Msg < I.Messages) {
             Out.Req = makeUnlink(
                 I.Spool + format("/m%llu", (unsigned long long)Msg));
             ++Msg;
@@ -129,8 +132,7 @@ public:
   }
 
 private:
-  friend struct Stream;
-  PluginContext Ctx;
+  uint64_t Messages;
   std::string Tmp;
   std::string Spool;
 };

@@ -5,40 +5,63 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Preprocess.h"
+#include "support/Assert.h"
 #include "support/Format.h"
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 
 using namespace dmb;
 
+namespace {
+
+/// One interval's completions across all processes.
+struct IntervalSums {
+  uint64_t Total = 0;
+  double Sum = 0;   ///< per-process counts, summed in process order
+  double SumSq = 0; ///< their squares, summed in process order
+};
+
+} // namespace
+
+/// One sweep over every process's records: the per-interval sums of the
+/// subtask. A process adds nothing to the intervals it has no record for,
+/// and adding 0.0 leaves a double unchanged, so each sum is bit-identical
+/// to a loop over processes x intervals in the same process order.
+static std::vector<IntervalSums> sweepIntervals(const SubtaskResult &R) {
+  std::vector<IntervalSums> Sums(R.numIntervals());
+  for (const ProcessTrace &P : R.Processes)
+    P.OpsPerInterval.forEachRecord([&Sums](const IntervalCount &Rec) {
+      IntervalSums &S = Sums[Rec.Index];
+      S.Total += Rec.Count;
+      double X = static_cast<double>(Rec.Count);
+      S.Sum += X;
+      S.SumSq += X * X;
+    });
+  return Sums;
+}
+
 std::vector<IntervalRow> dmb::intervalSummary(const SubtaskResult &R) {
+  std::vector<IntervalSums> Sums = sweepIntervals(R);
   std::vector<IntervalRow> Rows;
-  size_t NumIntervals = R.numIntervals();
+  Rows.reserve(Sums.size());
   double IntervalSec = toSeconds(R.Interval);
   size_t NumProcs = R.Processes.size();
   uint64_t Cumulative = 0;
 
-  for (size_t I = 0; I < NumIntervals; ++I) {
-    // Per-process operations completed within interval I.
-    double Sum = 0, SumSq = 0;
-    uint64_t IntervalTotal = 0;
-    for (const ProcessTrace &P : R.Processes) {
-      uint64_t Ops = I < P.OpsPerInterval.size() ? P.OpsPerInterval[I] : 0;
-      IntervalTotal += Ops;
-      double X = static_cast<double>(Ops);
-      Sum += X;
-      SumSq += X * X;
-    }
-    Cumulative += IntervalTotal;
+  for (size_t I = 0; I < Sums.size(); ++I) {
+    const IntervalSums &S = Sums[I];
+    Cumulative += S.Total;
 
     IntervalRow Row;
     Row.TimeSec = static_cast<double>(I + 1) * IntervalSec;
     Row.TotalOps = Cumulative;
-    Row.OpsPerSec = static_cast<double>(IntervalTotal) / IntervalSec;
+    Row.OpsPerSec = static_cast<double>(S.Total) / IntervalSec;
     if (NumProcs > 1) {
-      double Mean = Sum / static_cast<double>(NumProcs);
-      double Var = (SumSq - Sum * Mean) / static_cast<double>(NumProcs - 1);
+      double Mean = S.Sum / static_cast<double>(NumProcs);
+      double Var =
+          (S.SumSq - S.Sum * Mean) / static_cast<double>(NumProcs - 1);
       if (Var < 0)
         Var = 0;
       // Sample standard deviation, as in Listing 3.4.
@@ -77,12 +100,10 @@ double dmb::stonewallAverage(const SubtaskResult &R) {
 }
 
 double dmb::averageForFixedOps(const SubtaskResult &R, uint64_t Ops) {
-  size_t NumIntervals = R.numIntervals();
+  std::vector<IntervalSums> Sums = sweepIntervals(R);
   uint64_t Cumulative = 0;
-  for (size_t I = 0; I < NumIntervals; ++I) {
-    for (const ProcessTrace &P : R.Processes)
-      if (I < P.OpsPerInterval.size())
-        Cumulative += P.OpsPerInterval[I];
+  for (size_t I = 0; I < Sums.size(); ++I) {
+    Cumulative += Sums[I].Total;
     if (Cumulative >= Ops) {
       double T = static_cast<double>(I + 1) * toSeconds(R.Interval);
       // Listing 3.5 semantics: the average covers the *first Ops
@@ -151,24 +172,40 @@ std::string dmb::canonicalResultText(const ResultSet &R) {
     // invariant is that the set of timelines (and every aggregate built
     // from it) does not change.
     std::vector<std::string> ProcLines;
+    ProcLines.reserve(S.Processes.size());
+    size_t LinesSize = 0;
     for (const ProcessTrace &P : S.Processes) {
-      std::string Line =
-          format("proc\tops=%llu\tfailed=%llu\tfinish=%.6f\t",
-                 (unsigned long long)P.TotalOps,
-                 (unsigned long long)P.FailedRequests,
-                 toSeconds(P.FinishOffset));
-      uint64_t Cum = 0;
-      char Buf[24];
-      for (uint64_t N : P.OpsPerInterval) {
-        Cum += N;
-        Line.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Cum).ptr);
+      // "proc\tops=%llu\tfailed=%llu\tfinish=%.6f\t" and the cumulative
+      // counts, in one allocation: no cumulative count has more digits
+      // than the total. The finish offset stays with snprintf, whose
+      // pages every run touches anyway; to_chars' floating-point tables
+      // would add to the resident set of every run.
+      char Buf[32];
+      size_t TotalDigits =
+          static_cast<size_t>(std::to_chars(Buf, Buf + 20, P.TotalOps).ptr -
+                              Buf);
+      std::string Line;
+      Line.reserve(96 + P.OpsPerInterval.numIntervals() * (TotalDigits + 1));
+      Line.append("proc\tops=").append(Buf, TotalDigits);
+      Line.append("\tfailed=");
+      Line.append(Buf, std::to_chars(Buf, Buf + 20, P.FailedRequests).ptr);
+      Line.append("\tfinish=");
+      int FinishSize = std::snprintf(Buf, sizeof(Buf), "%.6f",
+                                     toSeconds(P.FinishOffset));
+      DMB_ASSERT(FinishSize > 0 && FinishSize < int(sizeof(Buf)),
+                 "finish offset out of range");
+      Line.append(Buf, size_t(FinishSize)).append(1, '\t');
+      P.OpsPerInterval.forEachCumulative([&](uint64_t, uint64_t Cum) {
+        Line.append(Buf, std::to_chars(Buf, Buf + 20, Cum).ptr);
         Line += ',';
-      }
+      });
+      LinesSize += Line.size() + 1;
       ProcLines.push_back(std::move(Line));
     }
     std::sort(ProcLines.begin(), ProcLines.end());
+    Out.reserve(Out.size() + LinesSize);
     for (const std::string &Line : ProcLines)
-      Out += Line + "\n";
+      Out.append(Line).append(1, '\n');
     Out += intervalSummaryTsv(S);
     SubtaskSummary Sum = summarize(S);
     Out += format("total_ops\t%llu\n",

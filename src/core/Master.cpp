@@ -25,16 +25,6 @@ Master::Master(Cluster &Cl, const MpiEnvironment &Environment,
     : C(Cl), Env(Environment), Plc(Environment), FsName(std::move(Fs)),
       Params(std::move(P)) {}
 
-std::string Master::workDirFor(const PlanEntry &Entry, const std::string &Op,
-                               unsigned Ordinal) const {
-  if (!Params.PathList.empty())
-    return Params.PathList[Ordinal % Params.PathList.size()];
-  // Distinct root per subtask so consecutive combinations stay independent
-  // (\S 3.3.3: dependencies between operations are eliminated).
-  return Params.WorkDir +
-         format("/%s-%u-%u", Op.c_str(), Entry.NumNodes, Entry.PerNode);
-}
-
 SubtaskResult Master::runSubtask(const PlanEntry &Entry,
                                  const std::string &Operation) {
   BenchmarkPlugin *Plugin = PluginRegistry::global().get(Operation);
@@ -48,7 +38,21 @@ SubtaskResult Master::runSubtask(const PlanEntry &Entry,
   Spec.Plugin = Plugin;
   Spec.Params = Params;
 
-  for (unsigned I = 0, E = Entry.WorkerRanks.size(); I != E; ++I) {
+  // Each distinct directory is formatted and interned once, in worker
+  // order: the PathList entries, cycled over the workers in execution
+  // order, or else one distinct root per subtask, so consecutive
+  // combinations stay independent (\S 3.3.3: dependencies between
+  // operations are eliminated).
+  unsigned NumWorkers = Entry.WorkerRanks.size();
+  std::vector<uint32_t> PathListIds; ///< by PathList index, as reached
+  uint32_t RootId = 0;
+  if (Params.PathList.empty())
+    RootId = Spec.WorkDirs.intern(Params.WorkDir +
+                                  format("/%s-%u-%u", Operation.c_str(),
+                                         Entry.NumNodes, Entry.PerNode));
+  Spec.Workers.reserve(NumWorkers);
+  Spec.WorkDirs.reserve(NumWorkers);
+  for (unsigned I = 0; I != NumWorkers; ++I) {
     int Rank = Entry.WorkerRanks[I];
     unsigned NodeIndex = Env.nodeOf(Rank);
     ClusterNode &Node = C.node(NodeIndex);
@@ -61,7 +65,14 @@ SubtaskResult Master::runSubtask(const PlanEntry &Entry,
     W.Cpu = &Node.cpu();
     W.PerCallOverhead = Params.HarnessOverheadPerCall;
     Spec.Workers.push_back(std::move(W));
-    Spec.WorkDirs.push_back(workDirFor(Entry, Operation, I));
+    if (Params.PathList.empty()) {
+      Spec.WorkDirs.pushId(RootId);
+      continue;
+    }
+    size_t K = I % Params.PathList.size();
+    if (K == PathListIds.size())
+      PathListIds.push_back(Spec.WorkDirs.intern(Params.PathList[K]));
+    Spec.WorkDirs.pushId(PathListIds[K]);
   }
 
   SubtaskRunner Runner(C.scheduler(), std::move(Spec));

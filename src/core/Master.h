@@ -44,8 +44,6 @@ public:
 private:
   SubtaskResult runSubtask(const PlanEntry &Entry,
                            const std::string &Operation);
-  std::string workDirFor(const PlanEntry &Entry, const std::string &Op,
-                         unsigned Ordinal) const;
 
   Cluster &C;
   MpiEnvironment Env;

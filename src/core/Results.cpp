@@ -10,13 +10,6 @@
 
 using namespace dmb;
 
-uint64_t ProcessTrace::cumulativeAt(size_t Index) const {
-  uint64_t Sum = 0;
-  for (size_t I = 0; I <= Index && I < OpsPerInterval.size(); ++I)
-    Sum += OpsPerInterval[I];
-  return Sum;
-}
-
 uint64_t SubtaskResult::totalOps() const {
   uint64_t Sum = 0;
   for (const ProcessTrace &P : Processes)
@@ -27,23 +20,20 @@ uint64_t SubtaskResult::totalOps() const {
 size_t SubtaskResult::numIntervals() const {
   size_t Max = 0;
   for (const ProcessTrace &P : Processes)
-    Max = std::max(Max, P.OpsPerInterval.size());
+    Max = std::max<size_t>(Max, P.OpsPerInterval.numIntervals());
   return Max;
 }
 
 std::string SubtaskResult::toTsv() const {
   std::string Out =
       "Hostname\tOperation\tProcessNo\tTimestamp\tOperationsDone\n";
-  for (const ProcessTrace &P : Processes) {
-    uint64_t Cum = 0;
-    for (size_t I = 0, E = P.OpsPerInterval.size(); I != E; ++I) {
-      Cum += P.OpsPerInterval[I];
+  for (const ProcessTrace &P : Processes)
+    P.OpsPerInterval.forEachCumulative([&](uint64_t I, uint64_t Cum) {
       Out += format("%s\t%s\t%u\t%.1f\t%llu\n", P.Hostname.c_str(),
                     Operation.c_str(), P.Ordinal,
                     toSeconds(static_cast<SimDuration>(I + 1) * Interval),
                     (unsigned long long)Cum);
-    }
-  }
+    });
   return Out;
 }
 

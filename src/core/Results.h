@@ -15,6 +15,7 @@
 #ifndef DMETABENCH_CORE_RESULTS_H
 #define DMETABENCH_CORE_RESULTS_H
 
+#include "core/TimeLog.h"
 #include "sim/Time.h"
 #include <cstdint>
 #include <string>
@@ -27,16 +28,19 @@ struct ProcessTrace {
   int Rank = 0;
   unsigned Ordinal = 0;
   std::string Hostname;
-  /// Operations completed in each LogInterval-wide bucket of the bench
-  /// phase (not cumulative).
-  std::vector<uint64_t> OpsPerInterval;
+  /// Operations completed in each LogInterval-wide interval of the bench
+  /// phase (not cumulative), as sparse records: the process's TimeLog
+  /// counts, moved here when the subtask finishes.
+  IntervalCounts OpsPerInterval;
   uint64_t TotalOps = 0;
   /// Offset of the process's completion from the bench-phase start.
   SimDuration FinishOffset = 0;
   uint64_t FailedRequests = 0;
 
   /// Cumulative operations at boundary of interval \p Index.
-  uint64_t cumulativeAt(size_t Index) const;
+  uint64_t cumulativeAt(size_t Index) const {
+    return OpsPerInterval.cumulativeAt(Index);
+  }
 };
 
 /// Result of one subtask (one plan row for one operation; \S 3.3.9).

@@ -23,35 +23,38 @@ SubtaskRunner::SubtaskRunner(Scheduler &Sched, SubtaskSpec S)
 SubtaskRunner::~SubtaskRunner() = default;
 
 unsigned SubtaskRunner::partnerOf(unsigned Ordinal) const {
-  return (Ordinal + 1) % Spec.Workers.size();
+  return (Ordinal + 1) % Spec.WorkDirs.size();
 }
 
 void SubtaskRunner::run(std::function<void(SubtaskResult)> OnDone) {
   Done = std::move(OnDone);
 
-  // Build per-process plugin instances and worker engines. Workers issue
-  // requests under the run's credentials.
-  for (WorkerConfig &W : Spec.Workers)
-    W.Creds = Spec.Params.Creds;
-  for (unsigned I = 0, E = Spec.Workers.size(); I != E; ++I) {
+  // Build per-process plugin instances and worker engines. Each worker's
+  // configuration moves into its engine.
+  unsigned NumWorkers = Spec.Workers.size();
+  Instances.reserve(NumWorkers);
+  for (unsigned I = 0; I != NumWorkers; ++I) {
     PluginContext Ctx;
     Ctx.Rank = Spec.Workers[I].Rank;
     Ctx.Ordinal = I;
-    Ctx.TotalWorkers = E;
+    Ctx.TotalWorkers = NumWorkers;
     Ctx.WorkDir = Spec.WorkDirs[I];
     Ctx.PartnerOrdinal = partnerOf(I);
     Ctx.PartnerWorkDir = Spec.WorkDirs[Ctx.PartnerOrdinal];
     Ctx.ProblemSize = Spec.Params.ProblemSize;
     Ctx.Creds = Spec.Params.Creds;
     Instances.push_back(Spec.Plugin->makeInstance(Ctx));
-    Workers.emplace(Sched, Spec.Workers[I]);
+    // Workers issue requests under the run's credentials.
+    Spec.Workers[I].Creds = Spec.Params.Creds;
+    Workers.emplace(Sched, std::move(Spec.Workers[I]));
   }
-  BenchFailures.assign(Workers.size(), 0);
+  Spec.Workers = std::vector<WorkerConfig>();
+  BenchFailures.assign(NumWorkers, 0);
 
-  ensureWorkDirs([this]() { runPhaseAll(0, [this]() { finish(); }); });
+  ensureWorkDirs();
 }
 
-void SubtaskRunner::ensureWorkDirs(std::function<void()> Then) {
+void SubtaskRunner::ensureWorkDirs() {
   // Every distinct client (one per node) creates every path component of
   // every distinct working directory before the first barrier: on a shared
   // file system the duplicates return EEXIST; on node-local file systems
@@ -68,55 +71,47 @@ void SubtaskRunner::ensureWorkDirs(std::function<void()> Then) {
       Dirs.insert(Path);
     }
   }
-  // Deduplicate clients in Spec.Workers order, NOT via a pointer set's
+  MkdirDirs.assign(Dirs.begin(), Dirs.end());
+  // Deduplicate clients in worker order, NOT via a pointer set's
   // iteration: a std::set<ClientFs *> iterates in address order, which
   // would make the mkdir sequence (and with it the whole schedule) differ
   // between runs. The set is only a membership test; order comes from the
   // workers (linear, not quadratic — a million-worker spec visits here).
-  std::vector<ClientFs *> Clients;
   std::set<ClientFs *> SeenClients;
-  for (const WorkerConfig &W : Spec.Workers)
-    if (SeenClients.insert(W.Client).second)
-      Clients.push_back(W.Client);
-
-  auto Pending =
-      std::make_shared<std::vector<std::pair<ClientFs *, std::string>>>();
-  for (ClientFs *C : Clients)
-    for (const std::string &D : Dirs)
-      Pending->push_back({C, D});
-
-  auto ThenPtr = std::make_shared<std::function<void()>>(std::move(Then));
-  auto Step = std::make_shared<std::function<void()>>();
-  // The chain's continuations hold the only strong references; the step
-  // function itself captures weakly, or the chain would keep itself alive
-  // forever (shared_ptr cycle). Next walks by index: erasing the vector
-  // front would be quadratic over hundreds of thousands of mkdirs.
-  auto NextIdx = std::make_shared<size_t>(0);
-  std::weak_ptr<std::function<void()>> WeakStep = Step;
-  *Step = [Pending, NextIdx, ThenPtr, WeakStep]() {
-    if (*NextIdx == Pending->size()) {
-      (*ThenPtr)();
-      return;
-    }
-    auto [Client, Dir] = (*Pending)[(*NextIdx)++];
-    auto Next = WeakStep.lock();
-    Client->submit(makeMkdir(Dir), [Next](MetaReply) { (*Next)(); });
-  };
-  (*Step)();
+  for (size_t I = 0, E = Workers.size(); I != E; ++I)
+    if (ClientFs *C = Workers[I].config().Client; SeenClients.insert(C).second)
+      MkdirClients.push_back(C);
+  NextMkdir = 0;
+  nextMkdir();
 }
 
-void SubtaskRunner::runPhaseAll(int PhaseIndex, std::function<void()> Then) {
+void SubtaskRunner::nextMkdir() {
+  // One mkdir at a time, each client's directories in order; the work
+  // list is walked by index, never erased from the front.
+  if (NextMkdir == MkdirClients.size() * MkdirDirs.size()) {
+    MkdirClients = std::vector<ClientFs *>();
+    MkdirDirs = std::vector<std::string>();
+    runPhaseAll(0);
+    return;
+  }
+  size_t I = NextMkdir++;
+  ClientFs *Client = MkdirClients[I / MkdirDirs.size()];
+  Client->submit(makeMkdir(MkdirDirs[I % MkdirDirs.size()]),
+                 [this](MetaReply) { nextMkdir(); });
+}
+
+void SubtaskRunner::runPhaseAll(int PhaseIndex) {
   // Barrier semantics: all workers start the phase at the same simulated
   // time, and the next phase begins only after the last worker finished.
+  Phase = PhaseIndex;
   Remaining = Workers.size();
-  auto ThenPtr = std::make_shared<std::function<void()>>(std::move(Then));
 
   bool IsBench = PhaseIndex == 1;
   SimTime Deadline = 0;
   if (IsBench) {
     // The beforeBench hook runs between the phases (cache dropping).
     for (unsigned I = 0, E = Workers.size(); I != E; ++I)
-      Instances[I]->beforeBench(*Spec.Workers[I].Client);
+      Instances[I]->beforeBench(*Workers[I].config().Client);
     BenchStart = Sched.now();
     if (Spec.Plugin->isTimeLimited())
       Deadline = BenchStart + Spec.Params.TimeLimit;
@@ -140,22 +135,27 @@ void SubtaskRunner::runPhaseAll(int PhaseIndex, std::function<void()> Then) {
     default:
       DMB_ASSERT(false, "invalid phase");
     }
+    // The completion names only the runner and the worker, so it fits
+    // std::function's inline buffer.
     W.runPhase(std::move(Stream), /*Record=*/IsBench, Deadline,
-               [this, &W, I, IsBench, PhaseIndex, ThenPtr]() {
-                 if (IsBench) {
-                   W.log().finish(Sched.now());
-                   // Snapshot failures before cleanup adds expected ones
-                   // (e.g. ENOTEMPTY on a shared directory).
-                   BenchFailures[I] = W.failedRequests();
-                 }
-                 if (--Remaining == 0) {
-                   if (PhaseIndex < 2)
-                     runPhaseAll(PhaseIndex + 1, std::move(*ThenPtr));
-                   else
-                     (*ThenPtr)();
-                 }
-               });
+               [this, I]() { phaseDone(I); });
   }
+}
+
+void SubtaskRunner::phaseDone(unsigned I) {
+  if (Phase == 1) {
+    WorkerProcess &W = Workers[I];
+    W.log().finish(Sched.now());
+    // Snapshot failures before cleanup adds expected ones (e.g.
+    // ENOTEMPTY on a shared directory).
+    BenchFailures[I] = W.failedRequests();
+  }
+  if (--Remaining != 0)
+    return;
+  if (Phase < 2)
+    runPhaseAll(Phase + 1);
+  else
+    finish();
 }
 
 void SubtaskRunner::finish() {
@@ -170,11 +170,11 @@ void SubtaskRunner::finish() {
   Result.Processes.reserve(Workers.size());
   for (unsigned I = 0, E = Workers.size(); I != E; ++I) {
     WorkerProcess &W = Workers[I];
+    const WorkerConfig &Config = W.config();
     ProcessTrace Trace;
-    Trace.Rank = Spec.Workers[I].Rank;
+    Trace.Rank = Config.Rank;
     Trace.Ordinal = I;
-    Trace.Hostname =
-        Spec.Workers[I].Hostname ? *Spec.Workers[I].Hostname : std::string();
+    Trace.Hostname = Config.Hostname ? *Config.Hostname : std::string();
     Trace.OpsPerInterval = W.log().takeOpsPerInterval();
     Trace.TotalOps = W.log().totalOps();
     Trace.FinishOffset = W.log().finishOffset();

@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmb {
@@ -36,11 +37,18 @@ namespace dmb {
 /// one directory per subtask (or a short PathList cycle), so at 1M
 /// workers the per-worker strings are overwhelmingly duplicates: the
 /// table keeps one copy of each distinct path plus a 4-byte id per
-/// worker, instead of a 32+-byte std::string per worker. push_back keeps
-/// the old vector-of-strings call-site shape.
+/// worker, instead of a 32+-byte std::string per worker. The copies never
+/// move, so a PluginContext borrows its directories from here.
 class WorkDirTable {
 public:
-  void push_back(const std::string &Dir) { Ids.push_back(Pool.intern(Dir)); }
+  /// The id of \p Dir, interned; add it to workers with pushId().
+  uint32_t intern(std::string_view Dir) { return Pool.intern(Dir); }
+  /// Assigns the directory \p Id (from intern()) to the next worker.
+  void pushId(uint32_t Id) { Ids.push_back(Id); }
+  /// Assigns \p Dir to the next worker.
+  void push_back(std::string_view Dir) { pushId(intern(Dir)); }
+  void reserve(size_t Workers) { Ids.reserve(Workers); }
+
   const std::string &operator[](size_t I) const {
     return Pool.name(Ids[I]);
   }
@@ -63,8 +71,10 @@ struct SubtaskSpec {
   unsigned PerNode = 0;
   BenchmarkPlugin *Plugin = nullptr;
   BenchParams Params;
-  std::vector<WorkerConfig> Workers;   ///< in execution order (Fig. 3.9)
-  WorkDirTable WorkDirs;               ///< per worker (Fig. 3.10), interned
+  /// In execution order (Fig. 3.9); the runner moves each into its
+  /// WorkerProcess, so a worker's configuration exists once.
+  std::vector<WorkerConfig> Workers;
+  WorkDirTable WorkDirs; ///< per worker (Fig. 3.10), interned
 };
 
 /// Drives a subtask through prepare / doBench / cleanup.
@@ -78,8 +88,15 @@ public:
   void run(std::function<void(SubtaskResult)> Done);
 
 private:
-  void ensureWorkDirs(std::function<void()> Then);
-  void runPhaseAll(int PhaseIndex, std::function<void()> Then);
+  /// Creates every path component of every distinct working directory on
+  /// every distinct client, one mkdir at a time, then starts phase 0.
+  void ensureWorkDirs();
+  void nextMkdir();
+  /// Starts phase \p PhaseIndex (0 prepare, 1 bench, 2 cleanup) on every
+  /// worker at once.
+  void runPhaseAll(int PhaseIndex);
+  /// Worker \p I finished the current phase: the barrier counts it.
+  void phaseDone(unsigned I);
   void finish();
   /// The partner of worker \p Ordinal: the next worker in round-robin
   /// order, which lives on a different node whenever more than one node
@@ -88,10 +105,18 @@ private:
 
   Scheduler &Sched;
   SubtaskSpec Spec;
+  /// Declared before Workers: a worker's stream may borrow from its
+  /// instance, so the workers go first.
+  std::vector<std::unique_ptr<PluginInstance>> Instances;
   /// Slab-allocated worker state: one chunked allocation per 256 workers
   /// instead of a unique_ptr + malloc each (core/WorkerArena.h).
   SlabArena<WorkerProcess> Workers;
-  std::vector<std::unique_ptr<PluginInstance>> Instances;
+  /// ensureWorkDirs' work list: every directory on every client, in
+  /// client-major order; emptied once phase 0 starts.
+  std::vector<ClientFs *> MkdirClients;
+  std::vector<std::string> MkdirDirs;
+  size_t NextMkdir = 0;
+  int Phase = -1;
   SimTime BenchStart = 0;
   std::function<void(SubtaskResult)> Done;
   unsigned Remaining = 0;

@@ -559,10 +559,9 @@ void FileServer::process(const std::string &Volume, const MetaRequest &Req,
 
 void FileServer::process(uint32_t VolId, const MetaRequest &Req,
                          Callback Done) {
-  admit(VolId, Req, [&Done](MetaReply &&R) -> std::function<void()> {
-    return [Done = std::move(Done), R = std::move(R)]() mutable {
-      Done(std::move(R));
-    };
+  admit(VolId, Req, [this, &Done](MetaReply &&R) -> std::function<void()> {
+    uint32_t Slot = Replies.park(std::move(Done), std::move(R));
+    return [this, Slot]() { Replies.deliver(Slot); };
   });
 }
 

@@ -19,6 +19,7 @@
 #include "dfs/FsAdmin.h"
 #include "dfs/Journal.h"
 #include "dfs/Message.h"
+#include "dfs/ReplyPark.h"
 #include "fs/CostModel.h"
 #include "fs/LocalFileSystem.h"
 #include "sim/Resource.h"
@@ -114,7 +115,8 @@ public:
 
   /// Processes \p Req against the volume \p VolId (from volumeId()). The
   /// reply callback fires after CPU queueing + service (+ commit latency
-  /// for mutations).
+  /// for mutations). The callback and the reply wait in a ReplyPark
+  /// meanwhile, so the CPU completion holds no heap block of its own.
   void process(uint32_t VolId, const MetaRequest &Req, Callback Done);
   /// The same, with the reply stored by the caller: it is moved into
   /// \p Reply when the request executes (at arrival), and \p Done fires
@@ -312,6 +314,10 @@ private:
   void persisted(uint64_t Seq);
   std::vector<std::function<void(const std::string &, const MetaRequest &)>>
       Watchers;
+
+  /// The replies of the Callback overload of process(), parked with their
+  /// callbacks from execution until the CPU finishes the request.
+  ReplyPark Replies;
 
   /// Duplicate-request cache, FIFO-bounded by the configured size.
   DuplicateRequestCache Drc;

@@ -422,9 +422,10 @@ void WriteBehindQueue::ackAfter(SimDuration Delay, Callback Done,
     });
     return;
   }
-  Sched.after(Delay, [Done = std::move(Done), Reply]() mutable {
-    Done(std::move(Reply));
-  });
+  // Any other reply (an eager creating open's, with the server's
+  // attributes) is parked; the event names its slot.
+  uint32_t Slot = ParkedAcks.park(std::move(Done), Reply);
+  Sched.after(Delay, [this, Slot]() { ParkedAcks.deliver(Slot); });
 }
 
 void WriteBehindQueue::maybeTrigger() {

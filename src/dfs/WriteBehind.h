@@ -39,6 +39,7 @@
 #include "dfs/AttrCache.h"
 #include "dfs/ClientConfig.h"
 #include "dfs/Message.h"
+#include "dfs/ReplyPark.h"
 #include "sim/Scheduler.h"
 #include "support/FlatTable.h"
 #include "support/RingQueue.h"
@@ -261,8 +262,8 @@ private:
   static MetaReply predictReply(const MetaRequest &Req);
   /// Delivers \p Reply to \p Done after \p Delay. A reply with no more
   /// than a predicted one fills (Err, Fh, Bytes and an attribute mode)
-  /// travels as those fields, so the event needs no heap; any other
-  /// travels whole.
+  /// travels as those fields; any other waits in ParkedAcks. Either way
+  /// the event needs no heap.
   void ackAfter(SimDuration Delay, Callback Done, const MetaReply &Reply);
   void localAck(Callback Done, const MetaReply &Reply) {
     ackAfter(Policy.LocalAckCost, std::move(Done), Reply);
@@ -324,6 +325,10 @@ private:
   uint64_t QueuedBytes = 0;  ///< queued write bytes (byte trigger)
   uint64_t TimerEpoch = 0;   ///< invalidates stale dwell timers
   bool TimerArmed = false;
+
+  /// Local acks whose replies are more than their predicted fields,
+  /// parked until their events fire.
+  ReplyPark ParkedAcks;
 
   RingQueue<StalledEnqueue> Stalled; ///< enqueues over the cap
   std::vector<Callback> IdleWaiters; ///< whole-queue fsync barriers

@@ -18,7 +18,6 @@
 
 #include "workload/Plugin.h"
 #include "workload/StreamHelpers.h"
-#include "support/Format.h"
 
 using namespace dmb;
 
@@ -28,19 +27,44 @@ namespace {
 class PreparedSetInstance : public PluginInstance {
 public:
   explicit PreparedSetInstance(const PluginContext &Ctx)
-      : Ctx(Ctx), Own(ownDir(Ctx)) {}
+      : Own(Ctx), NumFiles(Ctx.ProblemSize) {}
 
   std::unique_ptr<OpStream> prepare() override {
-    return makeFileSetPrepare(Own, Ctx.ProblemSize);
+    return makeFileSetPrepare(Own, NumFiles);
   }
 
   std::unique_ptr<OpStream> cleanup() override {
-    return makeFileSetCleanup(Own, Ctx.ProblemSize);
+    return makeFileSetCleanup(Own, NumFiles);
   }
 
 protected:
-  PluginContext Ctx;
-  std::string Own;
+  ProcessDir Own;
+  uint64_t NumFiles;
+};
+
+/// \p Times listings of the prepared directory <own>/d0, each completing
+/// \p OpCount operations.
+class ListingStream final : public OpStream {
+public:
+  ListingStream(const ProcessDir &Own, MetaRequest (*Make)(std::string),
+                uint64_t Times, uint64_t OpCount)
+      : Own(Own), Make(Make), Remaining(Times), OpCount(OpCount) {}
+
+  bool next(const MetaReply &, StreamStep &Out) override {
+    if (Remaining == 0)
+      return false;
+    --Remaining;
+    Out.Req = Make(Own.child("d", 0));
+    Out.CompletesOp = true;
+    Out.OpCount = OpCount;
+    return true;
+  }
+
+private:
+  const ProcessDir &Own;
+  MetaRequest (*Make)(std::string);
+  uint64_t Remaining;
+  uint64_t OpCount;
 };
 
 /// One readdirplus request covers the whole prepared directory; the
@@ -55,19 +79,8 @@ public:
   }
 
   std::unique_ptr<OpStream> bench() override {
-    auto Issued = std::make_shared<bool>(false);
-    std::string Dir = Own + "/d0";
-    uint64_t Count = Ctx.ProblemSize;
-    return makeStream(
-        [Issued, Dir, Count](const MetaReply &, StreamStep &Out) {
-          if (*Issued)
-            return false;
-          *Issued = true;
-          Out.Req = makeReaddirPlus(Dir);
-          Out.CompletesOp = true;
-          Out.OpCount = Count;
-          return true;
-        });
+    return std::make_unique<ListingStream>(Own, makeReaddirPlus,
+                                           /*Times=*/1, NumFiles);
   }
 };
 
@@ -78,16 +91,8 @@ public:
 
   std::unique_ptr<OpStream> bench() override {
     // List the directory 100 times; each full listing is one operation.
-    auto Remaining = std::make_shared<uint64_t>(100);
-    std::string Dir = Own + "/d0";
-    return makeStream([Remaining, Dir](const MetaReply &, StreamStep &Out) {
-      if (*Remaining == 0)
-        return false;
-      --*Remaining;
-      Out.Req = makeReaddir(Dir);
-      Out.CompletesOp = true;
-      return true;
-    });
+    return std::make_unique<ListingStream>(Own, makeReaddir, /*Times=*/100,
+                                           /*OpCount=*/1);
   }
 };
 

@@ -22,17 +22,21 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmb {
 
 /// Per-worker-process information a plugin instance is constructed with.
+/// The two directories are borrowed from the subtask's interned work
+/// directories, which outlive every instance of the subtask: an instance
+/// may keep the views, not only read them while it is constructed.
 struct PluginContext {
-  int Rank = 1;               ///< MPI rank
-  unsigned Ordinal = 0;       ///< position in execution order (Fig. 3.9)
-  unsigned TotalWorkers = 1;  ///< workers in this subtask
-  std::string WorkDir;        ///< assigned working directory (\S 3.3.6)
-  std::string PartnerWorkDir; ///< partner's working directory
+  int Rank = 1;                    ///< MPI rank
+  unsigned Ordinal = 0;            ///< position in execution order (Fig. 3.9)
+  unsigned TotalWorkers = 1;       ///< workers in this subtask
+  std::string_view WorkDir;        ///< assigned working directory (\S 3.3.6)
+  std::string_view PartnerWorkDir; ///< partner's working directory
   unsigned PartnerOrdinal = 0; ///< partner process (other node if possible)
   uint64_t ProblemSize = 5000;
   Cred Creds;
@@ -49,7 +53,9 @@ struct StreamStep {
   uint64_t OpCount = 1;
 };
 
-/// A lazily generated sequence of requests forming one phase.
+/// A lazily generated sequence of requests forming one phase. A stream
+/// owns its state and lives only while its phase runs: it may borrow from
+/// the instance that made it, which outlives every one of its streams.
 class OpStream {
 public:
   virtual ~OpStream();

@@ -14,103 +14,138 @@
 
 #include "workload/Plugin.h"
 #include "workload/StreamHelpers.h"
-#include "support/Format.h"
 #include <charconv>
-#include <functional>
 #include <iterator>
 
 using namespace dmb;
 
-std::unique_ptr<OpStream> dmb::makeStream(CallbackStream::Generator G) {
-  return std::make_unique<CallbackStream>(std::move(G));
-}
+namespace {
 
-std::unique_ptr<OpStream> dmb::emptyStream() {
-  return makeStream([](const MetaReply &, StreamStep &) { return false; });
-}
+/// The decimal digits of a number, printed into the stack.
+struct Digits {
+  explicit Digits(uint64_t N)
+      : Size(static_cast<size_t>(std::to_chars(Buf, std::end(Buf), N).ptr -
+                                 Buf)) {}
+  std::string_view view() const { return {Buf, Size}; }
 
-std::string dmb::ownDir(const PluginContext &Ctx) {
-  return Ctx.WorkDir + format("/p%u", Ctx.Ordinal);
-}
+  char Buf[20]; // 2^64 has 20 decimal digits
+  size_t Size;
+};
 
-std::string dmb::objectPath(std::string_view Own, uint64_t Dir,
-                            uint64_t Index) {
-  char DirDigits[20], IndexDigits[20]; // 2^64 has 20 decimal digits
-  char *DirEnd = std::to_chars(DirDigits, std::end(DirDigits), Dir).ptr;
-  char *IndexEnd =
-      std::to_chars(IndexDigits, std::end(IndexDigits), Index).ptr;
+} // namespace
+
+std::string ProcessDir::path() const {
+  Digits Ord(Ordinal);
   std::string Path;
-  Path.reserve(Own.size() + 3 + static_cast<size_t>(DirEnd - DirDigits) +
-               static_cast<size_t>(IndexEnd - IndexDigits));
-  Path.append(Own).append("/d").append(DirDigits, DirEnd);
-  Path.append(1, '/').append(IndexDigits, IndexEnd);
+  Path.reserve(WorkDir.size() + 2 + Ord.Size);
+  Path.append(WorkDir).append("/p").append(Ord.view());
   return Path;
 }
 
-std::unique_ptr<OpStream> dmb::makeFileSetPrepare(std::string Own,
-                                                  uint64_t NumFiles) {
-  struct State {
-    enum { MkOwn, MkD0, OpenFile, CloseFile, Done } Phase = MkOwn;
-    uint64_t Index = 0;
-  };
-  auto St = std::make_shared<State>();
-  return makeStream([St, Own, NumFiles](const MetaReply &Last,
-                                        StreamStep &Out) {
-    switch (St->Phase) {
-    case State::MkOwn:
-      Out.Req = makeMkdir(Own);
-      St->Phase = State::MkD0;
+std::string ProcessDir::child(std::string_view Prefix, uint64_t N) const {
+  Digits Ord(Ordinal), Num(N);
+  std::string Path;
+  Path.reserve(WorkDir.size() + 3 + Ord.Size + Prefix.size() + Num.Size);
+  Path.append(WorkDir).append("/p").append(Ord.view());
+  Path.append(1, '/').append(Prefix).append(Num.view());
+  return Path;
+}
+
+std::string ProcessDir::object(uint64_t Dir, uint64_t Index) const {
+  Digits Ord(Ordinal), D(Dir), I(Index);
+  std::string Path;
+  Path.reserve(WorkDir.size() + 5 + Ord.Size + D.Size + I.Size);
+  Path.append(WorkDir).append("/p").append(Ord.view());
+  Path.append("/d").append(D.view()).append(1, '/').append(I.view());
+  return Path;
+}
+
+namespace {
+
+/// The prepare phase of Listing 3.1.
+class FileSetPrepare final : public OpStream {
+public:
+  FileSetPrepare(const ProcessDir &Own, uint64_t NumFiles)
+      : Own(Own), NumFiles(NumFiles) {}
+
+  bool next(const MetaReply &Last, StreamStep &Out) override {
+    switch (Phase) {
+    case MkOwn:
+      Out.Req = makeMkdir(Own.path());
+      Phase = MkD0;
       return true;
-    case State::MkD0:
-      Out.Req = makeMkdir(Own + "/d0");
-      St->Phase = NumFiles ? State::OpenFile : State::Done;
+    case MkD0:
+      Out.Req = makeMkdir(Own.child("d", 0));
+      Phase = NumFiles ? OpenFile : Done;
       return true;
-    case State::OpenFile:
-      Out.Req = makeOpen(objectPath(Own, 0, St->Index),
-                         OpenWrite | OpenCreate);
-      St->Phase = State::CloseFile;
+    case OpenFile:
+      Out.Req = makeOpen(Own.object(0, Index), OpenWrite | OpenCreate);
+      Phase = CloseFile;
       return true;
-    case State::CloseFile:
+    case CloseFile:
       Out.Req = makeClose(Last.Fh);
-      ++St->Index;
-      St->Phase = St->Index < NumFiles ? State::OpenFile : State::Done;
+      ++Index;
+      Phase = Index < NumFiles ? OpenFile : Done;
       return true;
-    case State::Done:
+    case Done:
       return false;
     }
     return false;
-  });
+  }
+
+private:
+  const ProcessDir &Own;
+  uint64_t NumFiles;
+  uint64_t Index = 0;
+  enum { MkOwn, MkD0, OpenFile, CloseFile, Done } Phase = MkOwn;
+};
+
+/// The cleanup phase of Listing 3.1.
+class FileSetCleanup final : public OpStream {
+public:
+  FileSetCleanup(const ProcessDir &Own, uint64_t NumFiles)
+      : Own(Own), NumFiles(NumFiles) {}
+
+  bool next(const MetaReply &, StreamStep &Out) override {
+    switch (Stage) {
+    case UnlinkFiles:
+      if (Index < NumFiles) {
+        Out.Req = makeUnlink(Own.object(0, Index));
+        ++Index;
+        return true;
+      }
+      [[fallthrough]];
+    case RmdirD0:
+      Out.Req = makeRmdir(Own.child("d", 0));
+      Stage = RmdirOwn;
+      return true;
+    case RmdirOwn:
+      Out.Req = makeRmdir(Own.path());
+      Stage = Done;
+      return true;
+    case Done:
+      return false;
+    }
+    return false;
+  }
+
+private:
+  const ProcessDir &Own;
+  uint64_t NumFiles;
+  uint64_t Index = 0;
+  enum { UnlinkFiles, RmdirD0, RmdirOwn, Done } Stage = UnlinkFiles;
+};
+
+} // namespace
+
+std::unique_ptr<OpStream> dmb::makeFileSetPrepare(const ProcessDir &Own,
+                                                  uint64_t NumFiles) {
+  return std::make_unique<FileSetPrepare>(Own, NumFiles);
 }
 
-std::unique_ptr<OpStream> dmb::makeFileSetCleanup(std::string Own,
+std::unique_ptr<OpStream> dmb::makeFileSetCleanup(const ProcessDir &Own,
                                                   uint64_t NumFiles) {
-  struct State {
-    uint64_t Index = 0;
-    int Stage = 0; // 0 = unlink files, 1 = rmdir d0, 2 = rmdir own, 3 done
-  };
-  auto St = std::make_shared<State>();
-  return makeStream(
-      [St, Own, NumFiles](const MetaReply &, StreamStep &Out) {
-        if (St->Stage == 0) {
-          if (St->Index < NumFiles) {
-            Out.Req = makeUnlink(objectPath(Own, 0, St->Index));
-            ++St->Index;
-            return true;
-          }
-          St->Stage = 1;
-        }
-        if (St->Stage == 1) {
-          Out.Req = makeRmdir(Own + "/d0");
-          St->Stage = 2;
-          return true;
-        }
-        if (St->Stage == 2) {
-          Out.Req = makeRmdir(Own);
-          St->Stage = 3;
-          return true;
-        }
-        return false;
-      });
+  return std::make_unique<FileSetCleanup>(Own, NumFiles);
 }
 
 namespace {
@@ -127,7 +162,7 @@ class MakeObjectsInstance : public PluginInstance {
 public:
   MakeObjectsInstance(const PluginContext &Ctx, uint64_t WriteBytes,
                       bool Directories)
-      : Ctx(Ctx), Own(ownDir(Ctx)), WriteBytes(WriteBytes),
+      : Own(Ctx), PerDir(Ctx.ProblemSize), WriteBytes(WriteBytes),
         Directories(Directories) {}
 
   std::unique_ptr<OpStream> prepare() override {
@@ -135,103 +170,117 @@ public:
   }
 
   std::unique_ptr<OpStream> bench() override {
-    struct State {
-      enum { Next, AwaitWrite, AwaitClose, NewDir } Phase = Next;
-      FileHandle Fh = InvalidHandle;
-    };
-    auto St = std::make_shared<State>();
-    return makeStream([this, St](const MetaReply &Last, StreamStep &Out) {
-      switch (St->Phase) {
-      case State::NewDir:
-        // The mkdir completed; fall through to create the next object.
-        ++CurDir;
-        InDir = 0;
-        St->Phase = State::Next;
-        [[fallthrough]];
-      case State::Next: {
-        if (InDir >= Ctx.ProblemSize) {
-          // Rollover: limit entries per directory (\S 3.3.7).
-          Out.Req = makeMkdir(Own + format("/d%llu",
-                                           (unsigned long long)(CurDir + 1)));
-          St->Phase = State::NewDir;
-          return true;
-        }
-        std::string Path = objectPath(Own, CurDir, InDir);
-        if (Directories) {
-          Out.Req = makeMkdir(Path);
-          Out.CompletesOp = true;
-          ++InDir;
-          ++Created;
-          return true;
-        }
-        Out.Req = makeOpen(Path, OpenWrite | OpenCreate);
-        St->Phase = WriteBytes ? State::AwaitWrite : State::AwaitClose;
-        return true;
-      }
-      case State::AwaitWrite:
-        St->Fh = Last.Fh;
-        Out.Req = makeWrite(Last.Fh, WriteBytes);
-        St->Phase = State::AwaitClose;
-        return true;
-      case State::AwaitClose:
-        Out.Req = makeClose(WriteBytes ? St->Fh : Last.Fh);
-        Out.CompletesOp = true;
-        ++InDir;
-        ++Created;
-        St->Phase = State::Next;
-        return true;
-      }
-      return false;
-    });
+    return std::make_unique<BenchStream>(*this);
   }
 
   std::unique_ptr<OpStream> cleanup() override {
-    struct State {
-      uint64_t Dir = 0;
-      uint64_t Index = 0;
-      int Stage = 0; // 0 objects, 1 dirs, 2 own, 3 done
-    };
-    auto St = std::make_shared<State>();
-    uint64_t Total = Created;
-    uint64_t PerDir = Ctx.ProblemSize;
-    uint64_t NumDirs = CurDir + 1;
-    return makeStream([this, St, Total, PerDir,
-                       NumDirs](const MetaReply &, StreamStep &Out) {
-      if (St->Stage == 0) {
-        uint64_t Global = St->Dir * PerDir + St->Index;
-        if (Global < Total) {
-          std::string Path = objectPath(Own, St->Dir, St->Index);
-          Out.Req = Directories ? makeRmdir(Path) : makeUnlink(Path);
-          if (++St->Index == PerDir) {
-            St->Index = 0;
-            ++St->Dir;
-          }
-          return true;
-        }
-        St->Stage = 1;
-        St->Dir = 0;
-      }
-      if (St->Stage == 1) {
-        if (St->Dir < NumDirs) {
-          Out.Req = makeRmdir(Own + format("/d%llu",
-                                           (unsigned long long)St->Dir));
-          ++St->Dir;
-          return true;
-        }
-        St->Stage = 2;
-      }
-      if (St->Stage == 2) {
-        Out.Req = makeRmdir(Own);
-        St->Stage = 3;
-        return true;
-      }
-      return false;
-    });
+    return std::make_unique<CleanupStream>(*this);
   }
 
 private:
-  PluginContext Ctx;
-  std::string Own;
+  /// Creates objects, rolling over to a fresh subdirectory every PerDir.
+  class BenchStream final : public OpStream {
+  public:
+    explicit BenchStream(MakeObjectsInstance &I) : I(I) {}
+
+    bool next(const MetaReply &Last, StreamStep &Out) override {
+      switch (Phase) {
+      case NewDir:
+        // The mkdir completed; fall through to create the next object.
+        ++I.CurDir;
+        I.InDir = 0;
+        Phase = Next;
+        [[fallthrough]];
+      case Next: {
+        if (I.InDir >= I.PerDir) {
+          // Rollover: limit entries per directory (\S 3.3.7).
+          Out.Req = makeMkdir(I.Own.child("d", I.CurDir + 1));
+          Phase = NewDir;
+          return true;
+        }
+        std::string Path = I.Own.object(I.CurDir, I.InDir);
+        if (I.Directories) {
+          Out.Req = makeMkdir(std::move(Path));
+          Out.CompletesOp = true;
+          ++I.InDir;
+          ++I.Created;
+          return true;
+        }
+        Out.Req = makeOpen(std::move(Path), OpenWrite | OpenCreate);
+        Phase = I.WriteBytes ? AwaitWrite : AwaitClose;
+        return true;
+      }
+      case AwaitWrite:
+        Fh = Last.Fh;
+        Out.Req = makeWrite(Last.Fh, I.WriteBytes);
+        Phase = AwaitClose;
+        return true;
+      case AwaitClose:
+        Out.Req = makeClose(I.WriteBytes ? Fh : Last.Fh);
+        Out.CompletesOp = true;
+        ++I.InDir;
+        ++I.Created;
+        Phase = Next;
+        return true;
+      }
+      return false;
+    }
+
+  private:
+    MakeObjectsInstance &I;
+    FileHandle Fh = InvalidHandle;
+    enum { Next, AwaitWrite, AwaitClose, NewDir } Phase = Next;
+  };
+
+  /// Removes every created object, then the subdirectories, then <own>.
+  class CleanupStream final : public OpStream {
+  public:
+    explicit CleanupStream(const MakeObjectsInstance &I)
+        : I(I), NumDirs(I.CurDir + 1) {}
+
+    bool next(const MetaReply &, StreamStep &Out) override {
+      switch (Stage) {
+      case Objects:
+        if (Dir * I.PerDir + Index < I.Created) {
+          std::string Path = I.Own.object(Dir, Index);
+          Out.Req = I.Directories ? makeRmdir(std::move(Path))
+                                  : makeUnlink(std::move(Path));
+          if (++Index == I.PerDir) {
+            Index = 0;
+            ++Dir;
+          }
+          return true;
+        }
+        Stage = Dirs;
+        Dir = 0;
+        [[fallthrough]];
+      case Dirs:
+        if (Dir < NumDirs) {
+          Out.Req = makeRmdir(I.Own.child("d", Dir));
+          ++Dir;
+          return true;
+        }
+        [[fallthrough]];
+      case RmdirOwn:
+        Out.Req = makeRmdir(I.Own.path());
+        Stage = Done;
+        return true;
+      case Done:
+        return false;
+      }
+      return false;
+    }
+
+  private:
+    const MakeObjectsInstance &I;
+    uint64_t NumDirs;
+    uint64_t Dir = 0;
+    uint64_t Index = 0;
+    enum { Objects, Dirs, RmdirOwn, Done } Stage = Objects;
+  };
+
+  ProcessDir Own;
+  uint64_t PerDir;
   uint64_t WriteBytes;
   bool Directories;
   uint64_t CurDir = 0;
@@ -267,7 +316,7 @@ private:
 class MakeOnedirInstance : public PluginInstance {
 public:
   explicit MakeOnedirInstance(const PluginContext &Ctx)
-      : Ctx(Ctx), Shared(Ctx.WorkDir + "/shared"),
+      : WorkDir(Ctx.WorkDir), Ordinal(Ctx.Ordinal),
         // The problem size is the *total* number of files; every process
         // creates 1/n of it (Table 3.5).
         PerProcess(std::max<uint64_t>(1, Ctx.ProblemSize /
@@ -275,67 +324,99 @@ public:
   }
 
   std::unique_ptr<OpStream> prepare() override {
-    auto First = std::make_shared<bool>(true);
-    // Every process tries the mkdir; all but one see EEXIST — harmless.
-    return makeStream([this, First](const MetaReply &, StreamStep &Out) {
-      if (!*First)
-        return false;
-      *First = false;
-      Out.Req = makeMkdir(Shared);
-      return true;
-    });
+    return std::make_unique<PrepareStream>(*this);
   }
 
   std::unique_ptr<OpStream> bench() override {
-    struct State {
-      uint64_t Index = 0;
-      bool AwaitClose = false;
-    };
-    auto St = std::make_shared<State>();
-    return makeStream([this, St](const MetaReply &Last, StreamStep &Out) {
-      if (St->AwaitClose) {
-        Out.Req = makeClose(Last.Fh);
-        Out.CompletesOp = true;
-        St->AwaitClose = false;
-        ++St->Index;
-        return true;
-      }
-      if (St->Index >= PerProcess)
-        return false;
-      Out.Req = makeOpen(Shared + format("/p%u-%llu", Ctx.Ordinal,
-                                         (unsigned long long)St->Index),
-                         OpenWrite | OpenCreate);
-      St->AwaitClose = true;
-      return true;
-    });
+    return std::make_unique<BenchStream>(*this);
   }
 
   std::unique_ptr<OpStream> cleanup() override {
-    struct State {
-      uint64_t Index = 0;
-      bool TriedRmdir = false;
-    };
-    auto St = std::make_shared<State>();
-    return makeStream([this, St](const MetaReply &, StreamStep &Out) {
-      if (St->Index < PerProcess) {
-        Out.Req = makeUnlink(Shared + format("/p%u-%llu", Ctx.Ordinal,
-                                             (unsigned long long)St->Index));
-        ++St->Index;
-        return true;
-      }
-      if (!St->TriedRmdir) {
-        // The last process to clean up succeeds; others see ENOTEMPTY.
-        St->TriedRmdir = true;
-        Out.Req = makeRmdir(Shared);
-        return true;
-      }
-      return false;
-    });
+    return std::make_unique<CleanupStream>(*this);
   }
 
 private:
-  PluginContext Ctx;
-  std::string Shared;
+  /// <workdir>/shared
+  std::string shared() const {
+    return std::string(WorkDir).append("/shared");
+  }
+  /// <workdir>/shared/p<ordinal>-<index>
+  std::string filePath(uint64_t Index) const {
+    Digits Ord(Ordinal), I(Index);
+    std::string Path;
+    Path.reserve(WorkDir.size() + 10 + Ord.Size + I.Size);
+    Path.append(WorkDir).append("/shared/p").append(Ord.view());
+    Path.append(1, '-').append(I.view());
+    return Path;
+  }
+
+  /// Every process tries the mkdir; all but one see EEXIST — harmless.
+  class PrepareStream final : public OpStream {
+  public:
+    explicit PrepareStream(const MakeOnedirInstance &I) : I(I) {}
+    bool next(const MetaReply &, StreamStep &Out) override {
+      if (Issued)
+        return false;
+      Issued = true;
+      Out.Req = makeMkdir(I.shared());
+      return true;
+    }
+
+  private:
+    const MakeOnedirInstance &I;
+    bool Issued = false;
+  };
+
+  class BenchStream final : public OpStream {
+  public:
+    explicit BenchStream(const MakeOnedirInstance &I) : I(I) {}
+    bool next(const MetaReply &Last, StreamStep &Out) override {
+      if (AwaitClose) {
+        Out.Req = makeClose(Last.Fh);
+        Out.CompletesOp = true;
+        AwaitClose = false;
+        ++Index;
+        return true;
+      }
+      if (Index >= I.PerProcess)
+        return false;
+      Out.Req = makeOpen(I.filePath(Index), OpenWrite | OpenCreate);
+      AwaitClose = true;
+      return true;
+    }
+
+  private:
+    const MakeOnedirInstance &I;
+    uint64_t Index = 0;
+    bool AwaitClose = false;
+  };
+
+  class CleanupStream final : public OpStream {
+  public:
+    explicit CleanupStream(const MakeOnedirInstance &I) : I(I) {}
+    bool next(const MetaReply &, StreamStep &Out) override {
+      if (Index < I.PerProcess) {
+        Out.Req = makeUnlink(I.filePath(Index));
+        ++Index;
+        return true;
+      }
+      if (!TriedRmdir) {
+        // The last process to clean up succeeds; others see ENOTEMPTY.
+        TriedRmdir = true;
+        Out.Req = makeRmdir(I.shared());
+        return true;
+      }
+      return false;
+    }
+
+  private:
+    const MakeOnedirInstance &I;
+    uint64_t Index = 0;
+    bool TriedRmdir = false;
+  };
+
+  std::string_view WorkDir;
+  unsigned Ordinal;
   uint64_t PerProcess;
 };
 
@@ -352,32 +433,52 @@ public:
 // Fixed file-set plugins: DeleteFiles, StatFiles, OpenCloseFiles, ...
 //===----------------------------------------------------------------------===//
 
+/// One request per prepared file of \p Dir, each completing an operation:
+/// the bench phase of DeleteFiles, StatFiles and StatMultinodeFiles.
+class PerFileStream final : public OpStream {
+public:
+  using MakeFn = MetaRequest (*)(std::string);
+
+  PerFileStream(const ProcessDir &Dir, uint64_t NumFiles, MakeFn Make)
+      : Dir(Dir), NumFiles(NumFiles), Make(Make) {}
+
+  bool next(const MetaReply &, StreamStep &Out) override {
+    if (Index >= NumFiles)
+      return false;
+    Out.Req = Make(Dir.object(0, Index));
+    Out.CompletesOp = true;
+    ++Index;
+    return true;
+  }
+
+private:
+  const ProcessDir &Dir;
+  uint64_t NumFiles;
+  MakeFn Make;
+  uint64_t Index = 0;
+};
+
 /// Base: prepare creates ProblemSize files under <own>/d0; cleanup removes
 /// whatever the bench phase left behind.
 class FileSetInstance : public PluginInstance {
 public:
   explicit FileSetInstance(const PluginContext &Ctx)
-      : Ctx(Ctx), Own(ownDir(Ctx)) {}
+      : Own(Ctx), NumFiles(Ctx.ProblemSize) {}
 
   std::unique_ptr<OpStream> prepare() override {
-    return makeFileSetPrepare(Own, Ctx.ProblemSize);
+    return makeFileSetPrepare(Own, NumFiles);
   }
 
   std::unique_ptr<OpStream> cleanup() override {
-    return makeFileSetCleanup(Own, benchDeletedFiles() ? 0
-                                                       : Ctx.ProblemSize);
+    return makeFileSetCleanup(Own, benchDeletedFiles() ? 0 : NumFiles);
   }
 
 protected:
   /// True when the bench phase itself removed the prepared files.
   virtual bool benchDeletedFiles() const { return false; }
 
-  std::string filePath(uint64_t Index) const {
-    return objectPath(Own, 0, Index);
-  }
-
-  PluginContext Ctx;
-  std::string Own;
+  ProcessDir Own;
+  uint64_t NumFiles;
 };
 
 class DeleteFilesInstance : public FileSetInstance {
@@ -385,15 +486,7 @@ public:
   using FileSetInstance::FileSetInstance;
 
   std::unique_ptr<OpStream> bench() override {
-    auto Index = std::make_shared<uint64_t>(0);
-    return makeStream([this, Index](const MetaReply &, StreamStep &Out) {
-      if (*Index >= Ctx.ProblemSize)
-        return false;
-      Out.Req = makeUnlink(filePath(*Index));
-      Out.CompletesOp = true;
-      ++*Index;
-      return true;
-    });
+    return std::make_unique<PerFileStream>(Own, NumFiles, makeUnlink);
   }
 
 protected:
@@ -405,15 +498,7 @@ public:
   using FileSetInstance::FileSetInstance;
 
   std::unique_ptr<OpStream> bench() override {
-    auto Index = std::make_shared<uint64_t>(0);
-    return makeStream([this, Index](const MetaReply &, StreamStep &Out) {
-      if (*Index >= Ctx.ProblemSize)
-        return false;
-      Out.Req = makeStat(filePath(*Index));
-      Out.CompletesOp = true;
-      ++*Index;
-      return true;
-    });
+    return std::make_unique<PerFileStream>(Own, NumFiles, makeStat);
   }
 };
 
@@ -429,22 +514,16 @@ public:
 /// bypassing the local cache without privileged cache dropping (\S 3.4.3).
 class StatMultinodeInstance : public FileSetInstance {
 public:
-  using FileSetInstance::FileSetInstance;
+  explicit StatMultinodeInstance(const PluginContext &Ctx)
+      : FileSetInstance(Ctx),
+        Partner(Ctx.PartnerWorkDir, Ctx.PartnerOrdinal) {}
 
   std::unique_ptr<OpStream> bench() override {
-    std::string PartnerDir =
-        Ctx.PartnerWorkDir + format("/p%u", Ctx.PartnerOrdinal);
-    auto Index = std::make_shared<uint64_t>(0);
-    return makeStream(
-        [this, PartnerDir, Index](const MetaReply &, StreamStep &Out) {
-          if (*Index >= Ctx.ProblemSize)
-            return false;
-          Out.Req = makeStat(objectPath(PartnerDir, 0, *Index));
-          Out.CompletesOp = true;
-          ++*Index;
-          return true;
-        });
+    return std::make_unique<PerFileStream>(Partner, NumFiles, makeStat);
   }
+
+private:
+  ProcessDir Partner;
 };
 
 class OpenCloseInstance : public FileSetInstance {
@@ -452,26 +531,33 @@ public:
   using FileSetInstance::FileSetInstance;
 
   std::unique_ptr<OpStream> bench() override {
-    struct State {
-      uint64_t Index = 0;
-      bool AwaitClose = false;
-    };
-    auto St = std::make_shared<State>();
-    return makeStream([this, St](const MetaReply &Last, StreamStep &Out) {
-      if (St->AwaitClose) {
+    return std::make_unique<BenchStream>(*this);
+  }
+
+private:
+  class BenchStream final : public OpStream {
+  public:
+    explicit BenchStream(const OpenCloseInstance &I) : I(I) {}
+    bool next(const MetaReply &Last, StreamStep &Out) override {
+      if (AwaitClose) {
         Out.Req = makeClose(Last.Fh);
         Out.CompletesOp = true;
-        St->AwaitClose = false;
-        ++St->Index;
+        AwaitClose = false;
+        ++Index;
         return true;
       }
-      if (St->Index >= Ctx.ProblemSize)
+      if (Index >= I.NumFiles)
         return false;
-      Out.Req = makeOpen(filePath(St->Index), OpenRead);
-      St->AwaitClose = true;
+      Out.Req = makeOpen(I.Own.object(0, Index), OpenRead);
+      AwaitClose = true;
       return true;
-    });
-  }
+    }
+
+  private:
+    const OpenCloseInstance &I;
+    uint64_t Index = 0;
+    bool AwaitClose = false;
+  };
 };
 
 /// Simple plugin wrapper for the FileSetInstance family.

@@ -6,7 +6,6 @@
 
 #include "workload/Postmark.h"
 #include "workload/StreamHelpers.h"
-#include "support/Format.h"
 #include "support/Random.h"
 #include <memory>
 #include <vector>
@@ -19,175 +18,194 @@ namespace {
 class PostmarkInstance : public PluginInstance {
 public:
   PostmarkInstance(const PluginContext &Ctx, const PostmarkConfig &Cfg)
-      : Ctx(Ctx), Cfg(Cfg), R(Cfg.Seed + Ctx.Ordinal), Own(ownDir(Ctx)) {}
+      : Cfg(Cfg), R(Cfg.Seed + Ctx.Ordinal), Own(Ctx),
+        Transactions(Ctx.ProblemSize) {}
 
   std::unique_ptr<OpStream> prepare() override {
-    // Phase 1: create the file pool with random sizes.
-    struct State {
-      enum { MkOwn, Open, Write, Close, Done } Phase = MkOwn;
-      uint32_t Index = 0;
-      FileHandle Fh = InvalidHandle;
-    };
-    auto St = std::make_shared<State>();
-    return makeStream([this, St](const MetaReply &Last, StreamStep &Out) {
-      switch (St->Phase) {
-      case State::MkOwn:
-        Out.Req = makeMkdir(Own);
-        St->Phase = Cfg.InitialFiles ? State::Open : State::Done;
-        return true;
-      case State::Open:
-        Out.Req = makeOpen(filePath(St->Index), OpenWrite | OpenCreate);
-        St->Phase = State::Write;
-        return true;
-      case State::Write:
-        St->Fh = Last.Fh;
-        Out.Req = makeWrite(Last.Fh, randomSize());
-        St->Phase = State::Close;
-        return true;
-      case State::Close:
-        Out.Req = makeClose(St->Fh);
-        Pool.push_back(St->Index);
-        ++St->Index;
-        St->Phase =
-            St->Index < Cfg.InitialFiles ? State::Open : State::Done;
-        return true;
-      case State::Done:
-        return false;
-      }
-      return false;
-    });
+    return std::make_unique<PrepareStream>(*this);
   }
 
   std::unique_ptr<OpStream> bench() override {
     NextId = Cfg.InitialFiles;
-    // Phase 2: the transaction mix. Each transaction is one logical op.
-    struct State {
-      uint64_t TxDone = 0;
-      int Kind = -1; // -1 = choose next; 0 create, 1 delete, 2 read, 3 append
-      int Step = 0;
-      FileHandle Fh = InvalidHandle;
-      uint32_t TargetId = 0;
-    };
-    auto St = std::make_shared<State>();
-    return makeStream([this, St](const MetaReply &Last, StreamStep &Out) {
-      if (St->TxDone >= Ctx.ProblemSize)
-        return false;
-      if (St->Kind < 0) {
-        St->Kind = static_cast<int>(R.below(4));
-        // Deleting/reading/appending needs a pool; fall back to create.
-        if (Pool.empty())
-          St->Kind = 0;
-        St->Step = 0;
-      }
-      switch (St->Kind) {
-      case 0: // create
-        switch (St->Step) {
-        case 0:
-          St->TargetId = NextId++;
-          Out.Req = makeOpen(filePath(St->TargetId),
-                             OpenWrite | OpenCreate);
-          St->Step = 1;
-          return true;
-        case 1:
-          St->Fh = Last.Fh;
-          Out.Req = makeWrite(Last.Fh, randomSize());
-          St->Step = 2;
-          return true;
-        default:
-          Out.Req = makeClose(St->Fh);
-          finishTx(Out, St->TxDone, St->Kind);
-          Pool.push_back(St->TargetId);
-          return true;
-        }
-      case 1: { // delete
-        size_t Idx = R.below(Pool.size());
-        uint32_t Id = Pool[Idx];
-        Pool[Idx] = Pool.back();
-        Pool.pop_back();
-        Out.Req = makeUnlink(filePath(Id));
-        finishTx(Out, St->TxDone, St->Kind);
-        return true;
-      }
-      case 2: // read
-        switch (St->Step) {
-        case 0:
-          St->TargetId = Pool[R.below(Pool.size())];
-          Out.Req = makeOpen(filePath(St->TargetId), OpenRead);
-          St->Step = 1;
-          return true;
-        case 1:
-          St->Fh = Last.Fh;
-          Out.Req = makeRead(Last.Fh, Cfg.ReadBytes);
-          St->Step = 2;
-          return true;
-        default:
-          Out.Req = makeClose(St->Fh);
-          finishTx(Out, St->TxDone, St->Kind);
-          return true;
-        }
-      default: // append
-        switch (St->Step) {
-        case 0:
-          St->TargetId = Pool[R.below(Pool.size())];
-          Out.Req = makeOpen(filePath(St->TargetId),
-                             OpenWrite | OpenAppend);
-          St->Step = 1;
-          return true;
-        case 1:
-          St->Fh = Last.Fh;
-          Out.Req = makeWrite(Last.Fh, Cfg.AppendBytes);
-          St->Step = 2;
-          return true;
-        default:
-          Out.Req = makeClose(St->Fh);
-          finishTx(Out, St->TxDone, St->Kind);
-          return true;
-        }
-      }
-    });
+    return std::make_unique<BenchStream>(*this);
   }
 
   std::unique_ptr<OpStream> cleanup() override {
-    // Phase 3: remove the remaining pool and the directory.
-    auto Index = std::make_shared<size_t>(0);
-    auto RmdirDone = std::make_shared<bool>(false);
-    return makeStream(
-        [this, Index, RmdirDone](const MetaReply &, StreamStep &Out) {
-          if (*Index < Pool.size()) {
-            Out.Req = makeUnlink(filePath(Pool[*Index]));
-            ++*Index;
-            return true;
-          }
-          if (!*RmdirDone) {
-            *RmdirDone = true;
-            Out.Req = makeRmdir(Own);
-            return true;
-          }
-          return false;
-        });
+    return std::make_unique<CleanupStream>(*this);
   }
 
 private:
-  std::string filePath(uint32_t Id) const {
-    return Own + format("/f%u", Id);
-  }
+  /// Phase 1: create the file pool with random sizes.
+  class PrepareStream final : public OpStream {
+  public:
+    explicit PrepareStream(PostmarkInstance &I) : I(I) {}
+
+    bool next(const MetaReply &Last, StreamStep &Out) override {
+      switch (Phase) {
+      case MkOwn:
+        Out.Req = makeMkdir(I.Own.path());
+        Phase = I.Cfg.InitialFiles ? Open : Done;
+        return true;
+      case Open:
+        Out.Req = makeOpen(I.filePath(Index), OpenWrite | OpenCreate);
+        Phase = Write;
+        return true;
+      case Write:
+        Fh = Last.Fh;
+        Out.Req = makeWrite(Last.Fh, I.randomSize());
+        Phase = Close;
+        return true;
+      case Close:
+        Out.Req = makeClose(Fh);
+        I.Pool.push_back(Index);
+        ++Index;
+        Phase = Index < I.Cfg.InitialFiles ? Open : Done;
+        return true;
+      case Done:
+        return false;
+      }
+      return false;
+    }
+
+  private:
+    PostmarkInstance &I;
+    uint32_t Index = 0;
+    FileHandle Fh = InvalidHandle;
+    enum { MkOwn, Open, Write, Close, Done } Phase = MkOwn;
+  };
+
+  /// Phase 2: the transaction mix. Each transaction is one logical op.
+  class BenchStream final : public OpStream {
+  public:
+    explicit BenchStream(PostmarkInstance &I) : I(I) {}
+
+    bool next(const MetaReply &Last, StreamStep &Out) override {
+      if (TxDone >= I.Transactions)
+        return false;
+      if (Kind < 0) {
+        Kind = static_cast<int>(I.R.below(4));
+        // Deleting/reading/appending needs a pool; fall back to create.
+        if (I.Pool.empty())
+          Kind = 0;
+        Step = 0;
+      }
+      switch (Kind) {
+      case 0: // create
+        switch (Step) {
+        case 0:
+          TargetId = I.NextId++;
+          Out.Req = makeOpen(I.filePath(TargetId), OpenWrite | OpenCreate);
+          Step = 1;
+          return true;
+        case 1:
+          Fh = Last.Fh;
+          Out.Req = makeWrite(Last.Fh, I.randomSize());
+          Step = 2;
+          return true;
+        default:
+          Out.Req = makeClose(Fh);
+          finishTx(Out);
+          I.Pool.push_back(TargetId);
+          return true;
+        }
+      case 1: { // delete
+        size_t Idx = I.R.below(I.Pool.size());
+        uint32_t Id = I.Pool[Idx];
+        I.Pool[Idx] = I.Pool.back();
+        I.Pool.pop_back();
+        Out.Req = makeUnlink(I.filePath(Id));
+        finishTx(Out);
+        return true;
+      }
+      case 2: // read
+        switch (Step) {
+        case 0:
+          TargetId = I.Pool[I.R.below(I.Pool.size())];
+          Out.Req = makeOpen(I.filePath(TargetId), OpenRead);
+          Step = 1;
+          return true;
+        case 1:
+          Fh = Last.Fh;
+          Out.Req = makeRead(Last.Fh, I.Cfg.ReadBytes);
+          Step = 2;
+          return true;
+        default:
+          Out.Req = makeClose(Fh);
+          finishTx(Out);
+          return true;
+        }
+      default: // append
+        switch (Step) {
+        case 0:
+          TargetId = I.Pool[I.R.below(I.Pool.size())];
+          Out.Req = makeOpen(I.filePath(TargetId), OpenWrite | OpenAppend);
+          Step = 1;
+          return true;
+        case 1:
+          Fh = Last.Fh;
+          Out.Req = makeWrite(Last.Fh, I.Cfg.AppendBytes);
+          Step = 2;
+          return true;
+        default:
+          Out.Req = makeClose(Fh);
+          finishTx(Out);
+          return true;
+        }
+      }
+    }
+
+  private:
+    /// Marks the final request of a transaction: reset the chooser state.
+    void finishTx(StreamStep &Out) {
+      Out.CompletesOp = true;
+      ++TxDone;
+      Kind = -1;
+    }
+
+    PostmarkInstance &I;
+    uint64_t TxDone = 0;
+    int Kind = -1; // -1 = choose next; 0 create, 1 delete, 2 read, 3 append
+    int Step = 0;
+    FileHandle Fh = InvalidHandle;
+    uint32_t TargetId = 0;
+  };
+
+  /// Phase 3: remove the remaining pool and the directory.
+  class CleanupStream final : public OpStream {
+  public:
+    explicit CleanupStream(const PostmarkInstance &I) : I(I) {}
+
+    bool next(const MetaReply &, StreamStep &Out) override {
+      if (Index < I.Pool.size()) {
+        Out.Req = makeUnlink(I.filePath(I.Pool[Index]));
+        ++Index;
+        return true;
+      }
+      if (!RmdirDone) {
+        RmdirDone = true;
+        Out.Req = makeRmdir(I.Own.path());
+        return true;
+      }
+      return false;
+    }
+
+  private:
+    const PostmarkInstance &I;
+    size_t Index = 0;
+    bool RmdirDone = false;
+  };
+
+  std::string filePath(uint32_t Id) const { return Own.child("f", Id); }
 
   uint64_t randomSize() {
     return Cfg.MinFileSize +
            R.below(Cfg.MaxFileSize - Cfg.MinFileSize + 1);
   }
 
-  /// Marks the final request of a transaction: reset the chooser state.
-  void finishTx(StreamStep &Out, uint64_t &TxDone, int &Kind) {
-    Out.CompletesOp = true;
-    ++TxDone;
-    Kind = -1;
-  }
-
-  PluginContext Ctx;
   PostmarkConfig Cfg;
   Rng R;
-  std::string Own;
+  ProcessDir Own;
+  uint64_t Transactions;
   std::vector<uint32_t> Pool;
   uint32_t NextId = 0;
 };

@@ -5,10 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal helpers shared by the built-in plugins (core/Plugins.cpp) and
-/// the extension plugins (core/ExtensionPlugins.cpp): lambda-driven op
-/// streams and the standard prepare/cleanup file-set streams of
-/// Listing 3.1. Private to src/core.
+/// Internal helpers shared by the built-in plugins (workload/Plugins.cpp),
+/// the extension plugins (workload/ExtensionPlugins.cpp) and Postmark: the
+/// per-process directory, request paths built in one string, and the
+/// standard prepare/cleanup file-set streams of Listing 3.1. Private to
+/// src/workload.
+///
+/// Lifetime rule: a phase's stream is destroyed when its phase ends, and
+/// every stream before the instances (core/Subtask.h), so a stream may
+/// borrow from the instance that made it; an instance may borrow the work
+/// directories of its PluginContext for the whole subtask.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,49 +22,43 @@
 #define DMETABENCH_WORKLOAD_STREAMHELPERS_H
 
 #include "workload/Plugin.h"
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 
 namespace dmb {
 
-/// An OpStream driven by a stateful callable.
-class CallbackStream : public OpStream {
+/// A process's own directory, <workdir>/p<ordinal>: the borrowed work
+/// directory and the ordinal, rendered into each request path, so that an
+/// instance holds no path string of its own.
+class ProcessDir {
 public:
-  using Generator = std::function<bool(const MetaReply &, StreamStep &)>;
+  ProcessDir(std::string_view WorkDir, unsigned Ordinal)
+      : WorkDir(WorkDir), Ordinal(Ordinal) {}
+  explicit ProcessDir(const PluginContext &Ctx)
+      : ProcessDir(Ctx.WorkDir, Ctx.Ordinal) {}
 
-  explicit CallbackStream(Generator G) : G(std::move(G)) {}
-
-  bool next(const MetaReply &Last, StreamStep &Out) override {
-    return G(Last, Out);
-  }
+  /// Each path is built in one allocation. <own>:
+  std::string path() const;
+  /// <own>/<Prefix><N>: "d" names a subdirectory, "f" a Postmark file.
+  std::string child(std::string_view Prefix, uint64_t N) const;
+  /// <own>/d<Dir>/<Index>: object \p Index of subdirectory \p Dir.
+  std::string object(uint64_t Dir, uint64_t Index) const;
 
 private:
-  Generator G;
+  std::string_view WorkDir;
+  unsigned Ordinal;
 };
 
-/// Wraps a generator lambda into an OpStream.
-std::unique_ptr<OpStream> makeStream(CallbackStream::Generator G);
-
-/// A phase with no operations.
-std::unique_ptr<OpStream> emptyStream();
-
-/// The per-process working directory: <workdir>/p<ordinal>.
-std::string ownDir(const PluginContext &Ctx);
-
-/// The path <own>/d<dir>/<index> of object \p Index in subdirectory \p Dir
-/// of \p Own, built in one string without printf: request paths are made
-/// once per operation.
-std::string objectPath(std::string_view Own, uint64_t Dir, uint64_t Index);
-
 /// Stream creating <own>, <own>/d0 and \p NumFiles empty files named
-/// 0..N-1 inside d0 (the prepare phase of Listing 3.1).
-std::unique_ptr<OpStream> makeFileSetPrepare(std::string Own,
+/// 0..N-1 inside d0 (the prepare phase of Listing 3.1). Borrows \p Own.
+std::unique_ptr<OpStream> makeFileSetPrepare(const ProcessDir &Own,
                                              uint64_t NumFiles);
 
 /// Stream removing the \p NumFiles prepared files plus d0 and <own>.
-std::unique_ptr<OpStream> makeFileSetCleanup(std::string Own,
+/// Borrows \p Own.
+std::unique_ptr<OpStream> makeFileSetCleanup(const ProcessDir &Own,
                                              uint64_t NumFiles);
 
 } // namespace dmb

@@ -14,6 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Preprocess.h"
+#include "core/TimeLog.h"
+#include "support/Format.h"
+#include "support/Random.h"
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace dmb;
@@ -26,8 +32,8 @@ ProcessTrace makeTrace(unsigned Ordinal, std::vector<uint64_t> Buckets,
   P.Rank = static_cast<int>(Ordinal + 1);
   P.Ordinal = Ordinal;
   P.Hostname = "node" + std::to_string(Ordinal);
-  P.OpsPerInterval = std::move(Buckets);
-  for (uint64_t B : P.OpsPerInterval)
+  P.OpsPerInterval = IntervalCounts::fromDense(Buckets);
+  for (uint64_t B : Buckets)
     P.TotalOps += B;
   P.FinishOffset = Finish;
   return P;
@@ -217,6 +223,330 @@ TEST(Analysis, ResultTsvMatchesListing33Shape) {
   EXPECT_NE(std::string::npos, Tsv.find("node0\tStatFiles\t0\t0.1\t10"));
   EXPECT_NE(std::string::npos, Tsv.find("node0\tStatFiles\t0\t0.2\t20"));
   EXPECT_NE(std::string::npos, Tsv.find("node1\tStatFiles\t1\t0.1\t20"));
+}
+
+//===----------------------------------------------------------------------===//
+// Differential check: sparse time logs against the dense implementation
+//===----------------------------------------------------------------------===//
+
+/// The dense form the logs had before they went sparse: one bucket per
+/// interval, grown by resize on every record. The functions below are the
+/// consumers' dense implementations, kept here as the reference.
+struct DenseTrace {
+  int Rank = 0;
+  unsigned Ordinal = 0;
+  std::string Hostname;
+  std::vector<uint64_t> Buckets;
+  uint64_t TotalOps = 0;
+  SimDuration FinishOffset = 0;
+  uint64_t FailedRequests = 0;
+};
+
+struct DenseResult {
+  std::string Operation;
+  std::string FileSystem;
+  unsigned NumNodes = 0;
+  unsigned PerNode = 0;
+  SimDuration Interval = milliseconds(100);
+  std::vector<DenseTrace> Processes;
+};
+
+void denseRecord(std::vector<uint64_t> &Buckets, SimTime Start,
+                 SimDuration Interval, SimTime Now, uint64_t Count) {
+  size_t Index = static_cast<size_t>((Now - Start) / Interval);
+  if (Buckets.size() <= Index)
+    Buckets.resize(Index + 1, 0);
+  Buckets[Index] += Count;
+}
+
+uint64_t denseCumulativeAt(const DenseTrace &P, size_t Index) {
+  uint64_t Sum = 0;
+  for (size_t I = 0; I <= Index && I < P.Buckets.size(); ++I)
+    Sum += P.Buckets[I];
+  return Sum;
+}
+
+size_t denseNumIntervals(const DenseResult &R) {
+  size_t Max = 0;
+  for (const DenseTrace &P : R.Processes)
+    Max = std::max(Max, P.Buckets.size());
+  return Max;
+}
+
+std::vector<IntervalRow> denseIntervalSummary(const DenseResult &R) {
+  std::vector<IntervalRow> Rows;
+  size_t NumIntervals = denseNumIntervals(R);
+  double IntervalSec = toSeconds(R.Interval);
+  size_t NumProcs = R.Processes.size();
+  uint64_t Cumulative = 0;
+  for (size_t I = 0; I < NumIntervals; ++I) {
+    double Sum = 0, SumSq = 0;
+    uint64_t IntervalTotal = 0;
+    for (const DenseTrace &P : R.Processes) {
+      uint64_t Ops = I < P.Buckets.size() ? P.Buckets[I] : 0;
+      IntervalTotal += Ops;
+      double X = static_cast<double>(Ops);
+      Sum += X;
+      SumSq += X * X;
+    }
+    Cumulative += IntervalTotal;
+    IntervalRow Row;
+    Row.TimeSec = static_cast<double>(I + 1) * IntervalSec;
+    Row.TotalOps = Cumulative;
+    Row.OpsPerSec = static_cast<double>(IntervalTotal) / IntervalSec;
+    if (NumProcs > 1) {
+      double Mean = Sum / static_cast<double>(NumProcs);
+      double Var = (SumSq - Sum * Mean) / static_cast<double>(NumProcs - 1);
+      if (Var < 0)
+        Var = 0;
+      Row.PerProcStddev = std::sqrt(Var);
+      Row.PerProcCov = Mean > 0 ? Row.PerProcStddev / Mean : 0;
+    }
+    Rows.push_back(Row);
+  }
+  return Rows;
+}
+
+size_t denseBoundaryIndexFor(SimDuration T, SimDuration Interval) {
+  if (T <= 0)
+    return 1;
+  return static_cast<size_t>((T + Interval - 1) / Interval);
+}
+
+SimDuration denseMinFinish(const DenseResult &R) {
+  SimDuration Min = 0;
+  bool First = true;
+  for (const DenseTrace &P : R.Processes)
+    if (First || P.FinishOffset < Min) {
+      Min = P.FinishOffset;
+      First = false;
+    }
+  return Min;
+}
+
+double denseStonewallAverage(const DenseResult &R) {
+  if (R.Processes.empty())
+    return 0;
+  size_t K = denseBoundaryIndexFor(denseMinFinish(R), R.Interval);
+  uint64_t Ops = 0;
+  for (const DenseTrace &P : R.Processes)
+    Ops += denseCumulativeAt(P, K - 1);
+  double T = static_cast<double>(K) * toSeconds(R.Interval);
+  return T > 0 ? static_cast<double>(Ops) / T : 0;
+}
+
+double denseAverageForFixedOps(const DenseResult &R, uint64_t Ops) {
+  size_t NumIntervals = denseNumIntervals(R);
+  uint64_t Cumulative = 0;
+  for (size_t I = 0; I < NumIntervals; ++I) {
+    for (const DenseTrace &P : R.Processes)
+      if (I < P.Buckets.size())
+        Cumulative += P.Buckets[I];
+    if (Cumulative >= Ops)
+      return static_cast<double>(Ops) /
+             (static_cast<double>(I + 1) * toSeconds(R.Interval));
+  }
+  return 0;
+}
+
+std::string denseToTsv(const DenseResult &R) {
+  std::string Out =
+      "Hostname\tOperation\tProcessNo\tTimestamp\tOperationsDone\n";
+  for (const DenseTrace &P : R.Processes) {
+    uint64_t Cum = 0;
+    for (size_t I = 0, E = P.Buckets.size(); I != E; ++I) {
+      Cum += P.Buckets[I];
+      Out += format("%s\t%s\t%u\t%.1f\t%llu\n", P.Hostname.c_str(),
+                    R.Operation.c_str(), P.Ordinal,
+                    toSeconds(static_cast<SimDuration>(I + 1) * R.Interval),
+                    (unsigned long long)Cum);
+    }
+  }
+  return Out;
+}
+
+std::string denseIntervalSummaryTsv(const DenseResult &R) {
+  std::string Out;
+  for (const IntervalRow &Row : denseIntervalSummary(R))
+    Out += format("%s\t%u\t%u\t%.1f\t%llu\t%.0f\t%.1f\t%.3f\n",
+                  R.Operation.c_str(), R.NumNodes, R.NumNodes * R.PerNode,
+                  Row.TimeSec, (unsigned long long)Row.TotalOps,
+                  Row.OpsPerSec, Row.PerProcStddev, Row.PerProcCov);
+  return Out;
+}
+
+std::string denseCanonicalResultText(const std::vector<DenseResult> &Set) {
+  std::string Out;
+  for (const DenseResult &S : Set) {
+    Out += format("== %s %s nodes=%u perNode=%u ==\n", S.Operation.c_str(),
+                  S.FileSystem.c_str(), S.NumNodes, S.PerNode);
+    std::vector<std::string> ProcLines;
+    for (const DenseTrace &P : S.Processes) {
+      std::string Line =
+          format("proc\tops=%llu\tfailed=%llu\tfinish=%.6f\t",
+                 (unsigned long long)P.TotalOps,
+                 (unsigned long long)P.FailedRequests,
+                 toSeconds(P.FinishOffset));
+      uint64_t Cum = 0;
+      for (uint64_t N : P.Buckets) {
+        Cum += N;
+        Line += format("%llu,", (unsigned long long)Cum);
+      }
+      ProcLines.push_back(std::move(Line));
+    }
+    std::sort(ProcLines.begin(), ProcLines.end());
+    for (const std::string &Line : ProcLines)
+      Out += Line + "\n";
+    Out += denseIntervalSummaryTsv(S);
+    uint64_t TotalOps = 0;
+    SimDuration MaxFinish = 0;
+    for (const DenseTrace &P : S.Processes) {
+      TotalOps += P.TotalOps;
+      MaxFinish = std::max(MaxFinish, P.FinishOffset);
+    }
+    double WallSec = toSeconds(MaxFinish);
+    double WallRate = WallSec > 0 ? static_cast<double>(TotalOps) / WallSec
+                                  : 0;
+    double StonewallSec =
+        static_cast<double>(
+            denseBoundaryIndexFor(denseMinFinish(S), S.Interval)) *
+        toSeconds(S.Interval);
+    Out += format("total_ops\t%llu\n", (unsigned long long)TotalOps);
+    Out += format("wallclock\t%.6f\t%.3f\n", WallSec, WallRate);
+    Out += format("stonewall\t%.6f\t%.3f\n", StonewallSec,
+                  denseStonewallAverage(S));
+  }
+  return Out;
+}
+
+/// Bitwise equality: the sparse sweep must reproduce every double, not
+/// only approximate it.
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// One random subtask, logged through TimeLog (the sparse result) and
+/// through the dense reference at the same time. The logs mix gaps
+/// between non-empty intervals, 0-op records past the last non-empty
+/// interval, batched counts, empty logs and completions exactly on
+/// interval boundaries.
+void randomSubtask(Rng &R, unsigned Index, SubtaskResult &Sparse,
+                   DenseResult &Dense) {
+  static const SimDuration Intervals[] = {milliseconds(100), seconds(1.0),
+                                          microseconds(700)};
+  Sparse.Operation = Dense.Operation = format("Op%u", Index);
+  Sparse.FileSystem = Dense.FileSystem = "fs";
+  Sparse.NumNodes = Dense.NumNodes = 1 + static_cast<unsigned>(R.below(3));
+  Sparse.PerNode = Dense.PerNode = 1 + static_cast<unsigned>(R.below(4));
+  SimDuration Interval = Intervals[R.below(3)];
+  Sparse.Interval = Dense.Interval = Interval;
+  SimTime Start = static_cast<SimTime>(R.below(1000)) * Interval / 7;
+  unsigned NumProcs = static_cast<unsigned>(R.below(7)); // 0 = empty result
+  for (unsigned P = 0; P < NumProcs; ++P) {
+    TimeLog Log;
+    Log.start(Start, Interval);
+    DenseTrace D;
+    D.Rank = static_cast<int>(P + 1);
+    D.Ordinal = P;
+    D.Hostname = format("node%u", P % 3);
+    SimTime Now = Start;
+    unsigned Records = R.below(5) == 0 ? 0 : static_cast<unsigned>(R.below(40));
+    for (unsigned K = 0; K < Records; ++K) {
+      switch (R.below(5)) {
+      case 0: // the same instant
+        break;
+      case 1: // exactly on the next interval boundary
+        Now = Start + ((Now - Start) / Interval + 1) * Interval;
+        break;
+      case 2: // a gap of several empty intervals
+        Now += static_cast<SimDuration>(2 + R.below(30)) * Interval;
+        break;
+      case 3: // just before a boundary
+        Now = Start + ((Now - Start) / Interval + 1) * Interval - 1;
+        break;
+      default:
+        Now += static_cast<SimDuration>(R.below(Interval));
+        break;
+      }
+      uint64_t Count = R.below(4) == 0   ? 0
+                       : R.below(3) == 0 ? 1 + R.below(1000) // batched
+                                         : 1;
+      Log.record(Now, Count);
+      denseRecord(D.Buckets, Start, Interval, Now, Count);
+    }
+    if (R.below(3) == 0) {
+      // A 0-op record past the last non-empty interval still extends the
+      // timeline.
+      Now += static_cast<SimDuration>(1 + R.below(20)) * Interval;
+      Log.record(Now, 0);
+      denseRecord(D.Buckets, Start, Interval, Now, 0);
+    }
+    Now += static_cast<SimDuration>(R.below(3)) * Interval / 2;
+    Log.finish(Now);
+    D.TotalOps = Log.totalOps();
+    D.FinishOffset = Log.finishOffset();
+    D.FailedRequests = R.below(4) == 0 ? R.below(5) : 0;
+
+    ProcessTrace T;
+    T.Rank = D.Rank;
+    T.Ordinal = D.Ordinal;
+    T.Hostname = D.Hostname;
+    T.OpsPerInterval = Log.takeOpsPerInterval();
+    T.TotalOps = D.TotalOps;
+    T.FinishOffset = D.FinishOffset;
+    T.FailedRequests = D.FailedRequests;
+    Sparse.Processes.push_back(std::move(T));
+    Dense.Processes.push_back(std::move(D));
+  }
+}
+
+TEST(AnalysisDifferential, SparseLogsMatchTheDenseImplementation) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng R(Seed);
+    ResultSet Set;
+    std::vector<DenseResult> DenseSet;
+    unsigned NumSubtasks = 1 + static_cast<unsigned>(R.below(3));
+    for (unsigned I = 0; I < NumSubtasks; ++I) {
+      SubtaskResult Sparse;
+      DenseResult Dense;
+      randomSubtask(R, I, Sparse, Dense);
+      Set.Subtasks.push_back(std::move(Sparse));
+      DenseSet.push_back(std::move(Dense));
+    }
+    for (size_t I = 0; I < NumSubtasks; ++I) {
+      const SubtaskResult &S = Set.Subtasks[I];
+      const DenseResult &D = DenseSet[I];
+      ASSERT_EQ(denseNumIntervals(D), S.numIntervals());
+      for (size_t P = 0; P < S.Processes.size(); ++P) {
+        const ProcessTrace &T = S.Processes[P];
+        ASSERT_EQ(D.Processes[P].Buckets, T.OpsPerInterval.dense());
+        for (size_t K = 0; K <= S.numIntervals() + 1; ++K)
+          ASSERT_EQ(denseCumulativeAt(D.Processes[P], K), T.cumulativeAt(K));
+      }
+      std::vector<IntervalRow> Rows = intervalSummary(S);
+      std::vector<IntervalRow> DenseRows = denseIntervalSummary(D);
+      ASSERT_EQ(DenseRows.size(), Rows.size());
+      for (size_t K = 0; K < Rows.size(); ++K) {
+        EXPECT_TRUE(sameBits(DenseRows[K].TimeSec, Rows[K].TimeSec));
+        EXPECT_EQ(DenseRows[K].TotalOps, Rows[K].TotalOps);
+        EXPECT_TRUE(sameBits(DenseRows[K].OpsPerSec, Rows[K].OpsPerSec));
+        EXPECT_TRUE(
+            sameBits(DenseRows[K].PerProcStddev, Rows[K].PerProcStddev));
+        EXPECT_TRUE(sameBits(DenseRows[K].PerProcCov, Rows[K].PerProcCov));
+      }
+      EXPECT_TRUE(sameBits(denseStonewallAverage(D), stonewallAverage(S)));
+      uint64_t Total = S.totalOps();
+      for (uint64_t Ops : {uint64_t(0), uint64_t(1), Total / 3, Total / 2,
+                           Total, Total + 1, 1 + R.below(Total + 1)})
+        EXPECT_TRUE(sameBits(denseAverageForFixedOps(D, Ops),
+                             averageForFixedOps(S, Ops)))
+            << "ops " << Ops;
+      EXPECT_EQ(denseToTsv(D), S.toTsv());
+      EXPECT_EQ(denseIntervalSummaryTsv(D), intervalSummaryTsv(S));
+    }
+    EXPECT_EQ(denseCanonicalResultText(DenseSet), canonicalResultText(Set));
+  }
 }
 
 } // namespace

@@ -23,8 +23,9 @@ SubtaskResult sampleResult() {
     ProcessTrace P;
     P.Ordinal = I;
     P.Hostname = "node" + std::to_string(I / 2);
-    P.OpsPerInterval = {100, 110, 90 + I * 5, 100};
-    for (uint64_t B : P.OpsPerInterval)
+    std::vector<uint64_t> Buckets = {100, 110, 90 + I * 5, 100};
+    P.OpsPerInterval = IntervalCounts::fromDense(Buckets);
+    for (uint64_t B : Buckets)
       P.TotalOps += B;
     P.FinishOffset = milliseconds(400);
     R.Processes.push_back(std::move(P));

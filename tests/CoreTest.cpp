@@ -288,10 +288,8 @@ TEST(Core, TimeLogBucketsAndCumulative) {
   Log.record(seconds(1.05));
   Log.record(seconds(1.25));
   Log.finish(seconds(1.30));
-  ASSERT_EQ(3u, Log.opsPerInterval().size());
-  EXPECT_EQ(2u, Log.opsPerInterval()[0]);
-  EXPECT_EQ(0u, Log.opsPerInterval()[1]);
-  EXPECT_EQ(1u, Log.opsPerInterval()[2]);
+  ASSERT_EQ(3u, Log.opsPerInterval().numIntervals());
+  EXPECT_EQ((std::vector<uint64_t>{2, 0, 1}), Log.opsPerInterval().dense());
   EXPECT_EQ(2u, Log.cumulativeAt(0));
   EXPECT_EQ(3u, Log.cumulativeAt(2));
   EXPECT_EQ(3u, Log.totalOps());

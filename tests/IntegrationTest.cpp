@@ -108,7 +108,7 @@ TEST(Integration, LiveRunThroughAnalysisPipeline) {
   // The TSV protocol has one line per process-interval plus the header.
   size_t ExpectedLines = 1;
   for (const ProcessTrace &Proc : Sub.Processes)
-    ExpectedLines += Proc.OpsPerInterval.size();
+    ExpectedLines += Proc.OpsPerInterval.numIntervals();
   std::string Tsv = Sub.toTsv();
   EXPECT_EQ(ExpectedLines,
             static_cast<size_t>(

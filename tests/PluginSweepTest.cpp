@@ -54,8 +54,8 @@ TEST_P(PluginSweepTest, ExactCountsOverTheWholePlan) {
           << Op << " " << Sub.NumNodes << "x" << Sub.PerNode;
       // Consistency of the trace itself.
       uint64_t Summed = 0;
-      for (uint64_t B : Proc.OpsPerInterval)
-        Summed += B;
+      Proc.OpsPerInterval.forEachRecord(
+          [&Summed](const IntervalCount &R) { Summed += R.Count; });
       EXPECT_EQ(Proc.TotalOps, Summed);
     }
   }

@@ -25,8 +25,9 @@
 #      BENCH_E31.json,
 #   7. the trace, fault, write-behind, fs, dfs, client-cache, sharded,
 #      hybrid (re-export, volume move), flat-table, CPU-queue (Resource,
-#      SharedProcessor), journal and duplicate-request-cache tests
-#      rebuilt under ASan+UBSan (always — the trace layer threads ids
+#      SharedProcessor), journal, duplicate-request-cache, core, plugin
+#      and analysis tests rebuilt under ASan+UBSan (always — the trace
+#      layer threads ids
 #      through every queue, the retry path keeps exchange records alive
 #      until each attempt's retransmit timer fires, even after the reply
 #      came back, and recycles them afterwards, the write-behind queue
@@ -39,9 +40,11 @@
 #      and growth under the pointers its users hold, the CPU queues
 #      compact and wrap their reused storage under running completions,
 #      the journal's commit hook may append records and intern volumes
-#      while the commit frontier advances, and the duplicate-request
-#      cache recycles ring slots under its index; all must stay
-#      memory-clean),
+#      while the commit frontier advances, the duplicate-request
+#      cache recycles ring slots under its index, a plugin's op streams
+#      borrow their instance's state and the instances borrow the
+#      runner's work directories, and the sparse time logs move into
+#      the results; all must stay memory-clean),
 #   8. (optionally) the full suite rebuilt under sanitizers.
 #
 # Exits nonzero on the first failure. Usage:
@@ -143,19 +146,26 @@ else
   # the CPU queues (Resource's waiting ring,
   # SharedProcessor's compacted task vector) reuse their storage under
   # running completions, the journal's commit hook may append records and
-  # intern a volume while the commit frontier advances, and the
+  # intern a volume while the commit frontier advances, the
   # duplicate-request cache overwrites and compacts ring slots under its
-  # index — exactly the kind of plumbing where lifetime bugs hide.
-  step "trace, fault, write-behind, fs, dfs, client-cache, sharded, hybrid, flat-table, CPU-queue, journal and DRC tests under ASan+UBSan (build-sanitize/)"
+  # index, every plugin's op streams borrow their instance's state and
+  # the instances borrow the runner's interned work directories (the
+  # Core, Registry, plugin-sweep, Postmark, ReaddirPlus and ResultsIO
+  # suites), and the sparse time logs move from the workers into the
+  # results that the Analysis suites sweep — exactly the kind of plumbing
+  # where lifetime bugs hide.
+  step "trace, fault, write-behind, fs, dfs, client-cache, sharded, hybrid, flat-table, CPU-queue, journal, DRC, core, plugin and analysis tests under ASan+UBSan (build-sanitize/)"
   cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
         -DDMB_SANITIZE="address,undefined" >/dev/null
   cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
         --target trace_test fault_test writebehind_test fs_test dfs_test \
         dfs_semantics_test sharded_test hybrid_test support_test sim_test \
-        consistency_test
+        consistency_test core_test analysis_test plugin_sweep_test \
+        extension_test
   # The test suites of the first eight binaries, the table's and the
-  # interner's suites in support_test, the CPU queues' suites in sim_test
-  # and the journal's in consistency_test.
+  # interner's suites in support_test, the CPU queues' suites in sim_test,
+  # the journal's in consistency_test, and the core, analysis, plugin
+  # sweep and extension (Postmark, ReaddirPlus, ResultsIO) suites.
   SUITES='^Trace|^Fault|^Network|^WriteBehind'
   SUITES+='|^Fs|^AllKinds/DirIndexParamTest'
   SUITES+='|^Afs|^AttrCacheUnit|^Cxfs|^Gx|^LocalModel|^Lustre|^Mounts|^Nfs'
@@ -163,6 +173,9 @@ else
   SUITES+='|^FlatTable|^Interner'
   SUITES+='|^Sharded|^Reexport|^VolumeMove'
   SUITES+='|^SharedProcessor|^Resource|^Journal|^DuplicateRequestCache'
+  SUITES+='|^Core|^Registry|^Analysis'
+  SUITES+='|^FixedSizePlugins/PluginSweepTest|^TimedPlugins/TimedSweepTest'
+  SUITES+='|^Postmark|^ReaddirPlus|^ResultsIOTest'
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
         -R "$SUITES"
 fi
