@@ -36,35 +36,30 @@ std::unique_ptr<ClientFs> CxfsFs::makeClient(unsigned NodeIndex) {
 
 CxfsClient::CxfsClient(const ClientBuilder &B, FileServer &Mds,
                        const CxfsOptions &Opts)
-    : Sched(B.sched()), Mds(Mds), VolId(Mds.volumeId(CxfsFs::VolumeName)),
-      Options(Opts), NodeIndex(B.nodeIndex()),
-      Token(Sched, "cxfs.metadata-token"), ToServer(Sched, B.config().Net),
-      FromServer(Sched, B.config().Net) {}
+    : RpcClientBase(B), Mds(Mds), VolId(Mds.volumeId(CxfsFs::VolumeName)),
+      TokenOverhead(Opts.TokenOverhead), NodeIndex(B.nodeIndex()),
+      Token(sched(), "cxfs.metadata-token") {}
 
 std::string CxfsClient::describe() const {
   return format("cxfs node=%u mds=%s", NodeIndex,
                 Mds.config().Name.c_str());
 }
 
-void CxfsClient::submit(const MetaRequest &Req, Callback Done) {
+void CxfsClient::submitDirect(const MetaRequest &Req, Callback Done) {
   // The node-wide token is held for the whole operation: processes inside
   // one OS instance serialize (\S 4.5.3), while different nodes proceed in
-  // parallel up to MDS saturation.
-  Token.lock([this, Req, Done = std::move(Done)]() mutable {
-    NetworkLink::Delivery D = ToServer.plan(0);
-    Sched.after(Options.TokenOverhead + D.Delay,
-                [this, Req, Done = std::move(Done)]() mutable {
-                  Mds.process(
-                      VolId, Req,
-                      [this, Done = std::move(Done)](MetaReply Reply) {
-                        NetworkLink::Delivery RD = FromServer.plan(0);
-                        Sched.after(RD.Delay,
-                                    [this, Done = std::move(Done),
-                                     Reply = std::move(Reply)]() {
-                                      Token.unlock();
-                                      Done(Reply);
-                                    });
-                      });
-                });
-  });
+  // parallel up to MDS saturation. Acquiring it costs TokenOverhead on top
+  // of the request hop.
+  Exchange *X = newExchange(Req, std::move(Done));
+  X->SendExtra = TokenOverhead;
+  Token.lock([this, X]() { transact(X); });
+}
+
+void CxfsClient::dispatch(Exchange *X) {
+  Mds.process(VolId, X->Req, X->Reply, [this, X]() { serverReply(X); });
+}
+
+void CxfsClient::finish(Exchange *X) {
+  Token.unlock();
+  complete(X);
 }

@@ -12,6 +12,11 @@
 /// serializes metadata operations, which is why CXFS intra-node scaling is
 /// flat in \S 4.5.3.
 ///
+/// The token stands in for the RPC slot: each operation holds it from
+/// before its request leaves until its reply (or a timeout) completes it,
+/// and in between it is one pooled exchange of RpcClientBase, under the
+/// client's fault and retry policies like every other model's RPC.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMETABENCH_DFS_CXFSFS_H
@@ -21,8 +26,8 @@
 #include "dfs/ClientConfig.h"
 #include "dfs/DistributedFs.h"
 #include "dfs/FileServer.h"
+#include "dfs/RpcClientBase.h"
 #include "sim/Mutex.h"
-#include "sim/Network.h"
 #include "sim/Scheduler.h"
 #include <memory>
 
@@ -32,7 +37,8 @@ namespace dmb {
 struct CxfsOptions {
   /// Client construction: 60 us one-way dedicated metadata network. The
   /// token serializes the node's metadata ops, so the slot count is moot;
-  /// retry is unsupported (the token would outlive a lost RPC).
+  /// with Client.Retry enabled a lost RPC is retransmitted under the token,
+  /// and an operation that times out releases it.
   ClientConfig Client = makeClientConfig(microseconds(60), 1);
   SimDuration TokenOverhead = microseconds(25); ///< token acquire/release
   ServerConfig Mds;
@@ -64,23 +70,25 @@ private:
 };
 
 /// Per-node CXFS client: token-serialized metadata RPCs to the MDS.
-class CxfsClient final : public ClientFs {
+class CxfsClient final : public RpcClientBase {
 public:
   CxfsClient(const ClientBuilder &B, FileServer &Mds,
              const CxfsOptions &Options);
 
-  void submit(const MetaRequest &Req, Callback Done) override;
   std::string describe() const override;
 
 private:
-  Scheduler &Sched;
+  void submitDirect(const MetaRequest &Req, Callback Done) override;
+  void dispatch(Exchange *X) override;
+  /// Releases the token and completes: the token, not an RPC slot, is what
+  /// the operation held.
+  void finish(Exchange *X) override;
+
   FileServer &Mds;
   uint32_t VolId; ///< interned VolumeName, resolved once at mount
-  CxfsOptions Options;
+  SimDuration TokenOverhead;
   unsigned NodeIndex;
-  SimMutex Token;        ///< node-wide metadata token
-  NetworkLink ToServer;  ///< request direction, for truthful accounting
-  NetworkLink FromServer; ///< reply direction
+  SimMutex Token; ///< node-wide metadata token
 };
 
 } // namespace dmb

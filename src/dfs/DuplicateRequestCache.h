@@ -50,13 +50,12 @@ public:
     Attr A;
     FileHandle Fh = InvalidHandle;
     uint64_t Bytes = 0;
-    uint64_t MapEpoch = 0;
 
     /// The fixed-size part of \p R, which must carry no payload.
     static CachedReply of(const MetaReply &R) {
       DMB_ASSERT(R.Text.empty() && R.Entries.empty() && R.EntryAttrs.empty(),
                  "DRC: a cached reply carries no Text, Entries or EntryAttrs");
-      return CachedReply{R.Err, R.A, R.Fh, R.Bytes, R.MapEpoch};
+      return CachedReply{R.Err, R.A, R.Fh, R.Bytes};
     }
 
     /// The reply as the server first sent it.
@@ -66,7 +65,6 @@ public:
       R.A = A;
       R.Fh = Fh;
       R.Bytes = Bytes;
-      R.MapEpoch = MapEpoch;
       return R;
     }
   };
@@ -79,7 +77,6 @@ public:
     /// @{
     FileHandle Fh = InvalidHandle;
     uint64_t Bytes = 0;
-    uint64_t MapEpoch = 0;
     /// @}
     std::string Path; ///< request path, keys migration extraction
     MetaOp Op = MetaOp::Stat; ///< decides migration eligibility
@@ -89,7 +86,7 @@ public:
     uint32_t AttrSlot = NoAttr;
   };
   static constexpr uint32_t NoAttr = ~0u;
-  static_assert(sizeof(Entry) == 88,
+  static_assert(sizeof(Entry) == 80,
                 "a cached reply keeps its attributes in the pool");
 
   /// A cache of at most \p Capacity entries; 0 makes it unusable.
@@ -105,7 +102,7 @@ public:
   CachedReply reply(const Entry &E) const {
     return CachedReply{E.Err,
                        E.AttrSlot == NoAttr ? Attr() : Attrs[E.AttrSlot],
-                       E.Fh, E.Bytes, E.MapEpoch};
+                       E.Fh, E.Bytes};
   }
 
   /// Caches \p Reply to the request \p Key of \p Op on \p Path in volume
@@ -144,7 +141,6 @@ public:
     E.SeqPlus1 = SeqPlus1;
     E.Fh = Reply.Fh;
     E.Bytes = Reply.Bytes;
-    E.MapEpoch = Reply.MapEpoch;
     E.Path.assign(Path);
     E.Op = Op;
     E.VolId = VolId;

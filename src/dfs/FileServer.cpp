@@ -272,25 +272,15 @@ void FileServer::startConsistencyPoint() {
   });
 }
 
-MetaReply FileServer::processEager(const std::string &Volume,
-                                   const MetaRequest &Req,
-                                   std::function<void()> Committed) {
-  return processEager(volumeId(Volume), Req, std::move(Committed));
-}
-
 MetaReply FileServer::processEager(uint32_t VolId, const MetaRequest &Req,
                                    std::function<void()> Committed) {
   MetaReply Reply;
-  admit(VolId, Req, [&](MetaReply &&R) {
-    Reply = std::move(R);
-    return std::move(Committed);
-  });
+  process(VolId, Req, Reply, std::move(Committed));
   return Reply;
 }
 
-template <typename FinishFn>
-void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
-                       FinishFn &&Finish) {
+void FileServer::process(uint32_t VolId, const MetaRequest &Req,
+                         MetaReply &Reply, std::function<void()> Done) {
   // Request arrival at the server: from here until the CPU picks it up the
   // operation is queueing, not being serviced.
   Sched.traceStamp(TracePoint::QueueEnter);
@@ -302,9 +292,9 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
     // record that entered the queue and never came out.
     Sched.traceStamp(TracePoint::ServiceStart);
     Sched.traceStamp(TracePoint::ServiceEnd);
-    MetaReply Reply;
+    Reply = MetaReply();
     Reply.Err = FsError::Stale;
-    Sched.after(0, Finish(std::move(Reply)));
+    Sched.after(0, std::move(Done));
     return;
   }
 
@@ -318,7 +308,8 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
       ++DrcHits;
       ++Processed;
       DMB_HB_WRITE(Sched, Processed, "FileServer.Processed");
-      Cpu.request(Config.DrcHitCost, Finish(Drc.reply(*E).reply()));
+      Reply = Drc.reply(*E).reply();
+      Cpu.request(Config.DrcHitCost, std::move(Done));
       return;
     }
   }
@@ -326,7 +317,7 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
   // Execute at arrival: the CPU queue is FIFO, so arrival order equals
   // service order and state changes serialize exactly as on a real server.
   OpCost Cost;
-  MetaReply Reply = execute(*Vol, Req, Sched.now(), Cost);
+  Reply = execute(*Vol, Req, Sched.now(), Cost);
   // Only successful mutations dirty the NVRAM log: a failed create writes
   // nothing back, so it must not grow the dirty set or drag the next
   // consistency point forward.
@@ -365,7 +356,6 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
                DuplicateRequestCache::CachedReply::of(Reply), Req.Path, VolId,
                JournalSeqPlus1);
 
-  std::function<void()> Committed = Finish(std::move(Reply));
   if (JournalSeqPlus1) {
     // The CPU finishing this request means the stable write is done — but
     // the ack may only leave once the journal's per-volume commit frontier
@@ -375,8 +365,8 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
     // dependent without the predecessor. The ack waits parked under its
     // record's seq; the CPU completion names only the seq.
     uint64_t Seq = JournalSeqPlus1 - 1;
-    parkAck(Seq, std::move(Committed));
-    Committed = [this, Seq]() { persisted(Seq); };
+    parkAck(Seq, std::move(Done));
+    Done = [this, Seq]() { persisted(Seq); };
   }
   if (JitterMean > 0) {
     // Mostly small per-request extras with an occasional heavy hit.
@@ -395,13 +385,13 @@ void FileServer::admit(uint32_t VolId, const MetaRequest &Req,
   if (RateLimit *Limit = tenantLimit(Req.Creds.Uid)) {
     SimTime Admit = std::max(Sched.now(), Limit->NextAdmission);
     Limit->NextAdmission = Admit + Limit->Period;
-    Sched.at(Admit, [this, Service, Committed = std::move(Committed)]() {
-      Cpu.request(Service, std::move(Committed));
+    Sched.at(Admit, [this, Service, Done = std::move(Done)]() mutable {
+      Cpu.request(Service, std::move(Done));
     });
     return;
   }
 
-  Cpu.request(Service, std::move(Committed));
+  Cpu.request(Service, std::move(Done));
 }
 
 void FileServer::enableJournal() {
@@ -550,27 +540,6 @@ void FileServer::setTenantRateLimit(uint32_t Uid, double OpsPerSec) {
     return;
   }
   TenantLimits.push_back(RateLimit{Uid, Period, Sched.now()});
-}
-
-void FileServer::process(const std::string &Volume, const MetaRequest &Req,
-                         Callback Done) {
-  process(volumeId(Volume), Req, std::move(Done));
-}
-
-void FileServer::process(uint32_t VolId, const MetaRequest &Req,
-                         Callback Done) {
-  admit(VolId, Req, [this, &Done](MetaReply &&R) -> std::function<void()> {
-    uint32_t Slot = Replies.park(std::move(Done), std::move(R));
-    return [this, Slot]() { Replies.deliver(Slot); };
-  });
-}
-
-void FileServer::process(uint32_t VolId, const MetaRequest &Req,
-                         MetaReply &Reply, std::function<void()> Done) {
-  admit(VolId, Req, [&](MetaReply &&R) {
-    Reply = std::move(R);
-    return std::move(Done);
-  });
 }
 
 void FileServer::injectWork(SimDuration Service, std::function<void()> Done) {

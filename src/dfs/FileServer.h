@@ -19,7 +19,6 @@
 #include "dfs/FsAdmin.h"
 #include "dfs/Journal.h"
 #include "dfs/Message.h"
-#include "dfs/ReplyPark.h"
 #include "fs/CostModel.h"
 #include "fs/LocalFileSystem.h"
 #include "sim/Resource.h"
@@ -70,8 +69,6 @@ struct ServerConfig {
 /// Simulated file server processing MetaRequests against its volumes.
 class FileServer : public FsAdmin {
 public:
-  using Callback = std::function<void(MetaReply)>;
-
   FileServer(Scheduler &Sched, ServerConfig Config);
 
   /// Adds a volume with the server's default FsConfig; returns it.
@@ -88,8 +85,8 @@ public:
   /// id-indexed vector — no string hashing or tree walk per request. Ids
   /// are stable for the server's lifetime (surviving removeVolume /
   /// adoptVolume moves), so clients resolve the id once at mount and pass
-  /// it to process()/processEager() afterwards. The string overloads
-  /// remain and simply resolve the id per call.
+  /// it to process()/processEager() afterwards; only the administrative
+  /// calls take volume names.
   /// @{
 
   /// The dense id for \p Name, interning it if never seen. Never fails.
@@ -114,19 +111,12 @@ public:
   /// @}
 
   /// Processes \p Req against the volume \p VolId (from volumeId()). The
-  /// reply callback fires after CPU queueing + service (+ commit latency
-  /// for mutations). The callback and the reply wait in a ReplyPark
-  /// meanwhile, so the CPU completion holds no heap block of its own.
-  void process(uint32_t VolId, const MetaRequest &Req, Callback Done);
-  /// The same, with the reply stored by the caller: it is moved into
-  /// \p Reply when the request executes (at arrival), and \p Done fires
-  /// when the callback of the overload above would. \p Reply must stay
-  /// alive and untouched until then.
+  /// request executes at arrival and its reply is written into \p Reply,
+  /// which the caller owns: it must stay alive and untouched until \p Done
+  /// fires, after CPU queueing + service (+ commit latency for
+  /// mutations).
   void process(uint32_t VolId, const MetaRequest &Req, MetaReply &Reply,
                std::function<void()> Done);
-  /// String-keyed convenience overload of the above.
-  void process(const std::string &Volume, const MetaRequest &Req,
-               Callback Done);
 
   /// Write-back flavour: executes \p Req immediately (state changes and the
   /// reply are available now), while CPU time and commit drain
@@ -134,9 +124,6 @@ public:
   /// work. This models clients that ack metadata from their cache before
   /// the server commits (Lustre, \S 2.6.4 / \S 4.8).
   MetaReply processEager(uint32_t VolId, const MetaRequest &Req,
-                         std::function<void()> Committed);
-  /// String-keyed convenience overload of the above.
-  MetaReply processEager(const std::string &Volume, const MetaRequest &Req,
                          std::function<void()> Committed);
 
   /// Enqueues non-benchmark work (snapshot chunks, streaming writes) that
@@ -239,11 +226,6 @@ public:
                            SimTime Now, OpCost &Cost);
 
 private:
-  /// Executes \p Req at arrival and queues its service. \p Finish takes
-  /// the reply (MetaReply &&) and returns the completion, a
-  /// std::function<void()>, to run once the server has finished the work.
-  template <typename FinishFn>
-  void admit(uint32_t VolId, const MetaRequest &Req, FinishFn &&Finish);
   void noteMutation(const MetaRequest &Req);
   void maybeStartConsistencyPoint();
   void startConsistencyPoint();
@@ -314,10 +296,6 @@ private:
   void persisted(uint64_t Seq);
   std::vector<std::function<void(const std::string &, const MetaRequest &)>>
       Watchers;
-
-  /// The replies of the Callback overload of process(), parked with their
-  /// callbacks from execution until the CPU finishes the request.
-  ReplyPark Replies;
 
   /// Duplicate-request cache, FIFO-bounded by the configured size.
   DuplicateRequestCache Drc;

@@ -107,10 +107,6 @@ struct [[nodiscard]] MetaReply {
   /// readdirplus payload: attributes parallel to Entries (excluding the
   /// "." and ".." entries).
   std::vector<std::pair<std::string, Attr>> EntryAttrs;
-  /// Server's partition-map epoch at reply time (sharded metadata service
-  /// only; 0 everywhere else). On FsError::StaleMap it tells the client
-  /// which epoch a refreshed map will be at least as new as.
-  uint64_t MapEpoch = 0;
 
   bool ok() const { return Err == FsError::Ok; }
 };

@@ -54,7 +54,7 @@ struct GigaDir {
 
 /// The authoritative map: directory token -> GigaDir, plus a global epoch
 /// that bumps on every structural change (register, unregister, split).
-/// Replies carry the epoch so stale clients know to refresh.
+/// Clients stamp the epoch they routed with onto their requests.
 class PartitionMap {
 public:
   static constexpr unsigned MaxRadix = 6;       ///< 2^6 = 64 partitions max

@@ -20,25 +20,6 @@ std::unique_ptr<ClientFs> ReexportFs::makeClient(unsigned NodeIndex) {
       ClientBuilder(Sched, Options.Client, NodeIndex), *this);
 }
 
-void ReexportFs::forward(const MetaRequest &Req, ClientFs::Callback Done) {
-  ++Forwarded;
-  // The gateway's nfsd threads translate NFS to the inner client's
-  // protocol stack; the inner file system then does its own work.
-  GatewayCpu.request(
-      Options.GatewayCostPerRequest,
-      [this, Req, Done = std::move(Done)]() mutable {
-        InnerClient->submit(Req, [this, Done = std::move(Done)](
-                                     MetaReply Reply) {
-          // The reply pays gateway translation again on the way out.
-          GatewayCpu.request(Options.GatewayCostPerRequest,
-                             [Done = std::move(Done),
-                              Reply = std::move(Reply)]() {
-                               Done(Reply);
-                             });
-        });
-      });
-}
-
 ReexportClient::ReexportClient(const ClientBuilder &B, ReexportFs &Gateway)
     : RpcClientBase(B), Gateway(Gateway), NodeIndex(B.nodeIndex()) {
   // Plain NFS semantics toward the client: TTL attribute cache.
@@ -57,5 +38,16 @@ void ReexportClient::submitDirect(const MetaRequest &Req, Callback Done) {
 }
 
 void ReexportClient::dispatch(Exchange *X) {
-  Gateway.forward(X->Req, replyTo(X));
+  ++Gateway.Forwarded;
+  // The gateway's nfsd threads translate NFS to the inner client's
+  // protocol stack; the inner file system then does its own work, and the
+  // reply pays gateway translation again on the way out.
+  Gateway.GatewayCpu.request(
+      Gateway.Options.GatewayCostPerRequest, [this, X]() {
+        Gateway.InnerClient->submit(X->Req, [this, X](MetaReply Reply) {
+          X->Reply = std::move(Reply);
+          Gateway.GatewayCpu.request(Gateway.Options.GatewayCostPerRequest,
+                                     [this, X]() { serverReply(X); });
+        });
+      });
 }

@@ -15,6 +15,10 @@
 /// file system's real client and forwards every request. Metadata pays
 /// both protocol stacks — the price of the clean interface.
 ///
+/// A client's RPC is one pooled exchange of RpcClientBase: the gateway hop
+/// (nfsd CPU, the inner client's operation, nfsd CPU again) is its server
+/// half, and every step names only the client and the exchange.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMETABENCH_DFS_REEXPORTFS_H
@@ -63,9 +67,6 @@ public:
 
 private:
   friend class ReexportClient;
-
-  /// Forwards one request through the gateway to the inner client.
-  void forward(const MetaRequest &Req, ClientFs::Callback Done);
 
   Scheduler &Sched;
   DistributedFs &Inner;

@@ -11,6 +11,10 @@
 /// closure holding the callback and a whole MetaReply would be boxed on
 /// the heap once per reply.
 ///
+/// Its one user is the write-behind queue's local ack of an eager op whose
+/// reply carries the server's attributes (WriteBehindQueue::ackAfter):
+/// RPC replies travel in the client's pooled exchange record instead.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DMETABENCH_DFS_REPLYPARK_H

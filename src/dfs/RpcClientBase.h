@@ -25,7 +25,7 @@
 /// Every event and server continuation on the way captures only {this,
 /// record}, so an RPC allocates nothing once the pool has warmed up. The
 /// model supplies the two halves: dispatch() at the server, finish() back
-/// at the client.
+/// at the client. Every networked model sends its RPCs this way.
 ///
 /// Above the exchange sits the client front end every model shares:
 /// submit() is the one front door (it routes through the write-behind
@@ -217,6 +217,9 @@ protected:
     /// Next to MountPrefixLen, so the two share one word: the record does
     /// not grow for the volume models.
     bool Completed = false;
+    /// StaleMap redirects the operation followed so far (sharded service),
+    /// in the same word.
+    uint8_t Redirects = 0;
     /// The record holding the operation's state: the record itself, or,
     /// for a retransmit, the first attempt's record. A retransmit gets a
     /// record of its own so that every attempt's reply travels on its own.
@@ -226,6 +229,8 @@ protected:
     Exchange *NextFree = nullptr;
     /// @}
   };
+  static_assert(sizeof(Exchange) == 464,
+                "an RPC's record holds one request, one reply and no copy");
 
   /// Takes a record from the pool, creating one when none is free, for a
   /// new RPC of \p Req that completes through \p Done.
@@ -238,6 +243,7 @@ protected:
     X->Server = 0;
     X->VolId = 0;
     X->MountPrefixLen = 0;
+    X->Redirects = 0;
     X->Op = X;
     return X;
   }
@@ -276,13 +282,14 @@ protected:
 
   /// Server half of an exchange: delivers X->Req to the server the model
   /// routes it to. The server must answer each call exactly once, by
-  /// filling X->Reply and calling serverReply(X) (or through replyTo(X)).
+  /// filling X->Reply and calling serverReply(X).
   virtual void dispatch(Exchange *X) = 0;
 
   /// Client half: runs once per operation, when its reply (or a TimedOut
   /// error) arrives in X->Reply. The default settles the attribute cache
   /// with the reply, releases the RPC slot and completes the operation;
-  /// an override adds the model's reply handling, then calls it.
+  /// an override adds the model's reply handling, then calls it (a model
+  /// whose operations take no RPC slot completes them itself).
   virtual void finish(Exchange *X) {
     settle(X->Req, X->Reply);
     slotDone();
@@ -310,6 +317,18 @@ protected:
     });
   }
 
+  /// The same for \p X, which holds an RPC slot but was never sent: its
+  /// operation completes through finish(), which releases the slot, and
+  /// the record goes back to the pool.
+  void failExchange(Exchange *X, FsError Err) {
+    Sched.after(0, [this, X, Err]() {
+      X->Reply = MetaReply();
+      X->Reply.Err = Err;
+      finish(X);
+      recycle(X);
+    });
+  }
+
   /// The server answered attempt \p X: the reply hop back to this client.
   void serverReply(Exchange *X) {
     NetworkLink::Delivery RD = FromServer.plan(0);
@@ -318,14 +337,6 @@ protected:
       return;
     }
     Sched.after(RD.Delay, [this, X]() { deliver(X); });
-  }
-
-  /// A server continuation for APIs that answer with a MetaReply value.
-  auto replyTo(Exchange *X) {
-    return [this, X](MetaReply R) {
-      X->Reply = std::move(R);
-      serverReply(X);
-    };
   }
 
   /// Mounts the attribute cache, before mountWriteBehind(): entries expire

@@ -121,35 +121,27 @@ void ShardedFs::ensurePartitionDir(uint64_t DirToken, unsigned Partition) {
   DMB_ASSERT(R.ok() || R.Err == FsError::Exists, "partition directory create");
 }
 
-void ShardedFs::forward(unsigned Shard, const MetaRequest &R,
-                        std::function<void(MetaReply)> Reply) {
-  Shards[Shard]->process(
-      VolIds[Shard], R, [this, Reply = std::move(Reply)](MetaReply Rep) {
-        Rep.MapEpoch = Map.epoch();
-        Reply(std::move(Rep));
-      });
+void ShardedFs::forward(unsigned Shard, const MetaRequest &R, MetaReply *Out,
+                        std::function<void()> Done) {
+  Shards[Shard]->process(VolIds[Shard], R, *Out, std::move(Done));
 }
 
-void ShardedFs::replyError(unsigned Shard, FsError Err,
-                           std::function<void(MetaReply)> Reply) {
-  uint64_t Epoch = Map.epoch();
-  Shards[Shard]->injectWork(Options.StaleReplyCost,
-                            [Err, Epoch, Reply = std::move(Reply)]() {
-                              MetaReply R;
-                              R.Err = Err;
-                              R.MapEpoch = Epoch;
-                              Reply(std::move(R));
-                            });
+void ShardedFs::replyError(unsigned Shard, FsError Err, MetaReply *Out,
+                           std::function<void()> Done) {
+  // The slot is pooled, not fresh: the reply overwrites all of it.
+  *Out = MetaReply();
+  Out->Err = Err;
+  Shards[Shard]->injectWork(Options.StaleReplyCost, std::move(Done));
 }
 
-void ShardedFs::replyStale(unsigned Shard,
-                           std::function<void(MetaReply)> Reply) {
+void ShardedFs::replyStale(unsigned Shard, MetaReply *Out,
+                           std::function<void()> Done) {
   ++StaleReplies;
-  replyError(Shard, FsError::StaleMap, std::move(Reply));
+  replyError(Shard, FsError::StaleMap, Out, std::move(Done));
 }
 
 void ShardedFs::dispatchAtShard(unsigned Shard, const MetaRequest &R,
-                                std::function<void(MetaReply)> Reply) {
+                                MetaReply *Out, std::function<void()> Done) {
   DMB_ASSERT(Shard < Shards.size(), "bad shard index");
   // Join the shard's ingest batch for this timestamp; a fresh batch
   // schedules its own admission one quantum out. The flush runs strictly
@@ -163,7 +155,7 @@ void ShardedFs::dispatchAtShard(unsigned Shard, const MetaRequest &R,
                 [this, Shard]() { flushArrivals(Shard); });
   }
   Q.back().Items.push_back(
-      PendingArrival{R, std::move(Reply), Sched.activeTrace()});
+      PendingArrival{R, Out, std::move(Done), Sched.activeTrace()});
 }
 
 void ShardedFs::flushArrivals(unsigned Shard) {
@@ -187,18 +179,18 @@ void ShardedFs::flushArrivals(unsigned Shard) {
             });
   for (PendingArrival &P : B.Items) {
     uint64_t Prev = Sched.swapActiveTrace(P.Trace);
-    dispatchNow(Shard, P.Req, std::move(P.Reply));
+    dispatchNow(Shard, P.Req, P.Out, std::move(P.Done));
     Sched.swapActiveTrace(Prev);
   }
 }
 
 void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
-                            std::function<void(MetaReply)> Reply) {
+                            MetaReply *Out, std::function<void()> Done) {
   PartitionMap::ParsedPath P;
   if (R.Path.empty() || !PartitionMap::parse(R.Path, P)) {
     // Handle-based operations (no path) route by the handle the client
     // recorded; nothing to validate here.
-    forward(Shard, R, std::move(Reply));
+    forward(Shard, R, Out, std::move(Done));
     return;
   }
   // A retransmit of an operation that executed on this shard is answered
@@ -206,7 +198,7 @@ void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
   // afterwards — the cached reply is that operation's truth, and the split
   // that moved the entries moved the *other* keys' replies along.
   if (Shards[Shard]->drcHolds(R)) {
-    forward(Shard, R, std::move(Reply));
+    forward(Shard, R, Out, std::move(Done));
     return;
   }
   // Routing validation, structural rather than an epoch comparison: what
@@ -218,14 +210,14 @@ void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
     if (P.Leaf.empty()) {
       if (!((D->Bitmap >> P.Partition) & 1) ||
           Place.shardFor(P.Token, P.Partition) != Shard) {
-        replyStale(Shard, std::move(Reply));
+        replyStale(Shard, Out, std::move(Done));
         return;
       }
     } else {
       unsigned Part =
           PartitionMap::partitionOf(PartitionMap::hashName(P.Leaf), D->Bitmap);
       if (Part != P.Partition || Place.shardFor(P.Token, Part) != Shard) {
-        replyStale(Shard, std::move(Reply));
+        replyStale(Shard, Out, std::move(Done));
         return;
       }
     }
@@ -237,7 +229,7 @@ void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
         unsigned Part = PartitionMap::partitionOf(
             PartitionMap::hashName(P2.Leaf), D2->Bitmap);
         if (Part != P2.Partition || Place.shardFor(P2.Token, Part) != Shard) {
-          replyStale(Shard, std::move(Reply));
+          replyStale(Shard, Out, std::move(Done));
           return;
         }
       }
@@ -250,25 +242,25 @@ void ShardedFs::dispatchNow(unsigned Shard, const MetaRequest &R,
       Probe.Path = R.Path;
       MetaReply St = execDirect(Shard, Probe);
       if (St.ok() && St.A.Type == FileType::Directory) {
-        replyError(Shard, FsError::XDev, std::move(Reply));
+        replyError(Shard, FsError::XDev, Out, std::move(Done));
         return;
       }
     }
   }
   if ((R.Op == MetaOp::Readdir || R.Op == MetaOp::ReaddirPlus) &&
       P.Leaf.empty()) {
-    dispatchReaddir(Shard, R, std::move(Reply));
+    dispatchReaddir(Shard, R, Out, std::move(Done));
     return;
   }
   if (R.Op == MetaOp::Rmdir && !P.Leaf.empty()) {
-    dispatchRmdir(Shard, R, std::move(Reply));
+    dispatchRmdir(Shard, R, Out, std::move(Done));
     return;
   }
-  forward(Shard, R, std::move(Reply));
+  forward(Shard, R, Out, std::move(Done));
 }
 
 void ShardedFs::dispatchReaddir(unsigned Shard, const MetaRequest &R,
-                                std::function<void(MetaReply)> Reply) {
+                                MetaReply *Out, std::function<void()> Done) {
   PartitionMap::ParsedPath P;
   bool Parsed = PartitionMap::parse(R.Path, P);
   DMB_ASSERT(Parsed, "fan-out readdir needs a partition path");
@@ -276,7 +268,7 @@ void ShardedFs::dispatchReaddir(unsigned Shard, const MetaRequest &R,
   if (!D || D->Bitmap == 1) {
     // Unknown or single-partition directory: an ordinary request against
     // the partition directory itself.
-    forward(Shard, R, std::move(Reply));
+    forward(Shard, R, Out, std::move(Done));
     return;
   }
   // Coordinator fan-out: partition 0's owner collects the other partitions'
@@ -285,7 +277,7 @@ void ShardedFs::dispatchReaddir(unsigned Shard, const MetaRequest &R,
   uint64_t Token = P.Token;
   Sched.after(
       Options.InterShardHop * Hops,
-      [this, Shard, Token, Req = R, Reply = std::move(Reply)]() mutable {
+      [this, Shard, Token, Req = R, Out, Done = std::move(Done)]() mutable {
         // Re-read the map: a split (or removal) may have happened while the
         // gather hops were in flight; the real directories are the truth.
         const GigaDir *D2 = Map.dir(Token);
@@ -330,19 +322,15 @@ void ShardedFs::dispatchReaddir(unsigned Shard, const MetaRequest &R,
                       return A.first < B.first;
                     });
         }
-        Merged.MapEpoch = Map.epoch();
-        SimDuration Service =
-            Shards[Shard]->config().Costs.serviceTime(Cost);
+        // A whole reply: the pooled slot keeps nothing of an earlier one.
+        *Out = std::move(Merged);
         Shards[Shard]->injectWork(
-            Service, [Merged = std::move(Merged),
-                      Reply = std::move(Reply)]() mutable {
-              Reply(std::move(Merged));
-            });
+            Shards[Shard]->config().Costs.serviceTime(Cost), std::move(Done));
       });
 }
 
 void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
-                              std::function<void(MetaReply)> Reply) {
+                              MetaReply *Out, std::function<void()> Done) {
   PartitionMap::ParsedPath P;
   bool Parsed = PartitionMap::parse(R.Path, P);
   DMB_ASSERT(Parsed && !P.Leaf.empty(), "fan-out rmdir needs a marker path");
@@ -358,7 +346,7 @@ void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
   if (!CD) {
     // Not a registered directory: the marker itself decides (NoEnt,
     // NotDir, or a DRC replay of an earlier successful rmdir).
-    forward(Shard, R, std::move(Reply));
+    forward(Shard, R, Out, std::move(Done));
     return;
   }
   // Emptiness spans the child's partitions. The per-partition counts only
@@ -367,10 +355,10 @@ void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
   unsigned Hops = static_cast<unsigned>(std::popcount(CD->Bitmap));
   Sched.after(
       Options.InterShardHop * Hops,
-      [this, Shard, ChildTok, Req = R, Reply = std::move(Reply)]() mutable {
+      [this, Shard, ChildTok, Req = R, Out, Done = std::move(Done)]() mutable {
         const GigaDir *C2 = Map.dir(ChildTok);
         if (!C2) { // removed while the check hops were in flight
-          forward(Shard, Req, std::move(Reply));
+          forward(Shard, Req, Out, std::move(Done));
           return;
         }
         uint64_t Bitmap = C2->Bitmap;
@@ -384,7 +372,7 @@ void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
             continue;
           for (const DirEntry &E : Listing.Entries)
             if (E.Name != "." && E.Name != "..") {
-              replyError(Shard, FsError::NotEmpty, std::move(Reply));
+              replyError(Shard, FsError::NotEmpty, Out, std::move(Done));
               return;
             }
         }
@@ -400,7 +388,7 @@ void ShardedFs::dispatchRmdir(unsigned Shard, const MetaRequest &R,
           DMB_ASSERT(Rm.ok() || Rm.Err == FsError::NoEnt,
                      "partition directory removal");
         }
-        forward(Shard, Req, std::move(Reply));
+        forward(Shard, Req, Out, std::move(Done));
       });
 }
 
@@ -689,7 +677,6 @@ uint64_t ShardedClient::bitmapFor(uint64_t DirToken) const {
 
 ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
   Route R;
-  R.Phys = Req;
   const std::string &Path = Req.Path;
   if (Path.empty() || Path.front() != '/') {
     R.Err = FsError::NoEnt;
@@ -698,49 +685,45 @@ ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
   // Listings read the target directory's partitions; partition 0's owner
   // coordinates the fan-out.
   if (Req.Op == MetaOp::Readdir || Req.Op == MetaOp::ReaddirPlus) {
-    uint64_t Tok = fnv1a64(Path);
-    R.DirToken = Tok;
-    R.Shard = Fs.placement().shardFor(Tok, 0);
-    R.Phys.Path = PartitionMap::partitionDirName(Tok, 0);
+    R.Path = PartitionMap::partitionDirName(fnv1a64(Path), 0);
     return R;
   }
   if (Path == "/") {
     if (Req.Op == MetaOp::Stat || Req.Op == MetaOp::Lstat) {
       // The root has no marker entry; partition 0 stands in for it.
-      uint64_t Tok = fnv1a64(Path);
-      R.DirToken = Tok;
-      R.Shard = Fs.placement().shardFor(Tok, 0);
-      R.Phys.Path = PartitionMap::partitionDirName(Tok, 0);
+      R.Path = PartitionMap::partitionDirName(fnv1a64(Path), 0);
       return R;
     }
     R.Err = Req.Op == MetaOp::Mkdir ? FsError::Exists : FsError::Busy;
     return R;
   }
-  auto Translate = [this](const std::string &VPath, uint64_t &TokOut,
-                          std::string &PhysOut, unsigned &ShardOut) {
+  auto Translate = [this](const std::string &VPath, std::string &PhysOut,
+                          unsigned &ShardOut) {
     size_t Slash = VPath.rfind('/');
     std::string Leaf = VPath.substr(Slash + 1);
     if (Leaf.empty())
       return false;
-    TokOut = fnv1a64(Slash == 0 ? std::string("/") : VPath.substr(0, Slash));
+    uint64_t Tok =
+        fnv1a64(Slash == 0 ? std::string("/") : VPath.substr(0, Slash));
     unsigned Part = PartitionMap::partitionOf(PartitionMap::hashName(Leaf),
-                                              bitmapFor(TokOut));
-    PhysOut = PartitionMap::partitionDirName(TokOut, Part) + "/" + Leaf;
-    ShardOut = Fs.placement().shardFor(TokOut, Part);
+                                              bitmapFor(Tok));
+    PhysOut = PartitionMap::partitionDirName(Tok, Part) + "/" + Leaf;
+    ShardOut = Fs.placement().shardFor(Tok, Part);
     return true;
   };
-  if (!Translate(Path, R.DirToken, R.Phys.Path, R.Shard)) {
+  unsigned Shard = 0;
+  if (!Translate(Path, R.Path, Shard)) {
     R.Err = FsError::NoEnt;
     return R;
   }
   if (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) {
     unsigned Shard2 = 0;
     if (Req.Path2.empty() || Req.Path2.front() != '/' || Req.Path2 == "/" ||
-        !Translate(Req.Path2, R.DirToken2, R.Phys.Path2, Shard2)) {
+        !Translate(Req.Path2, R.Path2, Shard2)) {
       R.Err = FsError::Invalid;
       return R;
     }
-    if (Shard2 != R.Shard) {
+    if (Shard2 != Shard) {
       // A single server-side operation cannot span two shards (\S 2.6.3:
       // NFS3ERR_XDEV), as with the volume-based models.
       R.Err = FsError::XDev;
@@ -748,6 +731,25 @@ ShardedClient::Route ShardedClient::route(const MetaRequest &Req) const {
     }
   }
   return R;
+}
+
+unsigned ShardedClient::place(std::string &Phys, bool Refresh) {
+  PartitionMap::ParsedPath P;
+  bool Parsed = PartitionMap::parse(Phys, P);
+  DMB_ASSERT(Parsed, "a routed request names a partition path");
+  if (Refresh)
+    BitmapCache[P.Token] = Fs.fetchBitmap(P.Token);
+  // An entry moves with its directory's bitmap; a partition directory
+  // itself (a listing, a stat of the root) is always partition 0.
+  if (!P.Leaf.empty()) {
+    unsigned Part = PartitionMap::partitionOf(PartitionMap::hashName(P.Leaf),
+                                              bitmapFor(P.Token));
+    if (Part != P.Partition) {
+      Phys = PartitionMap::partitionDirName(P.Token, Part) + "/" + P.Leaf;
+      P.Partition = Part;
+    }
+  }
+  return Fs.placement().shardFor(P.Token, P.Partition);
 }
 
 /// Operations that act on an open handle and carry no path to route by.
@@ -781,11 +783,7 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
       failLocally(FsError::BadFd, std::move(Done));
       return;
     }
-    Exchange *X = newExchange(
-        Req, [this, Done = std::move(Done)](MetaReply Reply) mutable {
-          slotDone();
-          Done(std::move(Reply));
-        });
+    Exchange *X = newExchange(Req, std::move(Done));
     X->Req.Fh = H->ServerFh;
     X->Server = H->Server;
     withSlot([this, X]() { transact(X); });
@@ -798,66 +796,59 @@ void ShardedClient::submitDirect(const MetaRequest &Req, Callback Done) {
     failLocally(Rt.Err, std::move(Done));
     return;
   }
+  Exchange *X = newExchange(Req, std::move(Done));
+  X->Req.Path = std::move(Rt.Path);
+  if (!Rt.Path2.empty())
+    X->Req.Path2 = std::move(Rt.Path2);
   // The Xid is allocated before the first attempt and pinned across
   // redirects: every re-issue of this operation — to whichever shard the
   // refreshed map points at — carries the same DRC identity. A request
   // arriving with an Xid already stamped (the write-behind queue pins one
   // at enqueue) keeps it.
-  uint64_t Xid = Req.Xid ? Req.Xid : allocXid();
-  withSlot([this, Req, Xid, Done = std::move(Done)]() mutable {
-    attempt(Req, Xid, Fs.options().MaxRedirects,
-            [this, Done = std::move(Done)](MetaReply Reply) mutable {
-              slotDone();
-              Done(std::move(Reply));
-            });
-  });
+  if (!X->Req.Xid)
+    X->Req.Xid = allocXid();
+  withSlot([this, X]() { issue(X, /*Refresh=*/false); });
 }
 
-void ShardedClient::attempt(const MetaRequest &Req, uint64_t Xid,
-                            unsigned RedirectsLeft, Callback Done) {
-  // Re-route on every attempt: a refresh may have changed the partition,
-  // the physical path, and the owning shard.
-  Route Rt = route(Req);
-  if (Rt.Err != FsError::Ok) {
-    failLocally(Rt.Err, std::move(Done));
+void ShardedClient::issue(Exchange *X, bool Refresh) {
+  // Route again on every attempt: while the operation waited for its slot,
+  // or for this refresh, a redirect may have changed the partition, the
+  // physical path and the owning shard.
+  MetaRequest &Req = X->Req;
+  X->Server = place(Req.Path, Refresh);
+  bool Spans = (Req.Op == MetaOp::Rename || Req.Op == MetaOp::Link) &&
+               place(Req.Path2, Refresh) != X->Server;
+  if (Refresh)
+    CachedEpoch = Fs.mapEpoch();
+  if (Spans) {
+    failExchange(X, FsError::XDev);
     return;
   }
-  Rt.Phys.ClientId = rpcClientId();
-  Rt.Phys.Xid = Xid;
-  Rt.Phys.MapEpoch = CachedEpoch;
-  unsigned Shard = Rt.Shard;
-  uint64_t Tok = Rt.DirToken;
-  uint64_t Tok2 = Rt.DirToken2;
-  Exchange *X = newExchange(
-      Rt.Phys,
-      [this, Req, Xid, RedirectsLeft, Shard, Tok, Tok2,
-       Done = std::move(Done)](MetaReply Reply) mutable {
-        if (Reply.Err == FsError::StaleMap && RedirectsLeft > 0) {
-          ++StaleRetries;
-          // Refresh the routed directories' bitmaps from the map service —
-          // a reliable control-plane round trip (fixed latency, not subject
-          // to the data-path fault policy) — then re-issue under the same
-          // Xid.
-          sched().after(
-              Fs.options().MapFetchLatency,
-              [this, Req, Xid, RedirectsLeft, Tok, Tok2,
-               Done = std::move(Done)]() mutable {
-                BitmapCache[Tok] = Fs.fetchBitmap(Tok);
-                if (Tok2)
-                  BitmapCache[Tok2] = Fs.fetchBitmap(Tok2);
-                CachedEpoch = Fs.mapEpoch();
-                attempt(Req, Xid, RedirectsLeft - 1, std::move(Done));
-              });
-          return;
-        }
-        if (Reply.ok() && Req.Op == MetaOp::Open)
-          Reply.Fh = Handles.wrap(Shard, /*VolId=*/0, Reply.Fh);
-        Done(std::move(Reply));
-      });
-  X->Server = Shard;
+  Req.ClientId = rpcClientId();
+  Req.MapEpoch = CachedEpoch;
   transact(X);
 }
 
+void ShardedClient::finish(Exchange *X) {
+  if (X->Reply.Err == FsError::StaleMap && X->Redirects < MaxRedirects) {
+    ++StaleRetries;
+    // Refresh the routed directories' bitmaps from the map service — a
+    // reliable control-plane round trip (fixed latency, not subject to
+    // the data-path fault policy) — then re-issue under the same Xid and
+    // slot. The next attempt takes a record of its own: a retransmit
+    // timer may still name this one.
+    Exchange *Next = newExchange(X->Req, std::move(X->Done));
+    Next->Redirects = X->Redirects + 1;
+    sched().after(Fs.options().MapFetchLatency,
+                  [this, Next]() { issue(Next, /*Refresh=*/true); });
+    return;
+  }
+  if (X->Reply.ok() && X->Req.Op == MetaOp::Open)
+    X->Reply.Fh = Handles.wrap(X->Server, /*VolId=*/0, X->Reply.Fh);
+  RpcClientBase::finish(X);
+}
+
 void ShardedClient::dispatch(Exchange *X) {
-  Fs.dispatchAtShard(X->Server, X->Req, replyTo(X));
+  Fs.dispatchAtShard(X->Server, X->Req, &X->Reply,
+                     [this, X]() { serverReply(X); });
 }

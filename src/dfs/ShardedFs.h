@@ -14,14 +14,18 @@
 /// bottleneck).
 ///
 /// Clients cache each directory's partition bitmap and route requests
-/// themselves. Replies carry the authoritative map epoch; a request routed
-/// with an outdated bitmap is answered with FsError::StaleMap, after which
-/// the client refreshes the directory's bitmap (a control-plane round trip)
-/// and re-issues the operation — with the *same* (ClientId, Xid), so the
-/// destination shard's duplicate-request cache still recognises a
-/// retransmitted operation that executed before its entries migrated.
-/// Split migrations move the affected duplicate-request-cache entries along
-/// with the entries themselves for exactly that reason.
+/// themselves. A request routed with an outdated bitmap is answered with
+/// FsError::StaleMap, after which the client refreshes the directory's
+/// bitmap (a control-plane round trip) and re-issues the operation — with
+/// the *same* (ClientId, Xid), so the destination shard's
+/// duplicate-request cache still recognises a retransmitted operation that
+/// executed before its entries migrated. Split migrations move the affected
+/// duplicate-request-cache entries along with the entries themselves for
+/// exactly that reason.
+///
+/// Each attempt is one pooled exchange of RpcClientBase. The shards write
+/// their replies into it, the redirect re-routes the physical request it
+/// carries, and the operation keeps its RPC slot across redirects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +62,6 @@ struct ShardedOptions {
   /// partition bitmap after a StaleMap redirect. The map service is
   /// modelled as reliable (replicated), so refreshes never fault.
   SimDuration MapFetchLatency = microseconds(200);
-  /// Redirects one operation may take before the client reports StaleMap.
-  unsigned MaxRedirects = 8;
   /// Shard CPU time to reject a stale-routed request.
   SimDuration StaleReplyCost = microseconds(10);
   /// Coordinator-to-shard hop for fan-out operations (readdir, rmdir
@@ -135,10 +137,11 @@ public:
   /// arrived in the same quantum; admission then runs the
   /// duplicate-request probe, routing validation against the
   /// authoritative map (StaleMap on mismatch), the fan-out paths for
-  /// readdir/rmdir, and the forward into the shard's FileServer.
-  /// \p Reply fires exactly once.
-  void dispatchAtShard(unsigned Shard, const MetaRequest &R,
-                       std::function<void(MetaReply)> Reply);
+  /// readdir/rmdir, and the forward into the shard's FileServer. The
+  /// reply is written into \p Out, which the caller owns until \p Done
+  /// fires, exactly once.
+  void dispatchAtShard(unsigned Shard, const MetaRequest &R, MetaReply *Out,
+                       std::function<void()> Done);
 
   /// Control-plane fetch of a directory's current partition bitmap (1 — a
   /// single partition 0 — for unknown directories). The client charges
@@ -149,11 +152,13 @@ public:
 private:
   friend class ShardedClient;
 
-  /// One request waiting in a shard's ingest batch, with the trace id of
-  /// the operation it belongs to (restored around its admission).
+  /// One request waiting in a shard's ingest batch, with its reply slot
+  /// and completion, and the trace id of the operation it belongs to
+  /// (restored around its admission).
   struct PendingArrival {
     MetaRequest Req;
-    std::function<void(MetaReply)> Reply;
+    MetaReply *Out = nullptr;
+    std::function<void()> Done;
     uint64_t Trace = 0;
   };
   /// All requests delivered to one shard at one timestamp; admitted
@@ -167,8 +172,8 @@ private:
   /// request order.
   void flushArrivals(unsigned Shard);
   /// The admission path behind dispatchAtShard() (see there).
-  void dispatchNow(unsigned Shard, const MetaRequest &R,
-                   std::function<void(MetaReply)> Reply);
+  void dispatchNow(unsigned Shard, const MetaRequest &R, MetaReply *Out,
+                   std::function<void()> Done);
 
   /// Executes \p Req directly on a shard volume (server-internal work:
   /// partition directories, migrations), journaling successful journalable
@@ -201,21 +206,20 @@ private:
                         const std::string &Name);
 
   /// Fan-out implementations (coordinator = the shard owning partition 0).
-  void dispatchReaddir(unsigned Shard, const MetaRequest &R,
-                       std::function<void(MetaReply)> Reply);
-  void dispatchRmdir(unsigned Shard, const MetaRequest &R,
-                     std::function<void(MetaReply)> Reply);
+  void dispatchReaddir(unsigned Shard, const MetaRequest &R, MetaReply *Out,
+                       std::function<void()> Done);
+  void dispatchRmdir(unsigned Shard, const MetaRequest &R, MetaReply *Out,
+                     std::function<void()> Done);
 
-  /// Forwards \p R into the shard's FileServer, stamping the current map
-  /// epoch onto the reply.
-  void forward(unsigned Shard, const MetaRequest &R,
-               std::function<void(MetaReply)> Reply);
-  /// Answers \p Reply with \p Err from shard \p Shard after the (small)
-  /// rejection cost, stamping the current map epoch.
-  void replyError(unsigned Shard, FsError Err,
-                  std::function<void(MetaReply)> Reply);
+  /// Forwards \p R into the shard's FileServer.
+  void forward(unsigned Shard, const MetaRequest &R, MetaReply *Out,
+               std::function<void()> Done);
+  /// Answers with \p Err from shard \p Shard after the (small) rejection
+  /// cost.
+  void replyError(unsigned Shard, FsError Err, MetaReply *Out,
+                  std::function<void()> Done);
   /// replyError(StaleMap), counted.
-  void replyStale(unsigned Shard, std::function<void(MetaReply)> Reply);
+  void replyStale(unsigned Shard, MetaReply *Out, std::function<void()> Done);
 
   Scheduler &Sched;
   ShardedOptions Options;
@@ -249,30 +253,35 @@ public:
   size_t cachedDirCount() const { return BitmapCache.size(); }
 
 private:
-  /// One routing decision: where the translated request goes, or the
-  /// error to answer client-side.
+  /// Redirects one operation may take before the client reports StaleMap.
+  static constexpr uint8_t MaxRedirects = 8;
+
+  /// The physical paths a virtual request translates to with the cached
+  /// bitmaps, or the error to answer client-side.
   struct Route {
     FsError Err = FsError::Ok;
-    unsigned Shard = 0;
-    uint64_t DirToken = 0;  ///< bitmap to refresh on StaleMap
-    uint64_t DirToken2 = 0; ///< secondary bitmap (rename/link), 0 = none
-    MetaRequest Phys;
+    std::string Path;
+    std::string Path2; ///< a rename's or link's target; else empty
   };
 
   Route route(const MetaRequest &Req) const;
   uint64_t bitmapFor(uint64_t DirToken) const;
+  /// Points the physical path \p Phys at the partition its directory's
+  /// cached bitmap names, fetching that bitmap from the map service first
+  /// when \p Refresh; returns the shard owning the partition.
+  unsigned place(std::string &Phys, bool Refresh);
   /// The routed issue path behind submit(): handle-op forwarding and
   /// redirect-following path ops. Honors a pre-pinned Req.Xid (the
   /// write-behind queue pins one per op at enqueue).
   void submitDirect(const MetaRequest &Req, Callback Done) override;
-  /// Issues one routed attempt; follows StaleMap redirects re-using
-  /// \p Xid until RedirectsLeft runs out. Runs under one RPC slot.
-  void attempt(const MetaRequest &Req, uint64_t Xid, unsigned RedirectsLeft,
-               Callback Done);
+  /// Sends the physical request of \p X, which holds an RPC slot, to the
+  /// shard its partitions are on now: at slot grant, and after the bitmap
+  /// refresh (\p Refresh) of a redirect.
+  void issue(Exchange *X, bool Refresh);
   void dispatch(Exchange *X) override;
-  /// Only completes: the caller's completion releases the RPC slot, which
-  /// a redirected operation holds across its attempts.
-  void finish(Exchange *X) override { complete(X); }
+  /// Follows a StaleMap redirect, keeping the RPC slot and the Xid, until
+  /// MaxRedirects; completes through the base otherwise.
+  void finish(Exchange *X) override;
 
   ShardedFs &Fs;
   unsigned NodeIndex;

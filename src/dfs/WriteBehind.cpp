@@ -409,7 +409,7 @@ void WriteBehindQueue::ackAfter(SimDuration Delay, Callback Done,
   Attr Predicted;
   Predicted.Mode = Reply.A.Mode;
   if (Reply.A == Predicted && Reply.Text.empty() && Reply.Entries.empty() &&
-      Reply.EntryAttrs.empty() && Reply.MapEpoch == 0) {
+      Reply.EntryAttrs.empty()) {
     Sched.after(Delay, [Done = std::move(Done), Err = Reply.Err,
                         Mode = Reply.A.Mode, Fh = Reply.Fh,
                         Bytes = Reply.Bytes]() {

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/Network.h"
-#include "sim/Trace.h"
 
 using namespace dmb;
 
@@ -58,14 +57,4 @@ NetworkLink::Delivery NetworkLink::plan(uint64_t NumBytes) {
     }
   }
   return D;
-}
-
-void NetworkLink::send(uint64_t NumBytes, std::function<void()> Deliver) {
-  Delivery D = plan(NumBytes);
-  if (D.Dropped)
-    return; // lost on the wire; Deliver is destroyed unrun
-  // The message leaving the sender is the active operation's NetOut hop;
-  // the delivery event inherits the trace id through the scheduler.
-  Sched.traceStamp(TracePoint::NetOut);
-  Sched.after(D.Delay, std::move(Deliver));
 }

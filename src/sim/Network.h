@@ -25,7 +25,6 @@
 #include "sim/Time.h"
 #include "support/Random.h"
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace dmb {
@@ -96,17 +95,11 @@ public:
     SimDuration Delay = 0;
   };
 
-  /// The accounting entry point: counts a message of \p Bytes and rolls the
-  /// fault policy, without scheduling anything. Callers that compose their
-  /// own event chains out of transferTime() must route the message through
-  /// plan() instead so messagesSent()/bytesSent() stay truthful — reading
+  /// The one entry point for a message: counts a message of \p Bytes and
+  /// rolls the fault policy, without scheduling anything; the caller
+  /// schedules the delivery after Delay unless it was dropped. Reading
   /// transferTime() alone bypasses the counters.
   Delivery plan(uint64_t Bytes);
-
-  /// Delivers a message of \p Bytes after latency + serialization time
-  /// (plus any fault-policy jitter). A dropped message destroys \p Deliver
-  /// without running it.
-  void send(uint64_t Bytes, std::function<void()> Deliver);
 
   /// Transfer duration without accounting or delivering (composition
   /// helper; pair with plan() so the traffic counters stay correct).

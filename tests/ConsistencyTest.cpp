@@ -15,7 +15,9 @@
 #include "dmetabench/DMetabench.h"
 #include "support/Random.h"
 #include "workload/NamespaceGenerator.h"
+#include <functional>
 #include <gtest/gtest.h>
+#include <memory>
 #include <set>
 
 using namespace dmb;
@@ -28,6 +30,18 @@ OpCtx userCtx(SimTime Now = 0) {
   Ctx.Creds.Gid = 1000;
   Ctx.Now = Now;
   return Ctx;
+}
+
+/// Sends \p Req to the volume \p Vol of \p Server. The reply waits in a
+/// slot this helper owns until the server's completion hands it to
+/// \p Done.
+void serve(FileServer &Server, const std::string &Vol, const MetaRequest &Req,
+           std::function<void(MetaReply)> Done = [](MetaReply) {}) {
+  auto Reply = std::make_shared<MetaReply>();
+  Server.process(Server.volumeId(Vol), Req, *Reply,
+                 [Reply, Done = std::move(Done)]() {
+                   Done(std::move(*Reply));
+                 });
 }
 
 FsError touch(LocalFileSystem &Fs, OpCtx &Ctx, const std::string &Path) {
@@ -237,7 +251,7 @@ TEST(Journal, ReplayRebuildsNamespace) {
 
   auto Apply = [&](MetaRequest Req) {
     MetaReply Out;
-    Server.process("v", Req, [&Out](MetaReply R) { Out = std::move(R); });
+    serve(Server, "v", Req, [&Out](MetaReply R) { Out = std::move(R); });
     S.run(); // runs to completion: commits everything
     return Out;
   };
@@ -267,10 +281,10 @@ TEST(Journal, UncommittedOpsAreLostButFsStaysConsistent) {
   Server.enableJournal();
 
   // Commit /durable fully.
-  Server.process("v", makeMkdir("/durable"), [](MetaReply) {});
+  serve(Server, "v", makeMkdir("/durable"));
   S.run();
   // Issue /lost but crash before its service completes.
-  Server.process("v", makeMkdir("/lost"), [](MetaReply) {});
+  serve(Server, "v", makeMkdir("/lost"));
   S.runUntil(S.now() + microseconds(1));
   EXPECT_EQ(1u, Server.journal()->uncommittedCount("v"));
 
@@ -373,8 +387,8 @@ TEST(Journal, CrashDuringOutOfOrderCommitRecoversPrefix) {
 
   // Fully committed baseline: /f exists with default mode.
   MetaReply O;
-  Server.process("v", makeOpen("/f", OpenWrite | OpenCreate),
-                 [&O](MetaReply R) { O = std::move(R); });
+  serve(Server, "v", makeOpen("/f", OpenWrite | OpenCreate),
+        [&O](MetaReply R) { O = std::move(R); });
   S.run();
   ASSERT_TRUE(O.ok());
 
@@ -383,14 +397,13 @@ TEST(Journal, CrashDuringOutOfOrderCommitRecoversPrefix) {
   // least state, so its stable write finishes first (~119 us), before the
   // create (~135 us) and the rename (~147 us).
   SimTime T0 = S.now();
-  Server.process("v", makeRename("/f", "/g"), [](MetaReply) {});
-  Server.process("v", makeOpen("/f", OpenWrite | OpenCreate),
-                 [](MetaReply) {});
+  serve(Server, "v", makeRename("/f", "/g"));
+  serve(Server, "v", makeOpen("/f", OpenWrite | OpenCreate));
   MetaRequest Chmod;
   Chmod.Op = MetaOp::Chmod;
   Chmod.Path = "/f";
   Chmod.Mode = 0700;
-  Server.process("v", Chmod, [](MetaReply) {});
+  serve(Server, "v", Chmod);
 
   // Crash inside the window where only the chmod's stable write is done.
   S.runUntil(T0 + microseconds(126));
@@ -558,7 +571,7 @@ TEST(Journal, ReplayRoundTripsEveryJournalableField) {
         default:
           break;
         }
-        Server.process("v", Req, [](MetaReply) {});
+        serve(Server, "v", Req);
       }
       S.runUntil(S.now() + microseconds(1 + R.below(400)));
       if (R.below(8) == 0) {
@@ -579,11 +592,11 @@ TEST(Journal, RecoveredVolumeKeepsWorking) {
   FileServer Server(S, ServerConfig());
   Server.addVolume("v");
   Server.enableJournal();
-  Server.process("v", makeMkdir("/a"), [](MetaReply) {});
+  serve(Server, "v", makeMkdir("/a"));
   S.run();
   Server.crashAndRecover("v");
   MetaReply Out;
-  Server.process("v", makeMkdir("/a/b"), [&Out](MetaReply R) { Out = R; });
+  serve(Server, "v", makeMkdir("/a/b"), [&Out](MetaReply R) { Out = R; });
   S.run();
   EXPECT_TRUE(Out.ok());
 }
@@ -666,10 +679,10 @@ TEST(Notification, WatchersSeeMutationsOnly) {
       [&Seen](const std::string &Volume, const MetaRequest &Req) {
         Seen.push_back(Volume + ":" + metaOpName(Req.Op) + ":" + Req.Path);
       });
-  Server.process("v", makeMkdir("/d"), [](MetaReply) {});
-  Server.process("v", makeStat("/d"), [](MetaReply) {});
-  Server.process("v", makeMkdir("/d"), [](MetaReply) {}); // EEXIST
-  Server.process("v", makeUnlink("/missing"), [](MetaReply) {}); // fails
+  serve(Server, "v", makeMkdir("/d"));
+  serve(Server, "v", makeStat("/d"));
+  serve(Server, "v", makeMkdir("/d")); // EEXIST
+  serve(Server, "v", makeUnlink("/missing")); // fails
   S.run();
   // Only the successful mutation notified; reads and failures do not.
   ASSERT_EQ(1u, Seen.size());

@@ -361,7 +361,6 @@ void expectSameEntry(const DrcModelEntry &Want, const DrcModelEntry &Got) {
   EXPECT_TRUE(Want.Reply.A == Got.Reply.A);
   EXPECT_EQ(Want.Reply.Fh, Got.Reply.Fh);
   EXPECT_EQ(Want.Reply.Bytes, Got.Reply.Bytes);
-  EXPECT_EQ(Want.Reply.MapEpoch, Got.Reply.MapEpoch);
 }
 
 /// Lookups of every key in \p Keys, the size and the eviction order agree.
@@ -423,7 +422,6 @@ TEST(DuplicateRequestCache, MatchesMapAndFifoUnderSeededChurn) {
           E.Reply.A.Ino = Step;
         E.Reply.Fh = Step + 1;
         E.Reply.Bytes = Step + 2;
-        E.Reply.MapEpoch = Step % 3;
         bool New = M.Entries.count(E.Key) == 0;
         NewKeys += New;
         EXPECT_EQ(New, C.insert(E.Key, E.Op, E.Reply, E.Path, E.VolId,
@@ -479,14 +477,12 @@ TEST(DuplicateRequestCache, ReplyRoundTripsWithoutPayload) {
   R.A.Mode = 0700;
   R.Fh = 7;
   R.Bytes = 4096;
-  R.MapEpoch = 3;
   MetaReply Back = DuplicateRequestCache::CachedReply::of(R).reply();
   EXPECT_EQ(R.Err, Back.Err);
   EXPECT_EQ(R.A.Ino, Back.A.Ino);
   EXPECT_EQ(R.A.Mode, Back.A.Mode);
   EXPECT_EQ(R.Fh, Back.Fh);
   EXPECT_EQ(R.Bytes, Back.Bytes);
-  EXPECT_EQ(R.MapEpoch, Back.MapEpoch);
   EXPECT_TRUE(Back.Text.empty());
   EXPECT_TRUE(Back.Entries.empty());
   EXPECT_TRUE(Back.EntryAttrs.empty());
@@ -1018,6 +1014,25 @@ TEST(Cxfs, InterNodeOperationsOverlap) {
   SimDuration Slowest = EndA > EndB ? EndA : EndB;
   SimDuration Fastest = EndA < EndB ? EndA : EndB;
   EXPECT_LT(Slowest - Fastest, Fastest / 2);
+}
+
+TEST(Cxfs, LostMessagesTimeOutAndReleaseTheToken) {
+  // The client's fault and retry policies apply to CXFS's metadata RPCs as
+  // to every other model's: while nearly every message is lost, a mkdir
+  // retransmits until its retries run out and ends TimedOut. The timeout
+  // releases the node's token, so once the link heals the next operation
+  // runs.
+  Scheduler S;
+  CxfsOptions O;
+  O.Client.Net.Faults.Windows = {{0, seconds(1.0), 0.999}};
+  O.Client.Retry.Timeout = milliseconds(5);
+  O.Client.Retry.MaxRetransmits = 2;
+  CxfsFs Fs(S, O);
+  std::unique_ptr<ClientFs> C = Fs.makeClient(0);
+  EXPECT_EQ(FsError::TimedOut, runSync(S, *C, makeMkdir("/lost")).Err);
+  EXPECT_LT(S.now(), seconds(1.0));
+  S.runUntil(seconds(1.0));
+  EXPECT_EQ(FsError::Ok, runSync(S, *C, makeMkdir("/healed")).Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,12 +17,26 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
 #include <iterator>
+#include <memory>
 
 using namespace dmb;
 
 namespace {
+
+/// Sends \p Req to the volume \p Vol of \p Server. The reply waits in a
+/// slot this helper owns until the server's completion hands it to
+/// \p Done.
+void serve(FileServer &Server, const std::string &Vol, const MetaRequest &Req,
+           std::function<void(MetaReply)> Done = [](MetaReply) {}) {
+  auto Reply = std::make_shared<MetaReply>();
+  Server.process(Server.volumeId(Vol), Req, *Reply,
+                 [Reply, Done = std::move(Done)]() {
+                   Done(std::move(*Reply));
+                 });
+}
 
 MetaReply runSync(Scheduler &S, ClientFs &C, MetaRequest Req) {
   MetaReply Out;
@@ -192,7 +206,7 @@ TEST(Qos, RateLimitDelaysTenant) {
   for (int I = 0; I < 10; ++I) {
     MetaRequest Req = makeMkdir("/d" + std::to_string(I));
     Req.Creds.Uid = 42;
-    Server.process("v", Req, [&](MetaReply R) {
+    serve(Server, "v", Req, [&](MetaReply R) {
       EXPECT_TRUE(R.ok());
       ++Done;
       LastDone = S.now();
@@ -206,7 +220,7 @@ TEST(Qos, RateLimitDelaysTenant) {
   SimTime OtherDone = 0;
   MetaRequest Req = makeMkdir("/other");
   Req.Creds.Uid = 7;
-  Server.process("v", Req, [&](MetaReply R) {
+  serve(Server, "v", Req, [&](MetaReply R) {
     EXPECT_TRUE(R.ok());
     OtherDone = S.now();
   });
@@ -224,7 +238,7 @@ TEST(Qos, RemovingTheLimitRestoresSpeed) {
   SimTime Done = 0;
   MetaRequest Req = makeMkdir("/d");
   Req.Creds.Uid = 42;
-  Server.process("v", Req, [&](MetaReply) { Done = S.now(); });
+  serve(Server, "v", Req, [&](MetaReply) { Done = S.now(); });
   S.run();
   EXPECT_LT(Done, milliseconds(10));
 }

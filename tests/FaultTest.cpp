@@ -367,7 +367,7 @@ MetaReply eagerMkdir(FileServer &Srv, const std::string &Vol,
   MetaRequest R = makeMkdir(Path);
   R.ClientId = 1;
   R.Xid = Xid;
-  return Srv.processEager(Vol, R, [] {});
+  return Srv.processEager(Srv.volumeId(Vol), R, [] {});
 }
 
 TEST(Fault, CrashPrunedDrcKeysDoNotEvictLiveEntries) {

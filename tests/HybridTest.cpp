@@ -141,6 +141,10 @@ TEST(Reexport, WorksAsBenchmarkTarget) {
   EXPECT_GT(Res.Subtasks[0].totalOps(), 100u);
   for (const ProcessTrace &Proc : Res.Subtasks[0].Processes)
     EXPECT_EQ(0u, Proc.FailedRequests);
+  // No golden-corpus entry runs a re-export, so this run pins the
+  // gateway's event chain: its event count and its result, bit-exact.
+  EXPECT_EQ(47084u, S.executedEvents());
+  EXPECT_EQ(0xddb749eae39cd902ull, fnv1a64(canonicalResultText(Res)));
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,8 +10,9 @@
 /// client's virtual-to-physical translation, incremental splitting of a
 /// hot directory, the StaleMap redirect protocol (including the redirect
 /// that is answered from a migrated duplicate-request-cache entry), rename
-/// semantics across shards, and the tier-1 pinned benchmark scenario with
-/// its schedule-invariance twin.
+/// semantics across shards (also when a redirect reveals the crossing),
+/// and the tier-1 pinned benchmark scenario with its schedule-invariance
+/// twin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -265,7 +266,8 @@ TEST(Sharded, RedirectedRetransmitHitsMigratedDrcEntry) {
   // other shard.
   std::string Mover;
   for (unsigned I = 0;; ++I) {
-    std::string Name = "m" + std::to_string(I);
+    std::string Name = "m";
+    Name += std::to_string(I);
     if (PartitionMap::movesOnSplit(PartitionMap::hashName(Name), 0)) {
       Mover = Name;
       break;
@@ -371,6 +373,64 @@ TEST(Sharded, RenameAcrossShardsIsXDev) {
   // The failed rename moved nothing.
   EXPECT_TRUE(runSync(S, *Client, makeStat(SrcPath)).ok());
   EXPECT_EQ(FsError::NoEnt, runSync(S, *Client, makeStat(DstPath)).Err);
+}
+
+TEST(Sharded, RenameRedirectedAcrossShardsIsXDev) {
+  // A client that never fetched a split directory's bitmap routes a rename
+  // within the directory to partition 0. The shard answers StaleMap, and
+  // the refreshed bitmap puts source and target on different shards: the
+  // redirect ends in XDev, the rename releases its one RPC slot, and the
+  // client's next operation completes.
+  Scheduler S;
+  ShardedOptions O;
+  O.NumShards = 2;
+  O.SplitThreshold = 3;
+  O.Client.RpcSlots = 1;
+  ShardedFs Fs(S, O);
+  std::unique_ptr<ClientFs> Writer = Fs.makeClient(0);
+  std::unique_ptr<ClientFs> Stale = Fs.makeClient(1);
+  auto *C = static_cast<ShardedClient *>(Stale.get());
+
+  ASSERT_EQ(FsError::Ok, runSync(S, *Writer, makeMkdir("/r")).Err);
+  for (unsigned I = 0; I < 8; ++I)
+    ASSERT_EQ(FsError::Ok, touch(S, *Writer, "/r/g" + std::to_string(I)));
+  const GigaDir *D = Fs.partitionMap().dir(fnv1a64("/r"));
+  ASSERT_NE(nullptr, D);
+  ASSERT_GT(std::popcount(D->Bitmap), 1);
+
+  // An existing source outside partition 0, so the stale route misses it,
+  // and a fresh target on the other shard.
+  auto PartitionOf = [&](const std::string &Name) {
+    return PartitionMap::partitionOf(PartitionMap::hashName(Name), D->Bitmap);
+  };
+  auto ShardOf = [&](const std::string &Name) {
+    return Fs.placement().shardFor(D->Token, PartitionOf(Name));
+  };
+  std::string Src, Dst;
+  for (unsigned I = 0; I < 8 && Src.empty(); ++I) {
+    std::string Name = "g" + std::to_string(I);
+    if (PartitionOf(Name) == 0)
+      continue;
+    for (unsigned J = 0; J < 64; ++J) {
+      std::string Cand = "h";
+      Cand += std::to_string(J);
+      if (ShardOf(Cand) != ShardOf(Name)) {
+        Src = Name;
+        Dst = Cand;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(Src.empty()) << "no cross-shard name pair found";
+  std::string SrcPath = "/r/" + Src;
+  std::string DstPath = "/r/" + Dst;
+
+  EXPECT_EQ(FsError::XDev,
+            runSync(S, *Stale, makeRename(SrcPath, DstPath)).Err);
+  EXPECT_EQ(1u, C->staleMapRetries());
+  EXPECT_EQ(0u, C->inFlightRpcs());
+  EXPECT_TRUE(runSync(S, *Stale, makeStat(SrcPath)).ok());
+  EXPECT_EQ(FsError::NoEnt, runSync(S, *Stale, makeStat(DstPath)).Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -324,8 +324,10 @@ TEST(Mutex, SerializesCriticalSections) {
 TEST(Network, LatencyOnly) {
   Scheduler S;
   NetworkLink Link(S, microseconds(200));
+  NetworkLink::Delivery D = Link.plan(0);
+  ASSERT_FALSE(D.Dropped);
   SimTime Delivered = 0;
-  Link.send(0, [&] { Delivered = S.now(); });
+  S.after(D.Delay, [&] { Delivered = S.now(); });
   S.run();
   EXPECT_EQ(microseconds(200), Delivered);
 }
@@ -602,8 +604,10 @@ TEST(Network, SerializationAddsToLatency) {
   Scheduler S;
   // 1 MB at 125 MB/s = 8 ms of serialization.
   NetworkLink Link(S, milliseconds(1), 125e6);
+  NetworkLink::Delivery D = Link.plan(1000000);
+  ASSERT_FALSE(D.Dropped);
   SimTime Delivered = 0;
-  Link.send(1000000, [&] { Delivered = S.now(); });
+  S.after(D.Delay, [&] { Delivered = S.now(); });
   S.run();
   EXPECT_EQ(milliseconds(9), Delivered);
   EXPECT_EQ(1u, Link.messagesSent());

@@ -40,11 +40,13 @@
 #      and growth under the pointers its users hold, the CPU queues
 #      compact and wrap their reused storage under running completions,
 #      the journal's commit hook may append records and intern volumes
-#      while the commit frontier advances, the duplicate-request
-#      cache recycles ring slots under its index, a plugin's op streams
-#      borrow their instance's state and the instances borrow the
-#      runner's work directories, and the sparse time logs move into
-#      the results; all must stay memory-clean),
+#      while the commit frontier advances, the file server writes each
+#      reply into a slot its caller owns across a tenant's rate-limit
+#      delay or a batch of requests (the Qos and Notification suites),
+#      the duplicate-request cache recycles ring slots under its index,
+#      a plugin's op streams borrow their instance's state and the
+#      instances borrow the runner's work directories, and the sparse
+#      time logs move into the results; all must stay memory-clean),
 #   8. (optionally) the full suite rebuilt under sanitizers.
 #
 # Exits nonzero on the first failure. Usage:
@@ -146,10 +148,13 @@ else
   # the CPU queues (Resource's waiting ring,
   # SharedProcessor's compacted task vector) reuse their storage under
   # running completions, the journal's commit hook may append records and
-  # intern a volume while the commit frontier advances, the
-  # duplicate-request cache overwrites and compacts ring slots under its
-  # index, every plugin's op streams borrow their instance's state and
-  # the instances borrow the runner's interned work directories (the
+  # intern a volume while the commit frontier advances, the file server
+  # writes each reply into a slot its caller owns and fires the caller's
+  # completion after a tenant's rate-limit delay or a batch of requests
+  # (the Qos and Notification suites), the duplicate-request cache
+  # overwrites and compacts ring slots under its index, every plugin's
+  # op streams borrow their instance's state and the instances borrow
+  # the runner's interned work directories (the
   # Core, Registry, plugin-sweep, Postmark, ReaddirPlus and ResultsIO
   # suites), and the sparse time logs move from the workers into the
   # results that the Analysis suites sweep — exactly the kind of plumbing
@@ -164,8 +169,9 @@ else
         extension_test
   # The test suites of the first eight binaries, the table's and the
   # interner's suites in support_test, the CPU queues' suites in sim_test,
-  # the journal's in consistency_test, and the core, analysis, plugin
-  # sweep and extension (Postmark, ReaddirPlus, ResultsIO) suites.
+  # the journal's and the change notifications' in consistency_test, and
+  # the core, analysis, plugin sweep and extension (Postmark, ReaddirPlus,
+  # ResultsIO, Qos) suites.
   SUITES='^Trace|^Fault|^Network|^WriteBehind'
   SUITES+='|^Fs|^AllKinds/DirIndexParamTest'
   SUITES+='|^Afs|^AttrCacheUnit|^Cxfs|^Gx|^LocalModel|^Lustre|^Mounts|^Nfs'
@@ -176,6 +182,7 @@ else
   SUITES+='|^Core|^Registry|^Analysis'
   SUITES+='|^FixedSizePlugins/PluginSweepTest|^TimedPlugins/TimedSweepTest'
   SUITES+='|^Postmark|^ReaddirPlus|^ResultsIOTest'
+  SUITES+='|^Qos|^Notification'
   ctest --test-dir "$ROOT/build-sanitize" --output-on-failure -j "$JOBS" \
         -R "$SUITES"
 fi
